@@ -10,7 +10,7 @@ of identities, inequalities, and embedding constants at desk scale.
 __version__ = "0.1.0"
 
 from . import errors, jets  # noqa: F401
-from .funcspace import NormRequest, RadialFunction, default_families  # noqa: F401
+from .funcspace import RadialFunction, default_families  # noqa: F401
 from .manifold import ManifoldSpec, WarpSpec, c_phi, sphere_volume  # noqa: F401
 from .quadrature import DecayEnvelope, Integrand, QuadResult  # noqa: F401
 from .verify import CheckSpec, GridSpec, VerificationReport, run_check, run_suite  # noqa: F401

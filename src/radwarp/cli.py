@@ -10,8 +10,7 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 configuration
 error.  The JSON report schema is
 {run_meta, checks: [{kind, params, verdict, measured, worst_case, grid,
 runtime_ms}]}; `run_meta.timestamp` and the per-check `runtime_ms` are the
-only fields that vary between identical runs.  Worker count is taken from
-the RADWARP_WORKERS environment variable (default 1).
+only fields that vary between identical runs.
 """
 
 from __future__ import annotations
@@ -30,12 +29,11 @@ from .config import (
     DEFAULT_SUITE,
     RunConfig,
     build_check_specs,
-    make_family,
+    family_pool,
     parse_config,
     _resolve_manifold,
 )
 from .errors import ConfigError, RadwarpError
-from .funcspace import default_families
 from .manifold import warp_value
 from .verify import (
     GridSpec,
@@ -76,7 +74,10 @@ def _apply_quadrature_section(cfg: RunConfig):
     if "panel_budget" in cfg.quadrature:
         from . import quadrature
 
-        quadrature.DEFAULT_PANEL_BUDGET = int(cfg.quadrature["panel_budget"])
+        try:
+            quadrature.DEFAULT_PANEL_BUDGET = int(cfg.quadrature["panel_budget"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad quadrature.panel_budget: {exc}") from exc
 
 
 def _read_config(path: str) -> RunConfig:
@@ -124,10 +125,7 @@ def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
                  tol: float | None = None):
     entry = dict(cfg.dump)
     m = _resolve_manifold(cfg, entry)
-    if cfg.families:
-        pool = [make_family(cfg.families[i]) for i in sorted(cfg.families)]
-    else:
-        pool = list(default_families(m.warp.radius))
+    pool = family_pool(cfg, m)
     wanted = entry.get("family")
     family = next(
         (f for f in pool if wanted in (None, f.family, f.label)), pool[0]

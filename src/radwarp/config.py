@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, InadmissibleParameterError, RadwarpError
+from .errors import ConfigError, RadwarpError
 from .funcspace import RadialFunction, default_families
 from .manifold import ManifoldSpec, WarpSpec
 from .verify import CHECK_KINDS, CheckSpec, GridSpec
@@ -181,11 +181,15 @@ def _resolve_manifold(cfg: RunConfig, entry: dict) -> ManifoldSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_families(cfg: RunConfig, entry: dict, m: ManifoldSpec):
+def family_pool(cfg: RunConfig, m: ManifoldSpec) -> list[RadialFunction]:
+    """The configured families in index order, or the default set for m."""
     if cfg.families:
-        pool = [make_family(cfg.families[i]) for i in sorted(cfg.families)]
-    else:
-        pool = list(default_families(m.warp.radius))
+        return [make_family(cfg.families[i]) for i in sorted(cfg.families)]
+    return list(default_families(m.warp.radius))
+
+
+def _resolve_families(cfg: RunConfig, entry: dict, m: ManifoldSpec):
+    pool = family_pool(cfg, m)
     subset = entry.get("families")
     if subset is None:
         return tuple(pool)
@@ -197,12 +201,19 @@ def _resolve_families(cfg: RunConfig, entry: dict, m: ManifoldSpec):
     return tuple(chosen)
 
 
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
 def build_check_specs(cfg: RunConfig, grid_override: int | None = None,
                       tol_override: float | None = None) -> list[CheckSpec]:
     """Validated CheckSpec list; any invalid combination raises ConfigError."""
     if not cfg.checks:
         raise ConfigError("configuration defines no checks")
-    quad_tol = float(cfg.quadrature.get("tol", 1e-10))
+    try:
+        quad_tol = float(cfg.quadrature.get("tol", 1e-10))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad quadrature.tol: {exc}") from exc
     if tol_override is not None:
         quad_tol = tol_override
     specs = []
@@ -213,34 +224,37 @@ def build_check_specs(cfg: RunConfig, grid_override: int | None = None,
             raise ConfigError(f"check {idx}: unknown kind {kind!r}")
         m = _resolve_manifold(cfg, entry)
         families = _resolve_families(cfg, entry, m)
-        grid_n = int(entry.get("grid", 256))
-        if grid_override is not None:
-            grid_n = grid_override
-        grid = GridSpec(
-            n=grid_n,
-            lo=entry.get("grid_lo"),
-            hi=entry.get("grid_hi"),
-            tail_cap=float(entry.get("tail_cap", 10.0)),
-        )
+        try:
+            grid = GridSpec(
+                n=grid_override if grid_override is not None else int(entry.get("grid", 256)),
+                lo=_optional_float(entry.get("grid_lo")),
+                hi=_optional_float(entry.get("grid_hi")),
+                tail_cap=float(entry.get("tail_cap", 10.0)),
+            )
+            fields = dict(
+                k=int(entry.get("k", 1)),
+                p=float(entry.get("p", 2.0)),
+                q=_optional_float(entry.get("q")),
+                theta=float(entry.get("theta", 0.0)),
+                j=int(entry["j"]) if "j" in entry else None,
+                tol=_optional_float(entry.get("tol")),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"check {idx} ({kind}): bad value: {exc}") from exc
         try:
             specs.append(
                 CheckSpec(
                     kind=kind,
                     manifold=m,
                     families=families,
-                    k=int(entry.get("k", 1)),
-                    p=float(entry.get("p", 2.0)),
-                    q=float(entry["q"]) if "q" in entry else None,
-                    theta=float(entry.get("theta", 0.0)),
-                    j=int(entry["j"]) if "j" in entry else None,
                     grid=grid,
-                    tol=float(entry["tol"]) if "tol" in entry else None,
                     quad_tol=quad_tol,
                     variant=entry.get("variant", "manifold"),
                     diagnostic=bool(entry.get("diagnostic", False)),
+                    **fields,
                 )
             )
-        except (InadmissibleParameterError, RadwarpError) as exc:
+        except RadwarpError as exc:
             raise ConfigError(f"check {idx} ({kind}): {exc}") from exc
     return specs
 

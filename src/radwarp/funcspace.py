@@ -24,7 +24,13 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, InadmissibleParameterError
-from .jets import Jet, jet_compose_univariate, jet_from_derivatives
+from .jets import (
+    Jet,
+    jet_compose_univariate,
+    jet_coordinate,
+    jet_from_derivatives,
+    polynomial_derivatives,
+)
 from .manifold import ManifoldSpec, WarpSpec, sphere_volume
 from .quadrature import DecayEnvelope, Integrand, integrate_weighted
 
@@ -143,15 +149,14 @@ class RadialFunction:
             )
             return math.log(r_ref) - 0.5 * jet_compose_univariate("log", inner)
         if self.family == "linear":
-            rows = [ta, np.ones_like(ta)] + [np.zeros_like(ta)] * max(0, order - 1)
-            return jet_from_derivatives(np.stack(rows[: order + 1]))
+            return jet_coordinate(1, order, 1, ta)
         return self._bump_jet(ta, order)
 
     def _bump_jet(self, ta: np.ndarray, order: int) -> Jet:
         # smooth cutoff exp(1 - 1/(1 - (t/S)^2)) carried against the
         # polynomial factor; identically zero at and beyond the support
         s = self.param("support")
-        coeffs = self.bump_coeffs()
+        terms = list(enumerate(self.bump_coeffs()))
         scalar = ta.ndim == 0
         tb = np.atleast_1d(ta)
         out = np.zeros(tb.shape + (order + 1,))
@@ -162,14 +167,7 @@ class RadialFunction:
             w_rows += [np.zeros_like(ti)] * max(0, order - 2)
             w = jet_from_derivatives(np.stack(w_rows[: order + 1]))
             cut = jet_compose_univariate("exp", 1.0 - jet_compose_univariate("recip", w))
-            poly_rows = []
-            for m in range(order + 1):
-                acc = np.zeros_like(ti)
-                for deg, c in enumerate(coeffs):
-                    if deg >= m:
-                        fall = math.factorial(deg) // math.factorial(deg - m)
-                        acc = acc + c * fall * ti ** (deg - m)
-                poly_rows.append(acc)
+            poly_rows = polynomial_derivatives(terms, ti, order)
             val = cut * jet_from_derivatives(np.stack(poly_rows))
             out[inside] = val.coeffs
         coeffs_arr = out[0] if scalar else out
@@ -242,50 +240,30 @@ def default_families(radius: float) -> tuple[RadialFunction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# norm requests and critical exponents
+# critical exponents
 
 
-@dataclass(frozen=True)
-class NormRequest:
-    """Exponent bundle (k, p, theta, q) with the critical-exponent algebra."""
-
-    k: int = 1
-    p: float = 2.0
-    theta: float = 0.0
-    q: float = 2.0
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise InadmissibleParameterError("derivative count k must be >= 0")
-        if self.p < 1 or self.q < 1:
-            raise InadmissibleParameterError("Lebesgue exponents must be >= 1")
-        if self.theta < 0:
-            raise InadmissibleParameterError("weight exponent theta must be >= 0")
-
-    def critical_q_manifold(self, n: int) -> float:
-        """(theta + N) p / (N - kp); requires N > kp."""
-        if n <= self.k * self.p:
-            raise InadmissibleParameterError(
-                f"critical exponent needs N > kp (N={n}, k={self.k}, p={self.p})"
-            )
-        return (self.theta + n) * self.p / (n - self.k * self.p)
-
-    def critical_q_interval(self, n: int) -> float:
-        """(theta + 1) p / (N - kp); requires N > kp."""
-        if n <= self.k * self.p:
-            raise InadmissibleParameterError(
-                f"critical exponent needs N > kp (N={n}, k={self.k}, p={self.p})"
-            )
-        return (self.theta + 1) * self.p / (n - self.k * self.p)
+def critical_q(n: int, k: int, p: float, theta: float = 0.0,
+               variant: str = "manifold") -> float:
+    """(theta + N) p / (N - kp), or (theta + 1) p / (N - kp) for the interval
+    variant; requires N > kp."""
+    if n <= k * p:
+        raise InadmissibleParameterError(
+            f"critical exponent needs N > kp (N={n}, k={k}, p={p})"
+        )
+    lead = n if variant == "manifold" else 1
+    return (theta + lead) * p / (n - k * p)
 
 
 # ---------------------------------------------------------------------------
 # norms
 
 
-def _weighted_integral(evaluator, theta: float, w: WarpSpec,
-                       envelope: DecayEnvelope | None, tol: float,
-                       min_t: float = 0.0) -> float:
+def weighted_integral(evaluator, theta: float, w: WarpSpec,
+                      envelope: DecayEnvelope | None, tol: float,
+                      min_t: float = 0.0) -> float:
+    """int_0^R evaluator(t) phi(t)^theta dt; inf when it diverges or, on an
+    unbounded domain, when no envelope certifies the tail."""
     if math.isinf(w.radius) and envelope is None:
         return math.inf  # no certified tail: infinite-norm signal
     res = integrate_weighted(Integrand(evaluator, theta, envelope), w, tol, min_t=min_t)
@@ -303,7 +281,7 @@ def lq_theta_norm_1d(v: RadialFunction, q: float, theta: float, w: WarpSpec,
     if math.isinf(w.radius):
         base = v.decay_envelope()
         env = base.power_scaled(q) if base is not None else None
-    value = _weighted_integral(lambda t: np.abs(v.values(t)) ** q, theta, w, env, tol)
+    value = weighted_integral(lambda t: np.abs(v.values(t)) ** q, theta, w, env, tol)
     return value ** (1.0 / q) if math.isfinite(value) else math.inf
 
 
@@ -319,7 +297,7 @@ def sobolev_seminorms_1d(v: RadialFunction, k: int, p: float, n: int, w: WarpSpe
     for j in range(k + 1):
         env = base_env.power_scaled(p) if base_env is not None else None
         evaluator = (lambda jj: lambda t: np.abs(v.derivative_values(t, jj)) ** p)(j)
-        out.append(_weighted_integral(evaluator, n - 1.0, w, env, tol))
+        out.append(weighted_integral(evaluator, n - 1.0, w, env, tol))
     return out
 
 
@@ -356,42 +334,42 @@ def _profile_envelope(v: RadialFunction, m: ManifoldSpec, j: int,
     return base.scaled(4.0 * max(margin, 1.0)).power_scaled(p)
 
 
-def sobolev_norm_manifold(v: RadialFunction, k: int, p: float, m: ManifoldSpec,
-                          tol: float = 1e-10) -> float:
-    """sum_{j<=k} ( omega_{N-1} int |grad^j u|_g^p phi^(N-1) dr )^(1/p).
+def _manifold_norm_term(v: RadialFunction, j: int, p: float, m: ManifoldSpec,
+                        tol: float) -> float:
+    """( omega_{N-1} int |grad^j u|_g^p phi^(N-1) dr )^(1/p); inf on divergence.
 
     The pointwise tensor norms come from the covariant recursion at the
     default evaluation angles; angle independence is a separately tested
     property, so the sphere integral collapses to the radial line.
     """
+    unbounded = math.isinf(m.warp.radius)
+    env = _profile_envelope(v, m, j, p) if unbounded else None
+    if unbounded and env is None:
+        return math.inf
+    integral = weighted_integral(
+        lambda t: geometry.norm_profiles(v, m, t, j)[j] ** p,
+        m.dim - 1.0, m.warp, env, tol, min_t=geometry.MIN_RADIUS,
+    )
+    if not math.isfinite(integral):
+        return math.inf
+    return (sphere_volume(m.dim) * integral) ** (1.0 / p)
+
+
+def sobolev_norm_manifold(v: RadialFunction, k: int, p: float, m: ManifoldSpec,
+                          tol: float = 1e-10) -> float:
+    """sum_{j<=k} ( omega_{N-1} int |grad^j u|_g^p phi^(N-1) dr )^(1/p)."""
     if k > MAX_JET_ORDER:
         raise InadmissibleParameterError(f"derivative count limited to {MAX_JET_ORDER}")
-    omega = sphere_volume(m.dim)
-    unbounded = math.isinf(m.warp.radius)
     terms = []
     for j in range(k + 1):
-        env = _profile_envelope(v, m, j, p) if unbounded else None
-        if unbounded and env is None:
+        term = _manifold_norm_term(v, j, p, m, tol)
+        if not math.isfinite(term):
             return math.inf
-        evaluator = (lambda jj: lambda t: geometry.norm_profiles(v, m, t, jj)[jj] ** p)(j)
-        integral = _weighted_integral(
-            evaluator, m.dim - 1.0, m.warp, env, tol, min_t=geometry.MIN_RADIUS
-        )
-        if not math.isfinite(integral):
-            return math.inf
-        terms.append((omega * integral) ** (1.0 / p))
+        terms.append(term)
     return math.fsum(terms)
 
 
 def gradient_norm_manifold(v: RadialFunction, p: float, m: ManifoldSpec,
                            tol: float = 1e-10) -> float:
     """( omega_{N-1} int |grad u|_g^p phi^(N-1) dr )^(1/p), recursion route."""
-    omega = sphere_volume(m.dim)
-    env = _profile_envelope(v, m, 1, p) if math.isinf(m.warp.radius) else None
-    if math.isinf(m.warp.radius) and env is None:
-        return math.inf
-    evaluator = lambda t: geometry.norm_profiles(v, m, t, 1)[1] ** p
-    integral = _weighted_integral(
-        evaluator, m.dim - 1.0, m.warp, env, tol, min_t=geometry.MIN_RADIUS
-    )
-    return (omega * integral) ** (1.0 / p) if math.isfinite(integral) else math.inf
+    return _manifold_norm_term(v, 1, p, m, tol)

@@ -31,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, ProximityError, SingularMetricError
-from .jets import Jet, embed_univariate, jet_from_derivatives, jet_mul, jet_partial
+from .jets import Jet, embed_univariate, jet_coordinate, jet_mul, jet_partial
 from .manifold import (
     DiagonalMetric,
     ManifoldSpec,
@@ -183,12 +183,6 @@ def covariant_bundle(v, m: ManifoldSpec, r, k: int, angles=None):
     return metric, tensors
 
 
-def covariant_derivatives(v, m: ManifoldSpec, point, k: int) -> list[CovTensor]:
-    """Covariant derivative tensors of u(x) = v(r) for ranks 0..k at a point."""
-    _, tensors = covariant_bundle(v, m, point[0], k, angles=point[1:])
-    return tensors
-
-
 def pointwise_norm(t: CovTensor, metric: DiagonalMetric):
     """Tensor norm sqrt( sum g^{i1 i1} ... g^{ij ij} (component)^2 ).
 
@@ -219,21 +213,11 @@ def norm_profiles(v, m: ManifoldSpec, r, k: int, angles=None) -> np.ndarray:
     return np.stack(rows) if np.ndim(r) else np.array([float(x) for x in rows])
 
 
-def radial_identity_gap(v, m: ManifoldSpec, r, k: int):
-    """|(pure-radial component of grad^k u) - v^(k)(r)|; floating noise only."""
-    _, tensors = covariant_bundle(v, m, r, k)
-    lhs = tensors[k].component((1,) * k).value
-    rhs = v.eval_jet(r, k).derivative(k)
-    return np.abs(lhs - rhs)
-
-
 class _LinearProfile:
     """v(t) = t, the profile driving the small-radius asymptotics."""
 
     def eval_jet(self, t, order: int) -> Jet:
-        ta = np.asarray(t, dtype=np.float64)
-        rows = [ta, np.ones_like(ta)] + [np.zeros_like(ta)] * max(0, order - 1)
-        return jet_from_derivatives(np.stack(rows[: order + 1]))
+        return jet_coordinate(1, order, 1, t)
 
 
 def asymptotic_leading_ratio(m: ManifoldSpec, k: int, r: float) -> float:

@@ -383,14 +383,28 @@ def jet_partial(a: Jet, var_index: int) -> Jet:
 # analytic composition
 
 
-def _tanh_series(a: np.ndarray, order: int) -> list[np.ndarray]:
-    # Taylor coefficients of tanh about a, from y' = 1 - y^2.
+def tanh_series(a: np.ndarray, order: int) -> list[np.ndarray]:
+    """Taylor coefficients of tanh about a, from y' = 1 - y^2."""
     y = [np.tanh(a)]
     for k in range(order):
         conv = sum(y[i] * y[k - i] for i in range(k + 1))
         src = (1.0 if k == 0 else 0.0) - conv
         y.append(src / (k + 1))
     return y
+
+
+def polynomial_derivatives(terms: list[tuple[int, float]], t: np.ndarray,
+                           order: int) -> list[np.ndarray]:
+    """Values [P(t), P'(t), ..., P^(order)(t)] of P(t) = sum c t^deg over (deg, c) terms."""
+    out = []
+    for m in range(order + 1):
+        acc = np.zeros_like(t)
+        for deg, c in terms:
+            if deg >= m:
+                fall = math.factorial(deg) // math.factorial(deg - m)
+                acc = acc + c * fall * t ** (deg - m)
+        out.append(acc)
+    return out
 
 
 def _series_coeffs(f: str, a: np.ndarray, order: int, alpha: float | None):
@@ -408,7 +422,7 @@ def _series_coeffs(f: str, a: np.ndarray, order: int, alpha: float | None):
         e = np.exp(a)
         return [e / math.factorial(k) for k in ks]
     if f == "tanh":
-        return _tanh_series(a, order)
+        return tanh_series(a, order)
     if f == "log":
         if np.any(a <= 0.0):
             raise SingularCompositionError("log composed with non-positive constant term")

@@ -30,6 +30,8 @@ from .jets import (
     jet_coordinate,
     jet_from_derivatives,
     jet_mul,
+    polynomial_derivatives,
+    tanh_series,
 )
 
 WARP_KINDS = ("euclidean", "hyperbolic", "spherical", "tanh_cap", "custom_odd_series")
@@ -121,23 +123,10 @@ def _derivatives_table(w: WarpSpec, r: np.ndarray, order: int) -> list[np.ndarra
     if w.kind == "spherical":
         return [np.sin(r + m * math.pi / 2) for m in range(order + 1)]
     if w.kind == "tanh_cap":
-        # Taylor coefficients about r from y' = 1 - y^2, then scale back.
-        y = [np.tanh(r)]
-        for k in range(order):
-            conv = sum(y[i] * y[k - i] for i in range(k + 1))
-            y.append(((1.0 if k == 0 else 0.0) - conv) / (k + 1))
+        y = tanh_series(r, order)
         return [y[m] * math.factorial(m) for m in range(order + 1)]
-    # custom odd series
-    out = []
-    for m in range(order + 1):
-        acc = np.zeros_like(r)
-        for j, c in enumerate(w.coeffs):
-            p = 2 * j + 1
-            if p >= m:
-                fall = math.factorial(p) // math.factorial(p - m)
-                acc = acc + c * fall * r ** (p - m)
-        out.append(acc)
-    return out
+    terms = [(2 * j + 1, c) for j, c in enumerate(w.coeffs)]
+    return polynomial_derivatives(terms, r, order)
 
 
 def warp_value(w: WarpSpec, r) -> np.ndarray:
@@ -164,17 +153,7 @@ def warp_eval(w: WarpSpec, r, order: int, base: BasePoint | None = None) -> Jet:
 # warp monotonicity constant
 
 
-@dataclass(frozen=True)
-class WarpInfimum:
-    """Grid estimate of inf over 0 < r <= t of phi(t)/phi(r)."""
-
-    value: float
-    cutoff: float
-    monotone: bool
-    grid_size: int
-
-
-def _tail_cutoff(w: WarpSpec) -> tuple[float, bool]:
+def _tail_cutoff(w: WarpSpec) -> float:
     """Cutoff T for the pair grid on an unbounded domain.
 
     Extending past T cannot lower the infimum once phi is nondecreasing on
@@ -182,34 +161,14 @@ def _tail_cutoff(w: WarpSpec) -> tuple[float, bool]:
     maximum (ratio 1) or is bounded below by the ratio already seen at T.
     """
     if math.isfinite(w.radius):
-        return w.radius, False
+        return w.radius
     t = 8.0
     while t < 2.0**16:
         sample = warp_value(w, np.linspace(t, 2 * t, 65))
         if np.all(np.diff(sample) >= -1e-13 * np.abs(sample[:-1])):
-            return t, True
+            return t
         t *= 2.0
-    return t, False
-
-
-def c_phi_details(w: WarpSpec, grid_size: int = 1024) -> WarpInfimum:
-    if grid_size < 64:
-        raise DomainError("c_phi grid must have at least 64 points")
-    cutoff, tail_ok = _tail_cutoff(w)
-    hi = cutoff * (1.0 - 1.0 / grid_size) if math.isfinite(w.radius) else cutoff
-    grid = np.geomspace(hi * 1e-6, hi, grid_size)
-    phi = warp_value(w, grid)
-    if np.any(phi <= 0.0):
-        raise DomainError("warp is not positive over the infimum grid")
-    diffs = np.diff(phi)
-    if np.all(diffs >= -1e-13 * np.maximum(np.abs(phi[:-1]), 1e-300)):
-        return WarpInfimum(1.0, cutoff, True, grid_size)
-    running_max = np.maximum.accumulate(phi)
-    ratios = phi / running_max
-    value = float(np.min(ratios))
-    if value < 1e-300:
-        value = 0.0
-    return WarpInfimum(value, cutoff, False, grid_size)
+    return t
 
 
 def c_phi(w: WarpSpec, grid_size: int = 1024) -> float:
@@ -219,7 +178,20 @@ def c_phi(w: WarpSpec, grid_size: int = 1024) -> float:
     minimum over t of phi(t) divided by the running maximum of phi up to t.
     Returns exactly 1.0 when the sampled profile is nondecreasing.
     """
-    return c_phi_details(w, grid_size).value
+    if grid_size < 64:
+        raise DomainError("c_phi grid must have at least 64 points")
+    cutoff = _tail_cutoff(w)
+    hi = cutoff * (1.0 - 1.0 / grid_size) if math.isfinite(w.radius) else cutoff
+    grid = np.geomspace(hi * 1e-6, hi, grid_size)
+    phi = warp_value(w, grid)
+    if np.any(phi <= 0.0):
+        raise DomainError("warp is not positive over the infimum grid")
+    diffs = np.diff(phi)
+    if np.all(diffs >= -1e-13 * np.maximum(np.abs(phi[:-1]), 1e-300)):
+        return 1.0
+    running_max = np.maximum.accumulate(phi)
+    value = float(np.min(phi / running_max))
+    return value if value >= 1e-300 else 0.0
 
 
 # ---------------------------------------------------------------------------

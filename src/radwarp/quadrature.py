@@ -142,6 +142,15 @@ class QuadResult:
     converged: bool
 
 
+def _weighted(f: Integrand, w: WarpSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """f.evaluator times the warp weight phi^f.weight_exponent."""
+    if f.weight_exponent == 0.0:
+        return lambda t: np.asarray(f.evaluator(t), dtype=np.float64)
+    return lambda t: np.asarray(f.evaluator(t), dtype=np.float64) * warp_value(
+        w, t
+    ) ** f.weight_exponent
+
+
 def _warp_power_envelope(w: WarpSpec, theta_w: float) -> DecayEnvelope:
     """Envelope of phi(t)^theta_w on the tail of an unbounded domain."""
     if theta_w == 0.0:
@@ -231,12 +240,7 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     if panel_budget is None:
         panel_budget = DEFAULT_PANEL_BUDGET
 
-    if f.weight_exponent == 0.0:
-        weighted = lambda t: np.asarray(f.evaluator(t), dtype=np.float64)
-    else:
-        weighted = lambda t: np.asarray(f.evaluator(t), dtype=np.float64) * warp_value(
-            w, t
-        ) ** f.weight_exponent
+    weighted = _weighted(f, w)
 
     tail_bound = 0.0
     certified_tail = True
@@ -364,12 +368,7 @@ def divergence_probe(f: Integrand, w: WarpSpec, r0: float, eps_list) -> ProbeRes
     if not (0 < eps[0] < r0 <= w.radius):
         raise DomainError("cut points must lie inside (0, r0] with r0 <= R")
 
-    if f.weight_exponent == 0.0:
-        weighted = lambda t: np.asarray(f.evaluator(t), dtype=np.float64)
-    else:
-        weighted = lambda t: np.asarray(f.evaluator(t), dtype=np.float64) * warp_value(
-            w, t
-        ) ** f.weight_exponent
+    weighted = _weighted(f, w)
 
     values = [_integrate_log_window(weighted, e, r0, 1e-10) for e in eps]
     v = np.array(values)

@@ -16,24 +16,32 @@ are skipped and counted.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
-from .errors import InadmissibleParameterError
+from .errors import DomainError, InadmissibleParameterError
 from .funcspace import (
     RadialFunction,
+    critical_q,
     default_families,
+    gradient_norm_manifold,
     lq_theta_norm_1d,
     sobolev_norm_1d,
     sobolev_norm_manifold,
     sobolev_seminorms_1d,
+    weighted_integral,
 )
-from .manifold import ManifoldSpec, WarpSpec, c_phi, sphere_volume, warp_value
+from .manifold import (
+    ManifoldSpec,
+    WarpSpec,
+    c_phi,
+    sphere_volume,
+    warp_growth_bounds,
+    warp_value,
+)
 from .quadrature import Integrand, divergence_probe, integrate_weighted
 
 CHECK_KINDS = (
@@ -62,6 +70,12 @@ DEFAULT_TOLERANCES = {
     "asymptotic_leading": 0.01,
 }
 
+# kinds that sample no radial grid; every other kind resolves spec.grid
+_GRIDLESS = {"counterexample", "asymptotic_leading", "hardy", "k1_norm_equality", "embedding_ratio"}
+
+# kinds whose norms on an unbounded domain need a certified warp tail bound
+_TAIL_BOUNDED = {"k1_norm_equality", "decay_lemma", "embedding_ratio"}
+
 _TINY = 1e-300
 
 
@@ -78,6 +92,8 @@ class GridSpec:
     def resolve(self, radius: float) -> np.ndarray:
         lo = self.lo if self.lo is not None else max(1e-3, radius / 1e4 if math.isfinite(radius) else 1e-3)
         hi = self.hi if self.hi is not None else min(0.999 * radius, self.tail_cap)
+        if self.n < 2:
+            raise InadmissibleParameterError(f"radial grid needs at least 2 points, got {self.n}")
         if not 0 < lo < hi:
             raise InadmissibleParameterError(f"empty radial grid [{lo}, {hi}]")
         return np.geomspace(lo, hi, self.n)
@@ -138,6 +154,13 @@ class CheckSpec:
         if self.theta < 0:
             raise InadmissibleParameterError("theta must be nonnegative")
         kind = self.kind
+        if kind not in _GRIDLESS:
+            self.grid.resolve(w.radius)
+        if kind in _TAIL_BOUNDED and math.isinf(w.radius):
+            try:
+                warp_growth_bounds(w)
+            except DomainError as exc:
+                raise InadmissibleParameterError(f"{kind}: {exc}") from exc
         if kind in ("radial_lemma_power", "radial_lemma_log", "hardy"):
             if math.isinf(w.radius):
                 raise InadmissibleParameterError(f"{kind} requires a bounded domain")
@@ -212,11 +235,7 @@ class CheckSpec:
             return  # out-of-range probing mode: deliberately unchecked
         q_lo = 1.0 if math.isfinite(w.radius) else p
         if n > k * p:
-            q_hi = (
-                (self.theta + n) * p / (n - k * p)
-                if self.variant == "manifold"
-                else (self.theta + 1) * p / (n - k * p)
-            )
+            q_hi = critical_q(n, k, p, self.theta, self.variant)
         elif n == k * p:
             q_hi = math.inf
             if math.isfinite(w.radius) and p == 1.0:
@@ -374,7 +393,7 @@ def check_k1_norm_equality(spec: CheckSpec) -> tuple[dict, dict, bool]:
         if not math.isfinite(rhs) or rhs == 0.0:
             skipped.append(f.label)
             continue
-        lhs = _gradient_norm(f, m, p, spec.quad_tol)
+        lhs = gradient_norm_manifold(f, p, m, spec.quad_tol)
         rel = abs(lhs - rhs) / rhs
         if rel > worst["rel_diff"]:
             worst = {"rel_diff": rel, "family": f.label, "lhs": lhs, "rhs": rhs}
@@ -384,12 +403,6 @@ def check_k1_norm_equality(spec: CheckSpec) -> tuple[dict, dict, bool]:
     }
     ok = 0.0 <= measured["max_rel_diff"] <= spec.tol
     return measured, worst, ok
-
-
-def _gradient_norm(f, m, p, quad_tol):
-    from .funcspace import gradient_norm_manifold
-
-    return gradient_norm_manifold(f, p, m, quad_tol)
 
 
 def _sup_over_grid(spec: CheckSpec, families, profile, grid_spec: GridSpec):
@@ -518,12 +531,10 @@ def check_hardy(spec: CheckSpec) -> tuple[dict, dict, bool]:
         for f in spec.families:
             parts = sobolev_seminorms_1d(f, k, p, n, w, quad_tol)
             rhs = math.fsum(parts[k - j:])
-            lhs_integrand = Integrand(
+            lhs = weighted_integral(
                 (lambda ff: lambda t: np.abs(ff.derivative_values(t, k - j)) ** p)(f),
-                n - 1.0 - j * p,
+                n - 1.0 - j * p, w, None, quad_tol,
             )
-            res = integrate_weighted(lhs_integrand, w, quad_tol)
-            lhs = res.value if res.converged else math.inf
             if not (math.isfinite(lhs) and math.isfinite(rhs)) or rhs == 0.0:
                 skipped.append(f.label)
                 continue
@@ -591,11 +602,7 @@ def check_embedding_ratio(spec: CheckSpec) -> tuple[dict, dict, bool]:
         "skipped_families": skipped,
     }
     if math.isinf(m.warp.radius) and not spec.diagnostic and n > spec.k * spec.p:
-        q_star = (
-            (spec.theta + n) * spec.p / (n - spec.k * spec.p)
-            if spec.variant == "manifold"
-            else (spec.theta + 1) * spec.p / (n - spec.k * spec.p)
-        )
+        q_star = critical_q(n, spec.k, spec.p, spec.theta, spec.variant)
         measured["constant_at_q_lower"] = constant(spec.p, spec.quad_tol)[0]["value"]
         measured["constant_at_q_critical"] = constant(q_star, spec.quad_tol)[0]["value"]
     ok = (
@@ -684,9 +691,6 @@ _DISPATCH = {
     "asymptotic_leading": check_asymptotic_leading,
 }
 
-_GRIDLESS = {"counterexample", "asymptotic_leading", "hardy", "k1_norm_equality", "embedding_ratio"}
-
-
 def run_check(spec: CheckSpec) -> CheckResult:
     start = time.perf_counter()
     measured, worst, ok = _DISPATCH[spec.kind](spec)
@@ -703,19 +707,11 @@ def run_check(spec: CheckSpec) -> CheckResult:
     )
 
 
-def run_suite(specs, workers: int | None = None) -> VerificationReport:
-    """Run all checks (optionally across worker threads) into one report."""
-    specs = list(specs)
-    if workers is None:
-        workers = int(os.environ.get("RADWARP_WORKERS", "1"))
-    if workers > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_check, specs))
-    else:
-        results = [run_check(s) for s in specs]
+def run_suite(specs) -> VerificationReport:
+    """Run all checks in order into one report."""
+    results = [run_check(s) for s in specs]
     meta = {
         "check_count": len(results),
         "passed": sum(r.verdict == "pass" for r in results),
-        "workers": workers,
     }
     return VerificationReport(meta, tuple(results))

@@ -9,6 +9,7 @@ a 256-point logarithmic radial grid.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from radwarp.geometry import covariant_bundle, norm_profiles, pointwise_norm
 from radwarp.manifold import ManifoldSpec, WarpSpec, sphere_volume
 from radwarp.quadrature import DecayEnvelope, Integrand, integrate_weighted
 from radwarp.verify import CheckSpec, GridSpec, run_check
+
+GOLDEN_CHECKS = Path(__file__).parent / "data" / "default_suite_checks.json"
 
 BUILTIN_WARPS = (
     WarpSpec.euclidean(),
@@ -318,7 +321,12 @@ def test_criterion_14_determinism(tmp_path):
 
     p1, p2 = normalized(out1), normalized(out2)
     identical = json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
-    ok = code1 == 0 and code2 == 0 and identical and len(p1["checks"]) >= 10
+    # the checks must also match the saved default-suite baseline exactly, so
+    # a change that shifts every number alike cannot pass
+    golden = json.loads(GOLDEN_CHECKS.read_text())
+    matches_golden = p1["checks"] == golden
+    ok = (code1 == 0 and code2 == 0 and identical and matches_golden
+          and len(p1["checks"]) >= 10)
     _verdict(14, "byte-identical reports modulo volatile fields", ok,
              f"exit codes ({code1}, {code2}), {len(p1['checks'])} checks, "
-             f"identical: {identical}")
+             f"identical: {identical}, matches {GOLDEN_CHECKS.name}: {matches_golden}")

@@ -137,6 +137,26 @@ class TestRunCommand:
         assert main(["run", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines", [
+        "check.1.grid = 0",
+        "check.1.grid = 1",
+        'check.1.grid_lo = "x"',
+        "check.1.grid_lo = 5.0\ncheck.1.grid_hi = 1.0",
+        'check.1.k = "two"',
+        'quadrature.tol = "fine"',
+        'quadrature.panel_budget = "lots"',
+        # a custom warp on R = inf has no certified tail growth bound
+        'check.4.kind = "k1_norm_equality"\ncheck.4.warp = [1.0, 0.1]',
+    ], ids=["grid_zero", "grid_one", "grid_lo_text", "grid_lo_above_hi", "k_text",
+            "tol_text", "panel_budget_text", "unbounded_custom_warp_norm"])
+    def test_invalid_fields_exit_2_without_report(self, tmp_path, capsys, lines):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(SMALL_CONFIG + lines + "\n")
+        out_path = tmp_path / "r.json"
+        assert main(["run", str(cfg_path), "--out", str(out_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_unknown_warp_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(SMALL_CONFIG.replace('"hyperbolic"', '"bagel"'))

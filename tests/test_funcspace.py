@@ -10,8 +10,8 @@ from scipy.special import erf
 
 from radwarp.errors import DomainError, InadmissibleParameterError
 from radwarp.funcspace import (
-    NormRequest,
     RadialFunction,
+    critical_q,
     default_families,
     lq_theta_norm_1d,
     sobolev_norm_1d,
@@ -240,21 +240,18 @@ class TestSobolevNorms:
 
 
 class TestNormRequest:
+    """Critical exponents of a norm request (N, k, p, theta)."""
+
     def test_critical_exponent_example(self):
-        req = NormRequest(k=1, p=2.0, theta=1.0, q=5.0)
-        assert req.critical_q_manifold(4) == pytest.approx(5.0)
+        # (1 + 4) * 2 / (4 - 2) = 5, exactly
+        assert critical_q(4, 1, 2.0, theta=1.0) == 5.0
 
     def test_inadmissible_when_n_le_kp(self):
-        req = NormRequest(k=2, p=2.0)
         with pytest.raises(InadmissibleParameterError):
-            req.critical_q_manifold(4)
+            critical_q(4, 2, 2.0)
+        with pytest.raises(InadmissibleParameterError):
+            critical_q(4, 2, 2.0, variant="interval")
 
     def test_interval_variant(self):
-        req = NormRequest(k=1, p=2.0, theta=3.0)
-        assert req.critical_q_interval(4) == pytest.approx(4.0)
-
-    def test_validation(self):
-        with pytest.raises(InadmissibleParameterError):
-            NormRequest(p=0.5)
-        with pytest.raises(InadmissibleParameterError):
-            NormRequest(theta=-1.0)
+        # (3 + 1) * 2 / (4 - 2) = 4, exactly
+        assert critical_q(4, 1, 2.0, theta=3.0, variant="interval") == 4.0
