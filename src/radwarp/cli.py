@@ -70,16 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_quadrature_section(cfg: RunConfig):
-    if "panel_budget" in cfg.quadrature:
-        from . import quadrature
-
-        try:
-            quadrature.DEFAULT_PANEL_BUDGET = int(cfg.quadrature["panel_budget"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad quadrature.panel_budget: {exc}") from exc
-
-
 def _read_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -96,7 +86,6 @@ def _cmd_run(args) -> int:
         cfg = _read_config(args.config)
     else:
         raise ConfigError("run needs a config path or --default-suite")
-    _apply_quadrature_section(cfg)
     specs = build_check_specs(cfg, grid_override=args.grid, tol_override=args.tol)
     report = run_suite(specs)
 
@@ -127,12 +116,10 @@ def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
     m = _resolve_manifold(cfg, entry)
     pool = family_pool(cfg, m)
     wanted = entry.get("family")
-    family = next(
-        (f for f in pool if wanted in (None, f.family, f.label)), pool[0]
-    )
-    n_points = grid_n or int(entry.get("grid", 256))
-    grid_spec = GridSpec(n=n_points, tail_cap=float(entry.get("tail_cap", 10.0)))
-    grid = grid_spec.resolve(m.warp.radius)
+    family = next((f for f in pool if wanted in (None, f.family, f.label)), None)
+    if family is None:
+        raise ConfigError(f"dump.family {wanted!r} matches no family")
+    grid = GridSpec(n=grid_n or int(entry.get("grid", 256))).resolve(m.warp.radius)
     k = int(entry.get("k", 2))
     p = float(entry.get("p", 2.0))
     j = int(entry.get("j", 1))
@@ -174,7 +161,6 @@ def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
 
 def _cmd_dump(args) -> int:
     cfg = _read_config(args.config)
-    _apply_quadrature_section(cfg)
     try:
         grid, values, params = _dump_values(args.quantity, cfg, args.grid, args.tol)
     except RadwarpError as exc:

@@ -12,7 +12,6 @@ radius.  Example::
     family.1.a = 1.0
     family.1.envelope = [1e6, 6.0, 0.0, 0.5]   # optional decay-envelope override
     quadrature.tol = 1e-10
-    quadrature.panel_budget = 4000
     check.1.kind = "identity"
     check.1.k = 3
     check.2.kind = "decay_lemma"
@@ -22,7 +21,8 @@ radius.  Example::
 
 Every check entry may override the manifold (warp, R, N) and restrict the
 family set; anything omitted falls back to the manifold/family sections or
-the built-in defaults.
+the built-in defaults.  A key the program does not read (a typo, say) is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -42,6 +42,17 @@ _DEFAULT_RADII = {
     "spherical": math.pi,
     "tanh_cap": math.inf,
     "custom_odd_series": math.inf,
+}
+
+# the fields the program reads in each section; any other key is an error
+_FIELDS = {
+    "manifold": {"warp", "R", "N"},
+    "family": {"kind", "a", "support", "coeffs", "r_ref", "delta", "envelope"},
+    "check": {"kind", "warp", "R", "N", "families", "grid", "grid_lo", "grid_hi",
+              "k", "p", "q", "theta", "j", "tol", "variant", "diagnostic"},
+    "quadrature": {"tol"},
+    "output": {"report", "csv"},
+    "dump": {"warp", "R", "N", "family", "grid", "k", "p", "j"},
 }
 
 
@@ -90,11 +101,9 @@ def parse_config(text: str) -> RunConfig:
         parts = key.strip().split(".")
         value = _parse_value(raw)
         section = parts[0]
-        if section in ("manifold", "quadrature", "output", "dump"):
-            if len(parts) != 2:
-                raise ConfigError(f"line {lineno}: {section} keys have one subfield")
-            getattr(cfg, section)[parts[1]] = value
-        elif section in ("family", "check"):
+        if section not in _FIELDS:
+            raise ConfigError(f"line {lineno}: unknown section {section!r}")
+        if section in ("family", "check"):
             if len(parts) != 3:
                 raise ConfigError(
                     f"line {lineno}: {section} keys look like {section}.<index>.<field>"
@@ -104,9 +113,14 @@ def parse_config(text: str) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad {section} index {parts[1]!r}") from exc
             store = cfg.families if section == "family" else cfg.checks
-            store.setdefault(idx, {})[parts[2]] = value
+            entry = store.setdefault(idx, {})
         else:
-            raise ConfigError(f"line {lineno}: unknown section {section!r}")
+            if len(parts) != 2:
+                raise ConfigError(f"line {lineno}: {section} keys have one subfield")
+            entry = getattr(cfg, section)
+        if parts[-1] not in _FIELDS[section]:
+            raise ConfigError(f"line {lineno}: unknown key {key.strip()!r}")
+        entry[parts[-1]] = value
     return cfg
 
 
@@ -229,7 +243,6 @@ def build_check_specs(cfg: RunConfig, grid_override: int | None = None,
                 n=grid_override if grid_override is not None else int(entry.get("grid", 256)),
                 lo=_optional_float(entry.get("grid_lo")),
                 hi=_optional_float(entry.get("grid_hi")),
-                tail_cap=float(entry.get("tail_cap", 10.0)),
             )
             fields = dict(
                 k=int(entry.get("k", 1)),

@@ -131,12 +131,6 @@ class CovTensor:
             raise DomainError(f"rank-{self.rank} tensor indexed with {len(idx)} indices")
         return self.components[tuple(i - 1 for i in idx)]
 
-    def value_array(self) -> np.ndarray:
-        """Component values as a float array of shape (N,)*rank (+ batch)."""
-        flat = [jet.value for jet in self.components.flat]
-        stacked = np.stack([np.asarray(v, dtype=np.float64) for v in flat])
-        return stacked.reshape(self.components.shape + stacked.shape[1:])
-
 
 def _recursion_step(prev: np.ndarray, gamma: ChristoffelTable, n: int) -> np.ndarray:
     rank = prev.ndim + 1

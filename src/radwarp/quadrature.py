@@ -62,9 +62,9 @@ _MACHINE_FLOOR = 32 * np.finfo(np.float64).eps
 _MAX_BISECT_DEPTH = 26
 _MAX_PANEL_LEVELS = 200
 
-# process-wide default for the panel budget; the CLI sets it from the
-# quadrature.panel_budget config key
-DEFAULT_PANEL_BUDGET = 4000
+# cap on the GK subdivisions of one integral: no integral of the default
+# suite needs more than 81, so the cap only stops runaway refinement
+_PANEL_BUDGET = 4000
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ def _remaining_mass_estimate(weighted, a: float, min_t: float) -> float:
 
 
 def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
-                       panel_budget: int | None = None, min_t: float = 0.0) -> QuadResult:
+                       min_t: float = 0.0) -> QuadResult:
     """Integrate f.evaluator(t) * phi(t)^f.weight_exponent over (0, R).
 
     Panels are [U 2^-(m+1), U 2^-m] for m = 0, 1, ...; refinement toward the
@@ -237,8 +237,6 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     """
     if tol < 1e-13:
         raise DomainError("quadrature tolerance below 1e-13 is not supported")
-    if panel_budget is None:
-        panel_budget = DEFAULT_PANEL_BUDGET
 
     weighted = _weighted(f, w)
 
@@ -266,7 +264,7 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     growth_run = 0
     diverging = False
     m = 0
-    while m <= _MAX_PANEL_LEVELS and subdivisions < panel_budget:
+    while m <= _MAX_PANEL_LEVELS and subdivisions < _PANEL_BUDGET:
         a_panel = upper * 2.0 ** -(m + 1)
         b_panel = upper * 2.0**-m
         if a_panel < min_t:

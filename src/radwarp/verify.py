@@ -15,6 +15,7 @@ are skipped and counted.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -81,17 +82,16 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Logarithmic radial grid; bounds default to the standard rule
-    [max(1e-3, R/1e4), min(0.999 R, tail_cap)]."""
+    """Logarithmic radial grid; unset bounds follow the standard rule
+    [max(1e-3, R/1e4), min(0.999 R, 10)]."""
 
     n: int = 256
     lo: float | None = None
     hi: float | None = None
-    tail_cap: float = 10.0
 
     def resolve(self, radius: float) -> np.ndarray:
         lo = self.lo if self.lo is not None else max(1e-3, radius / 1e4 if math.isfinite(radius) else 1e-3)
-        hi = self.hi if self.hi is not None else min(0.999 * radius, self.tail_cap)
+        hi = self.hi if self.hi is not None else min(0.999 * radius, 10.0)
         if self.n < 2:
             raise InadmissibleParameterError(f"radial grid needs at least 2 points, got {self.n}")
         if not 0 < lo < hi:
@@ -99,9 +99,10 @@ class GridSpec:
         return np.geomspace(lo, hi, self.n)
 
     def doubled(self) -> "GridSpec":
-        # 2n-1 points keep every original point in the refined grid, so a
-        # supremum can only grow (up to rounding) under doubling
-        return GridSpec(2 * self.n - 1, self.lo, self.hi, self.tail_cap)
+        # with 2n-1 points the original points sit, bit for bit, at the even
+        # indices of the refined grid (its log step is exactly half the old one),
+        # so a supremum can only grow under doubling
+        return GridSpec(2 * self.n - 1, self.lo, self.hi)
 
     def meta(self, radius: float) -> dict:
         g = self.resolve(radius)
@@ -327,94 +328,107 @@ class VerificationReport:
 # individual checks
 
 
-def _finite_norm_families(spec: CheckSpec, norm_fn) -> list[tuple[RadialFunction, float]]:
-    """Families with a finite, nonzero norm under norm_fn; others are skipped."""
-    out = []
+def _family_walk(spec: CheckSpec, measure, *args, largest: bool = True):
+    """Extreme of measure(f, *args) over spec.families.
+
+    measure returns (value, details) or None to skip the family.  Returns
+    (value, worst_case, skipped family labels); the earlier family wins a
+    tie, and with every family skipped the value is -1.0 (largest) or inf
+    (smallest) with an empty worst case.
+    """
+    value = -1.0 if largest else math.inf
+    worst, skipped = {}, []
     for f in spec.families:
-        val = norm_fn(f)
-        if math.isfinite(val) and val > 0:
-            out.append((f, val))
-    return out
+        got = measure(f, *args)
+        if got is None:
+            skipped.append(f.label)
+            continue
+        v, details = got
+        if (v > value) if largest else (v < value):
+            value, worst = v, {**details, "family": f.label}
+    return value, worst, skipped
+
+
+def _relative_change(coarse: float, fine: float) -> float:
+    return abs(fine - coarse) / max(coarse, _TINY)
+
+
+def _refined(spec: CheckSpec, measure, *args):
+    """The family walk of measure(f, *args, quad_tol) at spec.quad_tol and at
+    quad_tol / 16: the tighter walk's (value, worst_case, skipped) and the
+    relative change of the constant."""
+    coarse = _family_walk(spec, measure, *args, spec.quad_tol)[0]
+    fine, worst, skipped = _family_walk(spec, measure, *args, spec.quad_tol / 16.0)
+    return fine, worst, skipped, _relative_change(coarse, fine)
+
+
+def _grid_extreme(values: np.ndarray, grid: np.ndarray, orders=None,
+                  largest: bool = True) -> tuple[float, dict]:
+    """First largest (or smallest) entry of values and where it sits.
+
+    The last axis of values runs over grid and the first, when orders is
+    given, over orders; returns (value, {"r"[, "order"]}).
+    """
+    flat = int(np.argmax(values) if largest else np.argmin(values))
+    row, i = divmod(flat, grid.size)
+    where = {"r": float(grid[i])}
+    if orders is not None:
+        where["order"] = orders[row]
+    return float(values.flat[flat]), where
 
 
 def check_identity(spec: CheckSpec) -> tuple[dict, dict, bool]:
     m = spec.manifold
     grid = spec.grid.resolve(m.warp.radius)
-    worst = {"rel_gap": -1.0}
-    for f in spec.families:
+    orders = range(1, spec.k + 1)
+
+    def gap(f):
         _, tensors = geometry.covariant_bundle(f, m, grid, spec.k)
         vjet = f.eval_jet(grid, spec.k)
-        for order in range(1, spec.k + 1):
+        gaps = []
+        for order in orders:
             lhs = tensors[order].component((1,) * order).value
             rhs = vjet.derivative(order)
-            rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
-            i = int(np.argmax(rel))
-            if rel[i] > worst["rel_gap"]:
-                worst = {
-                    "rel_gap": float(rel[i]),
-                    "r": float(grid[i]),
-                    "family": f.label,
-                    "order": order,
-                }
-    measured = {"max_rel_gap": worst.pop("rel_gap")}
-    return measured, worst, measured["max_rel_gap"] <= spec.tol
+            gaps.append(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))
+        return _grid_extreme(np.array(gaps), grid, orders) if gaps else None
+
+    value, worst, _ = _family_walk(spec, gap)
+    return {"max_rel_gap": value}, worst, value <= spec.tol
 
 
 def check_gradient_inequality(spec: CheckSpec) -> tuple[dict, dict, bool]:
     m = spec.manifold
     grid = spec.grid.resolve(m.warp.radius)
-    worst = {"margin": math.inf}
-    for f in spec.families:
+    orders = range(spec.k + 1)
+
+    def margin(f):
         profiles = geometry.norm_profiles(f, m, grid, spec.k)
-        for order in range(spec.k + 1):
-            target = np.abs(f.eval_jet(grid, order).derivative(order))
-            margin = profiles[order] - target
-            i = int(np.argmin(margin))
-            if margin[i] < worst["margin"]:
-                worst = {
-                    "margin": float(margin[i]),
-                    "r": float(grid[i]),
-                    "family": f.label,
-                    "order": order,
-                }
-    measured = {"min_margin": worst.pop("margin")}
-    return measured, worst, measured["min_margin"] >= -spec.tol
+        margins = [
+            profiles[order] - np.abs(f.eval_jet(grid, order).derivative(order))
+            for order in orders
+        ]
+        return _grid_extreme(np.array(margins), grid, orders, largest=False)
+
+    value, worst, _ = _family_walk(spec, margin, largest=False)
+    return {"min_margin": value}, worst, value >= -spec.tol
 
 
 def check_k1_norm_equality(spec: CheckSpec) -> tuple[dict, dict, bool]:
     m = spec.manifold
     n, p = m.dim, spec.p
     omega = sphere_volume(n)
-    worst = {"rel_diff": -1.0}
-    skipped = []
-    for f in spec.families:
+
+    def rel_diff(f):
         seminorm = sobolev_seminorms_1d(f, 1, p, n, m.warp, spec.quad_tol)[1]
         rhs = (omega * seminorm) ** (1 / p) if math.isfinite(seminorm) else math.inf
         if not math.isfinite(rhs) or rhs == 0.0:
-            skipped.append(f.label)
-            continue
+            return None
         lhs = gradient_norm_manifold(f, p, m, spec.quad_tol)
-        rel = abs(lhs - rhs) / rhs
-        if rel > worst["rel_diff"]:
-            worst = {"rel_diff": rel, "family": f.label, "lhs": lhs, "rhs": rhs}
-    measured = {
-        "max_rel_diff": worst.pop("rel_diff"),
-        "skipped_families": skipped,
-    }
-    ok = 0.0 <= measured["max_rel_diff"] <= spec.tol
-    return measured, worst, ok
+        return abs(lhs - rhs) / rhs, {"lhs": lhs, "rhs": rhs}
 
-
-def _sup_over_grid(spec: CheckSpec, families, profile, grid_spec: GridSpec):
-    """Supremum of a per-family (already normalized) ratio profile."""
-    grid = grid_spec.resolve(spec.manifold.warp.radius)
-    best = {"value": -1.0}
-    for f in families:
-        ratio = profile(f, grid)
-        i = int(np.argmax(ratio))
-        if ratio[i] > best["value"]:
-            best = {"value": float(ratio[i]), "r": float(grid[i]), "family": f.label}
-    return best
+    value, worst, skipped = _family_walk(spec, rel_diff)
+    measured = {"max_rel_diff": value, "skipped_families": skipped}
+    return measured, worst, 0.0 <= value <= spec.tol
 
 
 def radial_lemma_ratio_profile(m: ManifoldSpec, f: RadialFunction, k: int, p: float,
@@ -435,31 +449,35 @@ def radial_lemma_ratio_profile(m: ManifoldSpec, f: RadialFunction, k: int, p: fl
 
 def check_radial_lemma(spec: CheckSpec) -> tuple[dict, dict, bool]:
     m = spec.manifold
-    n, k, p = m.dim, spec.k, spec.p
-    w = m.warp
-    families = [
-        f for f, _ in _finite_norm_families(
-            spec, lambda f: sobolev_norm_1d(f, k, p, n, w, spec.quad_tol)
-        )
-    ]
     variant = "power" if spec.kind == "radial_lemma_power" else "log"
-
-    def profile(f, grid):
-        return radial_lemma_ratio_profile(m, f, k, p, grid, variant, spec.quad_tol)
-
-    coarse = _sup_over_grid(spec, families, profile, spec.grid)
-    fine = _sup_over_grid(spec, families, profile, spec.grid.doubled())
-    change = abs(fine["value"] - coarse["value"]) / max(coarse["value"], _TINY)
-    kept = {f.label for f in families}
-    measured = {
-        "constant": fine["value"],
-        "constant_coarse_grid": coarse["value"],
-        "grid_doubling_change": change,
-        "skipped_families": [f.label for f in spec.families if f.label not in kept],
+    # the coarse grid is the even-indexed half of the doubled one, so one
+    # profile per family serves both suprema
+    grid = spec.grid.doubled().resolve(m.warp.radius)
+    profiles = {
+        f: radial_lemma_ratio_profile(m, f, spec.k, spec.p, grid, variant, spec.quad_tol)
+        for f in spec.families
     }
-    ok = bool(families) and math.isfinite(fine["value"]) and change <= spec.tol
-    fine.pop("value", None)
-    return measured, fine, ok
+
+    def sup(f, step):
+        ratio = profiles[f]
+        return None if ratio is None else _grid_extreme(ratio[::step], grid[::step])
+
+    coarse = _family_walk(spec, sup, 2)[0]
+    fine, worst, skipped = _family_walk(spec, sup, 1)
+    change = _relative_change(coarse, fine)
+    measured = {
+        "constant": fine,
+        "constant_coarse_grid": coarse,
+        "grid_doubling_change": change,
+        "skipped_families": skipped,
+    }
+    ok = len(skipped) < len(spec.families) and math.isfinite(fine) and change <= spec.tol
+    return measured, worst, ok
+
+
+def _decay_prefactor(n: int, p: float, cphi: float) -> float:
+    """(p / (c_phi^(N-1) omega_{N-1}))^(1/p), the decay lemma's constant."""
+    return (p / (cphi ** (n - 1) * sphere_volume(n))) ** (1 / p)
 
 
 def decay_ratio_profile(m: ManifoldSpec, f: RadialFunction, p: float,
@@ -472,16 +490,14 @@ def decay_ratio_profile(m: ManifoldSpec, f: RadialFunction, p: float,
     strictly positive, so the ratio is everywhere well defined.
     """
     n, w = m.dim, m.warp
-    cphi = c_phi(w)
     omega = sphere_volume(n)
-    prefactor = (p / (cphi ** (n - 1) * omega)) ** (1 / p)
     parts = sobolev_seminorms_1d(f, 1, p, n, w, quad_tol)
     if not all(math.isfinite(x) for x in parts) or math.fsum(parts) == 0.0:
         return None
     lp_norm = (omega * parts[0]) ** (1 / p)
     grad_norm = (omega * parts[1]) ** (1 / p)
     rhs = (
-        prefactor
+        _decay_prefactor(n, p, c_phi(w))
         * lp_norm ** ((p - 1) / p)
         * grad_norm ** (1 / p)
         * warp_value(w, grid) ** ((1 - n) / p)
@@ -493,30 +509,22 @@ def decay_ratio_profile(m: ManifoldSpec, f: RadialFunction, p: float,
 
 def check_decay_lemma(spec: CheckSpec) -> tuple[dict, dict, bool]:
     m = spec.manifold
-    n, p = m.dim, spec.p
-    w = m.warp
-    cphi = c_phi(w)
-    omega = sphere_volume(n)
-    prefactor = (p / (cphi ** (n - 1) * omega)) ** (1 / p)
-    worst = {"ratio": -1.0}
-    skipped_families = []
-    grid = spec.grid.resolve(w.radius)
-    for f in spec.families:
-        ratio = decay_ratio_profile(m, f, p, grid, spec.quad_tol)
-        if ratio is None:
-            skipped_families.append(f.label)
-            continue
-        i = int(np.argmax(ratio))
-        if ratio[i] > worst["ratio"]:
-            worst = {"ratio": float(ratio[i]), "r": float(grid[i]), "family": f.label}
+    cphi = c_phi(m.warp)
+    grid = spec.grid.resolve(m.warp.radius)
+
+    def sup(f):
+        ratio = decay_ratio_profile(m, f, spec.p, grid, spec.quad_tol)
+        return None if ratio is None else _grid_extreme(ratio, grid)
+
+    value, worst, skipped = _family_walk(spec, sup)
     measured = {
-        "max_ratio": worst.pop("ratio"),
-        "prefactor": prefactor,
+        "max_ratio": value,
+        "prefactor": _decay_prefactor(m.dim, spec.p, cphi),
         "c_phi": cphi,
         "skipped_points": 0,
-        "skipped_families": skipped_families,
+        "skipped_families": skipped,
     }
-    ok = len(skipped_families) < len(spec.families) and measured["max_ratio"] <= 1.0 + spec.tol
+    ok = len(skipped) < len(spec.families) and value <= 1.0 + spec.tol
     return measured, worst, ok
 
 
@@ -525,93 +533,74 @@ def check_hardy(spec: CheckSpec) -> tuple[dict, dict, bool]:
     n, k, p, j = m.dim, spec.k, spec.p, spec.j
     w = m.warp
 
-    def constant(quad_tol):
-        best = {"value": -1.0}
-        skipped = []
-        for f in spec.families:
-            parts = sobolev_seminorms_1d(f, k, p, n, w, quad_tol)
-            rhs = math.fsum(parts[k - j:])
-            lhs = weighted_integral(
-                (lambda ff: lambda t: np.abs(ff.derivative_values(t, k - j)) ** p)(f),
-                n - 1.0 - j * p, w, None, quad_tol,
-            )
-            if not (math.isfinite(lhs) and math.isfinite(rhs)) or rhs == 0.0:
-                skipped.append(f.label)
-                continue
-            ratio = lhs / rhs
-            if ratio > best["value"]:
-                best = {"value": ratio, "family": f.label, "lhs": lhs, "rhs": rhs}
-        return best, skipped
+    def ratio(f, quad_tol):
+        rhs = math.fsum(sobolev_seminorms_1d(f, k, p, n, w, quad_tol)[k - j:])
+        lhs = weighted_integral(
+            lambda t: np.abs(f.derivative_values(t, k - j)) ** p,
+            n - 1.0 - j * p, w, None, quad_tol,
+        )
+        if not (math.isfinite(lhs) and math.isfinite(rhs)) or rhs == 0.0:
+            return None
+        return lhs / rhs, {"lhs": lhs, "rhs": rhs}
 
-    coarse, _ = constant(spec.quad_tol)
-    fine, skipped = constant(spec.quad_tol / 16.0)
-    change = abs(fine["value"] - coarse["value"]) / max(coarse["value"], _TINY)
+    value, worst, skipped, change = _refined(spec, ratio)
     measured = {
-        "constant": fine["value"],
+        "constant": value,
         "refinement_change": change,
         "skipped_families": skipped,
     }
     ok = (
-        math.isfinite(fine["value"])
-        and fine["value"] > 0
+        math.isfinite(value)
+        and value > 0
         and change <= spec.tol
-        and (j > 0 or fine["value"] <= 1.0 + 1e-10)
+        and (j > 0 or value <= 1.0 + 1e-10)
     )
-    worst = {key: fine[key] for key in ("family", "lhs", "rhs") if key in fine}
     return measured, worst, ok
-
-
-def _embedding_sides(spec: CheckSpec, f: RadialFunction, q: float, quad_tol: float):
-    m = spec.manifold
-    n = m.dim
-    w = m.warp
-    if spec.variant == "manifold":
-        num = sphere_volume(n) ** (1 / q) * lq_theta_norm_1d(
-            f, q, spec.theta + n - 1.0, w, quad_tol
-        )
-        den = sobolev_norm_manifold(f, spec.k, spec.p, m, quad_tol)
-    else:
-        num = lq_theta_norm_1d(f, q, spec.theta, w, quad_tol)
-        den = sobolev_norm_1d(f, spec.k, spec.p, n, w, quad_tol)
-    return num, den
 
 
 def check_embedding_ratio(spec: CheckSpec) -> tuple[dict, dict, bool]:
     m = spec.manifold
-    n = m.dim
+    n, w = m.dim, m.warp
+    manifold = spec.variant == "manifold"
 
-    def constant(q, quad_tol):
-        best = {"value": -1.0}
-        skipped = []
-        for f in spec.families:
-            num, den = _embedding_sides(spec, f, q, quad_tol)
-            if not (math.isfinite(num) and math.isfinite(den)) or den == 0.0:
-                skipped.append(f.label)
-                continue
-            ratio = num / den
-            if ratio > best["value"]:
-                best = {"value": ratio, "family": f.label, "lq_norm": num, "sobolev_norm": den}
-        return best, skipped
+    # each side is computed once per argument set: the Sobolev side does not
+    # depend on q, and q may coincide with q* or with p
+    @functools.cache
+    def lebesgue(f, q, quad_tol):
+        if manifold:
+            return sphere_volume(n) ** (1 / q) * lq_theta_norm_1d(
+                f, q, spec.theta + n - 1.0, w, quad_tol
+            )
+        return lq_theta_norm_1d(f, q, spec.theta, w, quad_tol)
 
-    coarse, _ = constant(spec.q, spec.quad_tol)
-    fine, skipped = constant(spec.q, spec.quad_tol / 16.0)
-    change = abs(fine["value"] - coarse["value"]) / max(coarse["value"], _TINY)
+    @functools.cache
+    def sobolev(f, quad_tol):
+        if manifold:
+            return sobolev_norm_manifold(f, spec.k, spec.p, m, quad_tol)
+        return sobolev_norm_1d(f, spec.k, spec.p, n, w, quad_tol)
+
+    def ratio(f, q, quad_tol):
+        num, den = lebesgue(f, q, quad_tol), sobolev(f, quad_tol)
+        if not (math.isfinite(num) and math.isfinite(den)) or den == 0.0:
+            return None
+        return num / den, {"lq_norm": num, "sobolev_norm": den}
+
+    value, worst, skipped, change = _refined(spec, ratio, spec.q)
     measured = {
-        "constant": fine["value"],
+        "constant": value,
         "refinement_change": change,
         "skipped_families": skipped,
     }
-    if math.isinf(m.warp.radius) and not spec.diagnostic and n > spec.k * spec.p:
+    if math.isinf(w.radius) and not spec.diagnostic and n > spec.k * spec.p:
         q_star = critical_q(n, spec.k, spec.p, spec.theta, spec.variant)
-        measured["constant_at_q_lower"] = constant(spec.p, spec.quad_tol)[0]["value"]
-        measured["constant_at_q_critical"] = constant(q_star, spec.quad_tol)[0]["value"]
+        measured["constant_at_q_lower"] = _family_walk(spec, ratio, spec.p, spec.quad_tol)[0]
+        measured["constant_at_q_critical"] = _family_walk(spec, ratio, q_star, spec.quad_tol)[0]
     ok = (
         len(skipped) < len(spec.families)
-        and math.isfinite(fine["value"])
-        and fine["value"] > 0
+        and math.isfinite(value)
+        and value > 0
         and change <= spec.tol
     )
-    worst = {key: fine[key] for key in ("family", "lq_norm", "sobolev_norm") if key in fine}
     return measured, worst, ok
 
 

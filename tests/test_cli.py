@@ -77,19 +77,6 @@ class TestConfigParsing:
         f = make_family({"kind": "gaussian", "a": 1.0, "envelope": [1e6, 6.0, 0.0, 0.5]})
         assert f.decay_envelope().coef == 1e6
 
-    def test_panel_budget_key_applies(self, tmp_path):
-        from radwarp import quadrature
-
-        text = SMALL_CONFIG + "\nquadrature.panel_budget = 1234\n"
-        cfg_path = tmp_path / "pb.cfg"
-        cfg_path.write_text(text)
-        before = quadrature.DEFAULT_PANEL_BUDGET
-        try:
-            assert main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 0
-            assert quadrature.DEFAULT_PANEL_BUDGET == 1234
-        finally:
-            quadrature.DEFAULT_PANEL_BUDGET = before
-
     def test_inf_radius_token(self):
         w = make_warp("euclidean", "inf")
         assert math.isinf(w.radius)
@@ -147,8 +134,16 @@ class TestRunCommand:
         'quadrature.panel_budget = "lots"',
         # a custom warp on R = inf has no certified tail growth bound
         'check.4.kind = "k1_norm_equality"\ncheck.4.warp = [1.0, 0.1]',
+        # keys the program does not read: typos and removed settings
+        "quadrature.panel_budgt = 10",
+        "check.1.tial_cap = 0.5",
+        "quadrature.panel_budget = 4000",
+        "check.1.tail_cap = 0.5",
+        "dump.tail_cap = 5.0",
     ], ids=["grid_zero", "grid_one", "grid_lo_text", "grid_lo_above_hi", "k_text",
-            "tol_text", "panel_budget_text", "unbounded_custom_warp_norm"])
+            "tol_text", "panel_budget_text", "unbounded_custom_warp_norm",
+            "panel_budget_typo", "tail_cap_typo", "panel_budget_removed",
+            "tail_cap_removed", "dump_tail_cap_removed"])
     def test_invalid_fields_exit_2_without_report(self, tmp_path, capsys, lines):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(SMALL_CONFIG + lines + "\n")
@@ -274,6 +269,14 @@ class TestDumpCommand:
         assert len(lines) == 25
         r, v = lines[1].split(",")
         assert float(r) > 0 and math.isfinite(float(v))
+
+    def test_unknown_family_exit_2_without_csv(self, tmp_path, capsys):
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(DUMP_CONFIG.replace('"gaussian"', '"no_such_family"'))
+        out_path = tmp_path / "c.csv"
+        assert main(["dump", "norm_profile", str(cfg_path), "--out", str(out_path)]) == 2
+        assert "no_such_family" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_integrand_curve_matches_weight(self, tmp_path):
         text = DUMP_CONFIG.replace('"hyperbolic"', '"tanh_cap"').replace(

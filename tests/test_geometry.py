@@ -230,16 +230,6 @@ class TestPointwiseNorm:
             single = norm_profiles(v, m, float(r), 2)
             np.testing.assert_allclose(batch[:, i], single, rtol=1e-13)
 
-    def test_value_array_shape_and_content(self):
-        m = ManifoldSpec(WarpSpec.hyperbolic(), 3)
-        rr = np.array([0.5, 1.5])
-        _, tensors = covariant_bundle(RadialFunction.gaussian(), m, rr, 2)
-        arr = tensors[2].value_array()
-        assert arr.shape == (3, 3, 2)
-        np.testing.assert_array_equal(
-            arr[0, 0], np.asarray(tensors[2].component((1, 1)).value)
-        )
-
 
 class TestAsymptoticLeading:
     def test_rank2_is_exactly_one(self):

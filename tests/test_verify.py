@@ -93,6 +93,14 @@ class TestRadialLemmas:
         ))
         assert res.measured["constant"] >= res.measured["constant_coarse_grid"] - 1e-12
 
+    def test_doubled_grid_holds_the_coarse_grid_at_even_indices(self):
+        # the coarse supremum is read from these points of the fine profile
+        for n in (2, 3, 48, 255):
+            for radius in (1.0, 2.5, math.inf):
+                grid = GridSpec(n=n)
+                fine = grid.doubled().resolve(radius)
+                assert fine[::2].tobytes() == grid.resolve(radius).tobytes()
+
     def test_constant_scale_invariance(self):
         base = run_check(spec(
             "radial_lemma_power", WarpSpec.euclidean(1.0), 3, k=1, p=2.0,
@@ -345,3 +353,53 @@ class TestValidation:
     def test_unbounded_custom_warp_identity_still_runs(self):
         res = run_check(spec("identity", UNBOUNDED_CUSTOM, 3, k=2))
         assert res.verdict == "pass"
+
+
+NORM_FUNCTIONS = (
+    "lq_theta_norm_1d",
+    "sobolev_seminorms_1d",
+    "sobolev_norm_1d",
+    "sobolev_norm_manifold",
+    "gradient_norm_manifold",
+)
+
+
+class TestNormReuse:
+    """A check computes each norm once per distinct argument set."""
+
+    def _norm_calls(self, monkeypatch, check_spec):
+        from collections import Counter
+
+        from radwarp import verify
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[(name, args, tuple(sorted(kwargs.items())))] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in NORM_FUNCTIONS:
+            monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+        assert run_check(check_spec).verdict == "pass"
+        return calls
+
+    def test_unbounded_embedding(self, monkeypatch):
+        # N=3, k=1, p=2, theta=0: q* = 6 = q, and q = p is probed as well, so
+        # at quad_tol the Sobolev side is needed three times and the q = 6
+        # Lebesgue side twice
+        calls = self._norm_calls(monkeypatch, spec(
+            "embedding_ratio", WarpSpec.euclidean(), 3, k=1, p=2.0, q=6.0,
+            families=[RadialFunction.gaussian(1.0)],
+        ))
+        assert sum(calls.values()) == 5
+        assert max(calls.values()) == 1
+
+    def test_power_radial_lemma(self, monkeypatch):
+        calls = self._norm_calls(monkeypatch, spec(
+            "radial_lemma_power", WarpSpec.euclidean(1.0), 3, k=1, p=2.0,
+            families=[RadialFunction.gaussian(1.0), RadialFunction.linear()],
+        ))
+        assert sum(calls.values()) == 2
+        assert max(calls.values()) == 1
