@@ -31,6 +31,7 @@ from .config import (
     build_check_specs,
     family_pool,
     parse_config,
+    quadrature_tol,
     _resolve_manifold,
 )
 from .errors import ConfigError, RadwarpError
@@ -119,11 +120,15 @@ def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
     family = next((f for f in pool if wanted in (None, f.family, f.label)), None)
     if family is None:
         raise ConfigError(f"dump.family {wanted!r} matches no family")
-    grid = GridSpec(n=grid_n or int(entry.get("grid", 256))).resolve(m.warp.radius)
-    k = int(entry.get("k", 2))
-    p = float(entry.get("p", 2.0))
-    j = int(entry.get("j", 1))
-    quad_tol = tol if tol is not None else float(cfg.quadrature.get("tol", 1e-10))
+    try:
+        n = grid_n if grid_n is not None else int(entry.get("grid", 256))
+        k = int(entry.get("k", 2))
+        p = float(entry.get("p", 2.0))
+        j = int(entry.get("j", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad dump value: {exc}") from exc
+    grid = GridSpec(n=n).resolve(m.warp.radius)
+    quad_tol = quadrature_tol(cfg, tol)
 
     params = {"warp": m.warp.kind, "N": m.dim}
     if quantity == "norm_profile":

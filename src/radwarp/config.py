@@ -21,8 +21,9 @@ radius.  Example::
 
 Every check entry may override the manifold (warp, R, N) and restrict the
 family set; anything omitted falls back to the manifold/family sections or
-the built-in defaults.  A key the program does not read (a typo, say) is a
-configuration error.
+the built-in defaults.  A key the program does not read (a typo, say), a
+family field its kind's constructor does not take and a check field its kind
+does not read are configuration errors.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, RadwarpError
-from .funcspace import RadialFunction, default_families
+from .funcspace import FAMILY_KINDS, RadialFunction, default_families
 from .manifold import ManifoldSpec, WarpSpec
-from .verify import CHECK_KINDS, CheckSpec, GridSpec
+from .verify import CHECK_KINDS, CHECK_TABLE, OPTIONAL_FIELDS, CheckSpec, GridSpec
 
 _DEFAULT_RADII = {
     "euclidean": math.inf,
@@ -44,12 +45,20 @@ _DEFAULT_RADII = {
     "custom_odd_series": math.inf,
 }
 
-# the fields the program reads in each section; any other key is an error
+# how each check field given in a config is read; a field left out keeps the
+# CheckSpec or GridSpec default
+_CHECK_VALUES = {"k": int, "p": float, "q": float, "theta": float, "j": int, "tol": float,
+                 "variant": str, "diagnostic": bool, "grid": int, "grid_lo": float,
+                 "grid_hi": float}
+_GRID_ATTRS = {"grid": "n", "grid_lo": "lo", "grid_hi": "hi"}
+
+# the fields the program reads in each section; any other key is an error.
+# A family takes the fields its constructor takes (see make_family), and a
+# check reads an optional field only when its kind's table row lists it.
 _FIELDS = {
     "manifold": {"warp", "R", "N"},
-    "family": {"kind", "a", "support", "coeffs", "r_ref", "delta", "envelope"},
-    "check": {"kind", "warp", "R", "N", "families", "grid", "grid_lo", "grid_hi",
-              "k", "p", "q", "theta", "j", "tol", "variant", "diagnostic"},
+    "family": None,
+    "check": {"kind", "warp", "R", "N", "families", *_CHECK_VALUES},
     "quadrature": {"tol"},
     "output": {"report", "csv"},
     "dump": {"warp", "R", "N", "family", "grid", "k", "p", "j"},
@@ -118,7 +127,7 @@ def parse_config(text: str) -> RunConfig:
             if len(parts) != 2:
                 raise ConfigError(f"line {lineno}: {section} keys have one subfield")
             entry = getattr(cfg, section)
-        if parts[-1] not in _FIELDS[section]:
+        if _FIELDS[section] is not None and parts[-1] not in _FIELDS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key.strip()!r}")
         entry[parts[-1]] = value
     return cfg
@@ -150,34 +159,28 @@ def make_warp(tag, radius) -> WarpSpec:
 
 
 def make_family(entry: dict) -> RadialFunction:
-    kind = entry.get("kind")
+    """Call the RadialFunction constructor named by `kind` with the other
+    fields (floats; `coeffs` a tuple of floats) as keyword arguments."""
+    fields = dict(entry)
+    kind = fields.pop("kind", None)
+    envelope = fields.pop("envelope", None)
+    if kind not in FAMILY_KINDS:
+        raise ConfigError(f"unknown family kind {kind!r}")
     try:
-        if kind == "gaussian":
-            base = RadialFunction.gaussian(float(entry.get("a", 1.0)))
-        elif kind == "power_decay":
-            base = RadialFunction.power_decay(float(entry.get("a", 1.0)))
-        elif kind == "polynomial_bump":
-            coeffs = entry.get("coeffs", [1.0])
-            base = RadialFunction.polynomial_bump(
-                tuple(float(c) for c in coeffs), float(entry.get("support", 1.0))
-            )
-        elif kind == "log_profile":
-            base = RadialFunction.log_profile(
-                float(entry["r_ref"]), float(entry.get("delta", 1e-2))
-            )
-        elif kind == "linear":
-            base = RadialFunction.linear()
-        else:
-            raise ConfigError(f"unknown family kind {kind!r}")
-        if "envelope" in entry:
+        kwargs = {
+            key: tuple(float(c) for c in value) if key == "coeffs" else float(value)
+            for key, value in fields.items()
+        }
+        base = getattr(RadialFunction, kind)(**kwargs)
+        if envelope is not None:
             base = RadialFunction(
                 base.family, base.params,
-                envelope_override=tuple(float(x) for x in entry["envelope"]),
+                envelope_override=tuple(float(x) for x in envelope),
             )
         return base
     except RadwarpError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for family {kind!r}: {exc}") from exc
 
 
@@ -215,8 +218,13 @@ def _resolve_families(cfg: RunConfig, entry: dict, m: ManifoldSpec):
     return tuple(chosen)
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+def quadrature_tol(cfg: RunConfig, override: float | None = None) -> float:
+    """quadrature.tol, checked even when `override` replaces it."""
+    try:
+        tol = float(cfg.quadrature.get("tol", 1e-10))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad quadrature.tol: {exc}") from exc
+    return tol if override is None else override
 
 
 def build_check_specs(cfg: RunConfig, grid_override: int | None = None,
@@ -224,49 +232,28 @@ def build_check_specs(cfg: RunConfig, grid_override: int | None = None,
     """Validated CheckSpec list; any invalid combination raises ConfigError."""
     if not cfg.checks:
         raise ConfigError("configuration defines no checks")
-    try:
-        quad_tol = float(cfg.quadrature.get("tol", 1e-10))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad quadrature.tol: {exc}") from exc
-    if tol_override is not None:
-        quad_tol = tol_override
+    quad_tol = quadrature_tol(cfg, tol_override)
     specs = []
     for idx in sorted(cfg.checks):
         entry = dict(cfg.checks[idx])
         kind = entry.get("kind")
         if kind not in CHECK_KINDS:
             raise ConfigError(f"check {idx}: unknown kind {kind!r}")
+        unread = sorted((entry.keys() & OPTIONAL_FIELDS) - CHECK_TABLE[kind].reads)
+        if unread:
+            raise ConfigError(f"check {idx} ({kind}) does not read {', '.join(unread)}")
         m = _resolve_manifold(cfg, entry)
         families = _resolve_families(cfg, entry, m)
         try:
-            grid = GridSpec(
-                n=grid_override if grid_override is not None else int(entry.get("grid", 256)),
-                lo=_optional_float(entry.get("grid_lo")),
-                hi=_optional_float(entry.get("grid_hi")),
-            )
-            fields = dict(
-                k=int(entry.get("k", 1)),
-                p=float(entry.get("p", 2.0)),
-                q=_optional_float(entry.get("q")),
-                theta=float(entry.get("theta", 0.0)),
-                j=int(entry["j"]) if "j" in entry else None,
-                tol=_optional_float(entry.get("tol")),
-            )
+            given = {key: read(entry[key]) for key, read in _CHECK_VALUES.items() if key in entry}
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"check {idx} ({kind}): bad value: {exc}") from exc
+        if grid_override is not None:
+            given["grid"] = grid_override
+        grid = GridSpec(**{attr: given.pop(key) for key, attr in _GRID_ATTRS.items() if key in given})
         try:
-            specs.append(
-                CheckSpec(
-                    kind=kind,
-                    manifold=m,
-                    families=families,
-                    grid=grid,
-                    quad_tol=quad_tol,
-                    variant=entry.get("variant", "manifold"),
-                    diagnostic=bool(entry.get("diagnostic", False)),
-                    **fields,
-                )
-            )
+            specs.append(CheckSpec(kind=kind, manifold=m, families=families, grid=grid,
+                                   quad_tol=quad_tol, **given))
         except RadwarpError as exc:
             raise ConfigError(f"check {idx} ({kind}): {exc}") from exc
     return specs

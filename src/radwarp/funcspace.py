@@ -127,27 +127,13 @@ class RadialFunction:
         if np.any(ta <= 0.0):
             raise DomainError("radial profiles are evaluated at t > 0")
         if self.family == "gaussian":
-            a = self.param("a")
-            inner = jet_from_derivatives(
-                np.stack([-a * ta**2, -2 * a * ta, np.full_like(ta, -2 * a)][: order + 1]
-                         + [np.zeros_like(ta)] * max(0, order - 2))
-            )
-            return jet_compose_univariate("exp", inner)
+            return jet_compose_univariate("exp", _quadratic_jet(ta, order, 0.0, -self.param("a")))
         if self.family == "power_decay":
-            a = self.param("a")
-            inner = jet_from_derivatives(
-                np.stack([1.0 + ta**2, 2 * ta, np.full_like(ta, 2.0)][: order + 1]
-                         + [np.zeros_like(ta)] * max(0, order - 2))
-            )
-            return jet_compose_univariate("pow", inner, alpha=-a)
+            inner = _quadratic_jet(ta, order, 1.0, 1.0)
+            return jet_compose_univariate("pow", inner, alpha=-self.param("a"))
         if self.family == "log_profile":
-            r_ref = self.param("r_ref")
-            delta = self.param("delta")
-            inner = jet_from_derivatives(
-                np.stack([ta**2 + delta**2, 2 * ta, np.full_like(ta, 2.0)][: order + 1]
-                         + [np.zeros_like(ta)] * max(0, order - 2))
-            )
-            return math.log(r_ref) - 0.5 * jet_compose_univariate("log", inner)
+            inner = _quadratic_jet(ta, order, self.param("delta") ** 2, 1.0)
+            return math.log(self.param("r_ref")) - 0.5 * jet_compose_univariate("log", inner)
         if self.family == "linear":
             return jet_coordinate(1, order, 1, ta)
         return self._bump_jet(ta, order)
@@ -224,6 +210,12 @@ class RadialFunction:
         return env is not None and (
             env.coef == 0.0 or env.rate > 0 or env.quad_rate > 0 or env.power < 0
         )
+
+
+def _quadratic_jet(ta: np.ndarray, order: int, c0: float, c2: float) -> Jet:
+    """Jet of c0 + c2 t^2 at ta."""
+    rows = [c0 + c2 * ta**2, 2 * c2 * ta, np.full_like(ta, 2 * c2)][: order + 1]
+    return jet_from_derivatives(np.stack(rows + [np.zeros_like(ta)] * max(0, order - 2)))
 
 
 def default_families(radius: float) -> tuple[RadialFunction, ...]:

@@ -76,7 +76,6 @@ class _IndexTable:
     order: int
     indices: tuple[tuple[int, ...], ...]
     position: dict
-    degrees: np.ndarray
 
     @property
     def n_terms(self) -> int:
@@ -90,9 +89,7 @@ def _table(num_vars: int, order: int) -> _IndexTable:
         indices.extend(_compositions(deg, num_vars))
     indices = tuple(indices)
     position = {alpha: i for i, alpha in enumerate(indices)}
-    degrees = np.array([sum(a) for a in indices], dtype=np.int64)
-    degrees.flags.writeable = False
-    return _IndexTable(num_vars, order, indices, position, degrees)
+    return _IndexTable(num_vars, order, indices, position)
 
 
 def n_terms(num_vars: int, order: int) -> int:

@@ -131,7 +131,6 @@ class Integrand:
     evaluator: Callable[[np.ndarray], np.ndarray]
     weight_exponent: float = 0.0
     envelope: DecayEnvelope | None = None
-    name: str = ""
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -44,38 +45,6 @@ from .manifold import (
     warp_value,
 )
 from .quadrature import Integrand, divergence_probe, integrate_weighted
-
-CHECK_KINDS = (
-    "identity",
-    "gradient_inequality",
-    "k1_norm_equality",
-    "radial_lemma_power",
-    "radial_lemma_log",
-    "decay_lemma",
-    "hardy",
-    "embedding_ratio",
-    "counterexample",
-    "asymptotic_leading",
-)
-
-DEFAULT_TOLERANCES = {
-    "identity": 1e-8,
-    "gradient_inequality": 1e-10,
-    "k1_norm_equality": 1e-8,
-    "radial_lemma_power": 0.01,
-    "radial_lemma_log": 0.01,
-    "decay_lemma": 1e-6,
-    "hardy": 0.01,
-    "embedding_ratio": 0.01,
-    "counterexample": 0.02,
-    "asymptotic_leading": 0.01,
-}
-
-# kinds that sample no radial grid; every other kind resolves spec.grid
-_GRIDLESS = {"counterexample", "asymptotic_leading", "hardy", "k1_norm_equality", "embedding_ratio"}
-
-# kinds whose norms on an unbounded domain need a certified warp tail bound
-_TAIL_BOUNDED = {"k1_norm_equality", "decay_lemma", "embedding_ratio"}
 
 _TINY = 1e-300
 
@@ -109,9 +78,9 @@ class GridSpec:
         return {"n": self.n, "lo": float(g[0]), "hi": float(g[-1]), "spacing": "log"}
 
 
-def _bounded_near_edge(w: WarpSpec) -> bool:
+def _positive_near_edge(w: WarpSpec) -> bool:
     """Warp stays away from 0 at the outer edge of a bounded domain."""
-    return math.isfinite(w.radius) and float(warp_value(w, w.radius * (1 - 1e-9))) >= 1e-6
+    return float(warp_value(w, w.radius * (1 - 1e-9))) >= 1e-6
 
 
 @dataclass(frozen=True)
@@ -140,7 +109,7 @@ class CheckSpec:
                 self, "families", default_families(self.manifold.warp.radius)
             )
         if self.tol is None:
-            object.__setattr__(self, "tol", DEFAULT_TOLERANCES[self.kind])
+            object.__setattr__(self, "tol", CHECK_TABLE[self.kind].tol)
         self._validate()
 
     # -- admissibility -------------------------------------------------------
@@ -148,27 +117,33 @@ class CheckSpec:
     def _validate(self):
         n, k, p = self.manifold.dim, self.k, self.p
         w = self.manifold.warp
+        kind, row = self.kind, CHECK_TABLE[self.kind]
         if not 0 <= k <= 4:
             raise InadmissibleParameterError("derivative count k must be within 0..4")
         if p < 1:
             raise InadmissibleParameterError("p must be at least 1")
         if self.theta < 0:
             raise InadmissibleParameterError("theta must be nonnegative")
-        kind = self.kind
-        if kind not in _GRIDLESS:
-            self.grid.resolve(w.radius)
-        if kind in _TAIL_BOUNDED and math.isinf(w.radius):
+        # the domain hypotheses of the claim the kind tests
+        bounded = math.isfinite(w.radius)
+        if row.domain is not None and bounded != (row.domain == "bounded"):
+            raise InadmissibleParameterError(f"{kind} requires a {row.domain} domain")
+        if bounded and row.edge and not _positive_near_edge(w):
+            raise InadmissibleParameterError(
+                f"{kind} requires the warp to stay positive near the outer edge"
+            )
+        if not bounded and row.tail:
             try:
                 warp_growth_bounds(w)
             except DomainError as exc:
                 raise InadmissibleParameterError(f"{kind}: {exc}") from exc
-        if kind in ("radial_lemma_power", "radial_lemma_log", "hardy"):
-            if math.isinf(w.radius):
-                raise InadmissibleParameterError(f"{kind} requires a bounded domain")
-            if not _bounded_near_edge(w):
-                raise InadmissibleParameterError(
-                    f"{kind} requires the warp to stay positive near the outer edge"
-                )
+        if not bounded and row.c_phi and c_phi(w) <= 0.0:
+            raise InadmissibleParameterError(
+                f"{kind} requires a positive warp monotonicity constant"
+            )
+        if row.samples_grid:
+            self.grid.resolve(w.radius)
+        # the arithmetic each kind adds
         if kind == "radial_lemma_power" and n <= k * p:
             raise InadmissibleParameterError(
                 f"power radial lemma needs N > kp (N={n}, k={k}, p={p})"
@@ -177,15 +152,8 @@ class CheckSpec:
             raise InadmissibleParameterError(
                 f"log radial lemma needs N = kp and p > 1 (N={n}, k={k}, p={p})"
             )
-        if kind == "decay_lemma":
-            if not math.isinf(w.radius):
-                raise InadmissibleParameterError("decay lemma requires an unbounded domain")
-            if c_phi(w) <= 0.0:
-                raise InadmissibleParameterError(
-                    "decay lemma requires a positive warp monotonicity constant"
-                )
-            if self.k != 1:
-                raise InadmissibleParameterError("decay lemma is a first-order statement")
+        if kind == "decay_lemma" and k != 1:
+            raise InadmissibleParameterError("decay lemma is a first-order statement")
         if kind == "hardy":
             if self.j is None or not 0 <= self.j <= k:
                 raise InadmissibleParameterError("hardy check needs a slot j within 0..k")
@@ -194,8 +162,6 @@ class CheckSpec:
                     f"hardy inequality needs N > jp (N={n}, j={self.j}, p={p})"
                 )
         if kind == "counterexample":
-            if math.isinf(w.radius):
-                raise InadmissibleParameterError("counterexample probe requires a bounded domain")
             if w.radius < 0.1:
                 raise InadmissibleParameterError(
                     "counterexample probe needs radius >= 0.1 to fit its cut points"
@@ -219,15 +185,6 @@ class CheckSpec:
             raise InadmissibleParameterError("embedding check needs a target exponent q")
         if self.variant not in ("manifold", "interval"):
             raise InadmissibleParameterError("embedding variant must be manifold or interval")
-        if math.isinf(w.radius):
-            if c_phi(w) <= 0.0:
-                raise InadmissibleParameterError(
-                    "unbounded embedding requires a positive warp monotonicity constant"
-                )
-        elif not _bounded_near_edge(w):
-            raise InadmissibleParameterError(
-                "bounded-domain embedding requires the warp to stay positive near the outer edge"
-            )
         if self.variant == "interval" and self.theta < n - k * p - 1:
             raise InadmissibleParameterError(
                 f"interval embedding needs theta >= N-kp-1 = {n - k * p - 1}"
@@ -269,7 +226,7 @@ class CheckSpec:
             out["q"] = self.q
         if self.j is not None:
             out["j"] = self.j
-        if self.kind == "embedding_ratio":
+        if "variant" in CHECK_TABLE[self.kind].reads:
             out["variant"] = self.variant
             out["diagnostic"] = self.diagnostic
         return out
@@ -403,10 +360,8 @@ def check_gradient_inequality(spec: CheckSpec) -> tuple[dict, dict, bool]:
 
     def margin(f):
         profiles = geometry.norm_profiles(f, m, grid, spec.k)
-        margins = [
-            profiles[order] - np.abs(f.eval_jet(grid, order).derivative(order))
-            for order in orders
-        ]
+        vjet = f.eval_jet(grid, spec.k)
+        margins = [profiles[order] - np.abs(vjet.derivative(order)) for order in orders]
         return _grid_extreme(np.array(margins), grid, orders, largest=False)
 
     value, worst, _ = _family_walk(spec, margin, largest=False)
@@ -667,24 +622,59 @@ def check_asymptotic_leading(spec: CheckSpec) -> tuple[dict, dict, bool]:
     return measured, worst, ok
 
 
-_DISPATCH = {
-    "identity": check_identity,
-    "gradient_inequality": check_gradient_inequality,
-    "k1_norm_equality": check_k1_norm_equality,
-    "radial_lemma_power": check_radial_lemma,
-    "radial_lemma_log": check_radial_lemma,
-    "decay_lemma": check_decay_lemma,
-    "hardy": check_hardy,
-    "embedding_ratio": check_embedding_ratio,
-    "counterexample": check_counterexample,
-    "asymptotic_leading": check_asymptotic_leading,
+@dataclass(frozen=True)
+class CheckKind:
+    """One check kind: what it runs and the hypotheses of the claim it tests.
+
+    `reads` names the optional check fields the kind reads (the grid fields
+    for a kind that samples spec.grid).  `domain` is "bounded", "unbounded"
+    or None for either.  On a bounded domain `edge` asks the warp to stay
+    positive near the outer edge; on R = inf `tail` asks for a certified warp
+    tail growth bound and `c_phi` for a positive warp monotonicity constant.
+    """
+
+    run: Callable[[CheckSpec], tuple[dict, dict, bool]]
+    tol: float  # default verdict tolerance
+    reads: frozenset = frozenset()
+    domain: str | None = None
+    edge: bool = False
+    tail: bool = False
+    c_phi: bool = False
+
+    @property
+    def samples_grid(self) -> bool:
+        return "grid" in self.reads
+
+
+_GRID_FIELDS = frozenset({"grid", "grid_lo", "grid_hi"})
+_RADIAL_LEMMA = CheckKind(check_radial_lemma, 0.01, _GRID_FIELDS, "bounded", edge=True)
+
+CHECK_TABLE = {
+    "identity": CheckKind(check_identity, 1e-8, _GRID_FIELDS),
+    "gradient_inequality": CheckKind(check_gradient_inequality, 1e-10, _GRID_FIELDS),
+    "k1_norm_equality": CheckKind(check_k1_norm_equality, 1e-8, tail=True),
+    "radial_lemma_power": _RADIAL_LEMMA,
+    "radial_lemma_log": _RADIAL_LEMMA,
+    "decay_lemma": CheckKind(check_decay_lemma, 1e-6, _GRID_FIELDS, "unbounded",
+                             tail=True, c_phi=True),
+    "hardy": CheckKind(check_hardy, 0.01, frozenset({"j"}), "bounded", edge=True),
+    "embedding_ratio": CheckKind(check_embedding_ratio, 0.01,
+                                 frozenset({"q", "theta", "variant", "diagnostic"}),
+                                 edge=True, tail=True, c_phi=True),
+    "counterexample": CheckKind(check_counterexample, 0.02, domain="bounded"),
+    "asymptotic_leading": CheckKind(check_asymptotic_leading, 0.01),
 }
+CHECK_KINDS = tuple(CHECK_TABLE)
+# the check fields only some kinds read
+OPTIONAL_FIELDS = frozenset().union(*(row.reads for row in CHECK_TABLE.values()))
+
 
 def run_check(spec: CheckSpec) -> CheckResult:
+    row = CHECK_TABLE[spec.kind]
     start = time.perf_counter()
-    measured, worst, ok = _DISPATCH[spec.kind](spec)
+    measured, worst, ok = row.run(spec)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    grid_meta = {} if spec.kind in _GRIDLESS else spec.grid.meta(spec.manifold.warp.radius)
+    grid_meta = spec.grid.meta(spec.manifold.warp.radius) if row.samples_grid else {}
     return CheckResult(
         kind=spec.kind,
         params=spec.params_dict(),

@@ -140,10 +140,18 @@ class TestRunCommand:
         "quadrature.panel_budget = 4000",
         "check.1.tail_cap = 0.5",
         "dump.tail_cap = 5.0",
+        # check fields the kind does not read, a family field its kind does not take
+        "check.1.q = 4",
+        "check.1.theta = 1",
+        "check.2.grid = 8",
+        "check.3.j = 1",
+        'check.3.variant = "interval"',
+        "family.1.support = 0.5",
     ], ids=["grid_zero", "grid_one", "grid_lo_text", "grid_lo_above_hi", "k_text",
             "tol_text", "panel_budget_text", "unbounded_custom_warp_norm",
             "panel_budget_typo", "tail_cap_typo", "panel_budget_removed",
-            "tail_cap_removed", "dump_tail_cap_removed"])
+            "tail_cap_removed", "dump_tail_cap_removed", "identity_q", "identity_theta",
+            "gridless_grid", "lemma_j", "lemma_variant", "gaussian_support"])
     def test_invalid_fields_exit_2_without_report(self, tmp_path, capsys, lines):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(SMALL_CONFIG + lines + "\n")
@@ -276,6 +284,23 @@ class TestDumpCommand:
         out_path = tmp_path / "c.csv"
         assert main(["dump", "norm_profile", str(cfg_path), "--out", str(out_path)]) == 2
         assert "no_such_family" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("lines, args", [
+        ('dump.grid = "many"', []),
+        ('dump.k = "two"', []),
+        ('dump.p = "x"', []),
+        ('dump.j = "one"', []),
+        ('quadrature.tol = "tight"', []),
+        ("", ["--grid", "0"]),
+    ], ids=["grid_text", "k_text", "p_text", "j_text", "tol_text", "grid_option_zero"])
+    def test_malformed_numbers_exit_2_without_csv(self, tmp_path, capsys, lines, args):
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(DUMP_CONFIG + lines + "\n")
+        out_path = tmp_path / "c.csv"
+        code = main(["dump", "norm_profile", str(cfg_path), "--out", str(out_path), *args])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_integrand_curve_matches_weight(self, tmp_path):
