@@ -11,6 +11,13 @@ estimate, so truncation stays certified.
 Integrands are evaluated strictly inside (0, R); the endpoints are never
 touched.  All panel schedules and summation orders are fixed, so results are
 deterministic for identical inputs.
+
+Evaluation is batched: each evaluator call receives a flat 1-D array holding
+the 15 nodes of up to 16 GK segments (240 points).  Bisection is breadth
+first, one call per level, and the root segments of the next dyadic panels
+are evaluated ahead in one call.  Every accept and stop decision depends only
+on segment results, and each segment is summed on its own, so the results
+are those of evaluating one segment per call, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,6 +72,14 @@ _MAX_PANEL_LEVELS = 200
 # cap on the GK subdivisions of one integral: no integral of the default
 # suite needs more than 81, so the cap only stops runaway refinement
 _PANEL_BUDGET = 4000
+
+# segments per evaluator call: the cost per point of the manifold norm
+# evaluators falls steeply up to about 240 points and rises again beyond
+# that at N=5, k=4
+_CALL_SEGMENTS = 16
+# panels whose root segments are evaluated ahead in one call; most integrals
+# of the default suite stop within 8 panels of a lookahead start
+_LOOKAHEAD_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -161,38 +176,93 @@ def _warp_power_envelope(w: WarpSpec, theta_w: float) -> DecayEnvelope:
     )
 
 
-def _gk_segment(fn, a: float, b: float) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _GK_NODES
-    y = np.asarray(fn(x), dtype=np.float64)
-    if y.shape != x.shape:
-        raise EvaluationError("integrand evaluator must be vectorized over its input")
-    if not np.all(np.isfinite(y)):
-        raise EvaluationError(f"integrand produced a non-finite value near t={x[~np.isfinite(y)][0]!r}")
-    k = half * float(_GK_WEIGHTS_K @ y)
-    g = half * float(_GK_WEIGHTS_G @ y)
-    return k, abs(k - g)
+def _gk_segments(fn, bounds) -> list[tuple[float, float, float | None]]:
+    """GK 15(7) (value, error, first non-finite node or None) of each [a, b].
+
+    Up to _CALL_SEGMENTS segments share one evaluator call.  Each segment
+    is summed with its own 1-D dot product: a batched matrix product rounds
+    differently.  Non-finite values are reported, not raised, so that a
+    segment evaluated ahead raises only if its result is used.
+    """
+    out = []
+    for i in range(0, len(bounds), _CALL_SEGMENTS):
+        chunk = bounds[i:i + _CALL_SEGMENTS]
+        halves = [0.5 * (b - a) for a, b in chunk]
+        mids = np.array([0.5 * (a + b) for a, b in chunk])
+        x = (mids[:, None] + np.array(halves)[:, None] * _GK_NODES).ravel()
+        y = np.asarray(fn(x), dtype=np.float64)
+        if y.shape != x.shape:
+            raise EvaluationError("integrand evaluator must be vectorized over its input")
+        for half, xs, ys in zip(halves, x.reshape(-1, _GK_NODES.size),
+                                y.reshape(-1, _GK_NODES.size)):
+            finite = np.isfinite(ys)
+            if not finite.all():
+                out.append((math.nan, math.nan, xs[~finite][0]))
+                continue
+            k = half * float(_GK_WEIGHTS_K @ ys)
+            g = half * float(_GK_WEIGHTS_G @ ys)
+            out.append((k, abs(k - g), None))
+    return out
 
 
-def _adaptive_interval(fn, a: float, b: float, tol_abs: float) -> tuple[float, float, int]:
-    """Depth-first bisection on [a, b]; error target proportional to length."""
+def _non_finite(t) -> EvaluationError:
+    return EvaluationError(f"integrand produced a non-finite value near t={t!r}")
+
+
+def _adaptive_interval(fn, a: float, b: float, tol_abs: float,
+                       root=None) -> tuple[float, float, int]:
+    """Breadth-first bisection on [a, b]; error target proportional to length.
+
+    The live segments of a level are evaluated together.  A segment's accept
+    test depends on that segment alone, so the accepted set equals that of
+    a depth-first search.  A non-finite segment stops refinement to its
+    right, and the error names the leftmost one, which depth-first order
+    meets first.  `root` is the result for [a, b] if already evaluated.
+    """
     length = b - a
-    segments = []  # (left endpoint, value, error), appended in position order
-    stack = [(a, b, 0)]
-    while stack:
-        lo, hi, depth = stack.pop()
-        val, err = _gk_segment(fn, lo, hi)
-        target = tol_abs * (hi - lo) / length + _MACHINE_FLOOR * abs(val)
-        if err <= target or depth >= _MAX_BISECT_DEPTH:
-            segments.append((lo, val, err))
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi, depth + 1))
-            stack.append((lo, mid, depth + 1))
+    segments = []  # (left endpoint, value, error)
+    bad = None
+    level = [(a, b, root)]
+    depth = 0
+    while level:
+        fresh = iter(_gk_segments(fn, [(lo, hi) for lo, hi, seg in level if seg is None]))
+        children = []
+        for lo, hi, seg in level:
+            val, err, bad_t = seg or next(fresh)
+            if bad_t is not None:
+                bad = bad_t
+                break  # segments to its right would be refined after it
+            target = tol_abs * (hi - lo) / length + _MACHINE_FLOOR * abs(val)
+            if err <= target or depth >= _MAX_BISECT_DEPTH:
+                segments.append((lo, val, err))
+            else:
+                mid = 0.5 * (lo + hi)
+                children += [(lo, mid, None), (mid, hi, None)]
+        level = children
+        depth += 1
+    if bad is not None:
+        raise _non_finite(bad)
     segments.sort(key=lambda s: s[0])
     value = math.fsum(s[1] for s in segments)
     error = math.fsum(s[2] for s in segments)
     return value, error, len(segments)
+
+
+def _lookahead(fn, upper: float, m: int, min_t: float,
+               budget: int) -> list[tuple[float, float, tuple]]:
+    """(a, b, evaluated root segment) of panels m, m+1, ... in one call.
+
+    Only panels the sequential loop may still reach: none past
+    _MAX_PANEL_LEVELS, none below min_t, and at most `budget` of them, since
+    each panel takes at least one subdivision.
+    """
+    bounds = []
+    for i in range(m, min(m + _LOOKAHEAD_PANELS, _MAX_PANEL_LEVELS + 1, m + budget)):
+        a_panel = upper * 2.0 ** -(i + 1)
+        if a_panel < min_t:
+            break
+        bounds.append((a_panel, upper * 2.0**-i))
+    return [(a, b, seg) for (a, b), seg in zip(bounds, _gk_segments(fn, bounds))]
 
 
 def _truncation_point(env: DecayEnvelope, budget: float) -> float | None:
@@ -263,14 +333,16 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     growth_run = 0
     diverging = False
     m = 0
+    ahead: list[tuple[float, float, tuple]] = []  # panels m, m+1, ... evaluated early
     while m <= _MAX_PANEL_LEVELS and subdivisions < _PANEL_BUDGET:
-        a_panel = upper * 2.0 ** -(m + 1)
-        b_panel = upper * 2.0**-m
-        if a_panel < min_t:
-            break  # evaluator floor reached; the sliver bound covers the rest
+        if not ahead:
+            ahead = _lookahead(weighted, upper, m, min_t, _PANEL_BUDGET - subdivisions)
+            if not ahead:
+                break  # evaluator floor reached; the sliver bound covers the rest
+        a_panel, b_panel, root = ahead.pop(0)
         scale = max(1.0, abs(total))
         panel_tol = tol * scale / (8.0 * (m + 1) * (m + 2))
-        val, err, nsub = _adaptive_interval(weighted, a_panel, b_panel, panel_tol)
+        val, err, nsub = _adaptive_interval(weighted, a_panel, b_panel, panel_tol, root)
         contributions.append(val)
         errors.append(err)
         subdivisions += nsub
@@ -340,10 +412,14 @@ def _integrate_log_window(weighted, lo: float, hi: float, tol: float) -> float:
     """Integral over [lo, hi] via s = log t substitution, GK panels in s."""
     transformed = lambda s: weighted(np.exp(s)) * np.exp(s)
     a, b = math.log(lo), math.log(hi)
-    coarse = math.fsum(
-        _gk_segment(transformed, a + (b - a) * i / 8, a + (b - a) * (i + 1) / 8)[0]
-        for i in range(8)
-    )
+    parts = []
+    for val, _, bad_t in _gk_segments(
+        transformed, [(a + (b - a) * i / 8, a + (b - a) * (i + 1) / 8) for i in range(8)]
+    ):
+        if bad_t is not None:
+            raise _non_finite(bad_t)
+        parts.append(val)
+    coarse = math.fsum(parts)
     value, _, _ = _adaptive_interval(transformed, a, b, tol * max(1.0, abs(coarse)))
     return value
 

@@ -47,6 +47,8 @@ from .manifold import (
 from .quadrature import Integrand, divergence_probe, integrate_weighted
 
 _TINY = 1e-300
+# the one family the counterexample check evaluates, whatever spec.families is
+_LINEAR = RadialFunction.linear()
 
 
 @dataclass(frozen=True)
@@ -211,22 +213,24 @@ class CheckSpec:
 
     def params_dict(self) -> dict:
         w = self.manifold.warp
+        row = CHECK_TABLE[self.kind]
+        families = self.families if row.families is None else row.families
         out = {
             "warp": w.kind,
             "R": "inf" if math.isinf(w.radius) else w.radius,
             "N": self.manifold.dim,
             "k": self.k,
-            "p": self.p,
-            "theta": self.theta,
-            "quad_tol": self.quad_tol,
-            "tol": self.tol,
-            "families": [f.label for f in self.families],
         }
+        if row.reads_p:
+            out["p"] = self.p
+        out.update(theta=self.theta, quad_tol=self.quad_tol, tol=self.tol)
+        if families:
+            out["families"] = [f.label for f in families]
         if self.q is not None:
             out["q"] = self.q
         if self.j is not None:
             out["j"] = self.j
-        if "variant" in CHECK_TABLE[self.kind].reads:
+        if "variant" in row.reads:
             out["variant"] = self.variant
             out["diagnostic"] = self.diagnostic
         return out
@@ -568,8 +572,7 @@ def check_counterexample(spec: CheckSpec) -> tuple[dict, dict, bool]:
     weight_res = integrate_weighted(
         Integrand(lambda t: np.ones_like(t), n - 1.0), w, spec.quad_tol
     )
-    linear = RadialFunction.linear()
-    interval_norm = sobolev_norm_1d(linear, k, p, n, w, spec.quad_tol)
+    interval_norm = sobolev_norm_1d(_LINEAR, k, p, n, w, spec.quad_tol)
 
     r0 = min(1.0, w.radius / 2.0)
     probe = divergence_probe(
@@ -596,7 +599,7 @@ def check_counterexample(spec: CheckSpec) -> tuple[dict, dict, bool]:
         "weight_integrable": bool(weight_res.converged),
     }
     ok = law_ok and math.isfinite(interval_norm) and weight_res.converged
-    worst = {"r0": r0, "family": linear.label}
+    worst = {"r0": r0, "family": _LINEAR.label}
     return measured, worst, ok
 
 
@@ -631,6 +634,9 @@ class CheckKind:
     or None for either.  On a bounded domain `edge` asks the warp to stay
     positive near the outer edge; on R = inf `tail` asks for a certified warp
     tail growth bound and `c_phi` for a positive warp monotonicity constant.
+    `families` are the families the kind evaluates in place of
+    spec.families (None: spec.families), and `reads_p` says whether it reads
+    spec.p; the report's params list only what the kind reads.
     """
 
     run: Callable[[CheckSpec], tuple[dict, dict, bool]]
@@ -640,6 +646,8 @@ class CheckKind:
     edge: bool = False
     tail: bool = False
     c_phi: bool = False
+    families: tuple[RadialFunction, ...] | None = None
+    reads_p: bool = True
 
     @property
     def samples_grid(self) -> bool:
@@ -650,8 +658,9 @@ _GRID_FIELDS = frozenset({"grid", "grid_lo", "grid_hi"})
 _RADIAL_LEMMA = CheckKind(check_radial_lemma, 0.01, _GRID_FIELDS, "bounded", edge=True)
 
 CHECK_TABLE = {
-    "identity": CheckKind(check_identity, 1e-8, _GRID_FIELDS),
-    "gradient_inequality": CheckKind(check_gradient_inequality, 1e-10, _GRID_FIELDS),
+    "identity": CheckKind(check_identity, 1e-8, _GRID_FIELDS, reads_p=False),
+    "gradient_inequality": CheckKind(check_gradient_inequality, 1e-10, _GRID_FIELDS,
+                                     reads_p=False),
     "k1_norm_equality": CheckKind(check_k1_norm_equality, 1e-8, tail=True),
     "radial_lemma_power": _RADIAL_LEMMA,
     "radial_lemma_log": _RADIAL_LEMMA,
@@ -661,8 +670,10 @@ CHECK_TABLE = {
     "embedding_ratio": CheckKind(check_embedding_ratio, 0.01,
                                  frozenset({"q", "theta", "variant", "diagnostic"}),
                                  edge=True, tail=True, c_phi=True),
-    "counterexample": CheckKind(check_counterexample, 0.02, domain="bounded"),
-    "asymptotic_leading": CheckKind(check_asymptotic_leading, 0.01),
+    "counterexample": CheckKind(check_counterexample, 0.02, domain="bounded",
+                                families=(_LINEAR,)),
+    "asymptotic_leading": CheckKind(check_asymptotic_leading, 0.01, families=(),
+                                    reads_p=False),
 }
 CHECK_KINDS = tuple(CHECK_TABLE)
 # the check fields only some kinds read

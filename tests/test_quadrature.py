@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from radwarp import funcspace
 from radwarp.errors import DomainError, EvaluationError
-from radwarp.manifold import WarpSpec
+from radwarp.funcspace import RadialFunction, sobolev_norm_manifold
+from radwarp.manifold import ManifoldSpec, WarpSpec
 from radwarp.quadrature import (
     DecayEnvelope,
     Integrand,
@@ -198,3 +200,114 @@ class TestDivergenceProbe:
             divergence_probe(f, w, 1.0, [1e-3, 1e-2, 1e-4, 1e-5])
         with pytest.raises(DomainError):
             divergence_probe(f, w, 1.0, [1e-3, 1e-4, 1e-5, 1e-8])
+
+
+class TestBatchedSchedule:
+    """The batched GK schedule reproduces the sequential one bit for bit.
+
+    The constants are float.hex values of the one-segment-per-call
+    depth-first schedule; every accept and stop decision depends only on
+    segment results, so evaluating many segments per call must not move
+    a single bit.
+    """
+
+    CASES = {
+        "bounded_hyperbolic": (
+            Integrand(lambda t: np.cos(t), 2.0), WarpSpec.hyperbolic(2.0), 0.0,
+            ("-0x1.f15673187c961p-3", "0x1.afc0cb0df77edp-47", 16, True),
+        ),
+        "oscillatory_wide_levels": (
+            Integrand(lambda t: np.sin(200.0 * t) ** 2, 1.0), WarpSpec.euclidean(1.0), 0.0,
+            ("0x1.0118142ad4534p-2", "0x1.1ce641bd2310cp-43", 135, True),
+        ),
+        "unbounded_exponential": (
+            Integrand(lambda t: np.exp(-2.0 * t), 1.0,
+                      envelope=DecayEnvelope(1.0, 0.0, 2.0, 1.0)),
+            WarpSpec.hyperbolic(), 0.0,
+            ("0x1.5555555554cd1p-2", "0x1.0eb99cc95fbe9p-38", 29, True),
+        ),
+        "unbounded_gaussian": (
+            Integrand(lambda t: np.exp(-(t**2)), 2.0,
+                      envelope=DecayEnvelope(1.0, 0.0, 0.0, 1.0, quad_rate=1.0)),
+            WarpSpec.euclidean(), 0.0,
+            ("0x1.c5bf891b4eea9p-2", "0x1.427e07b97106ap-40", 21, True),
+        ),
+        "integrable_singularity": (
+            Integrand(lambda t: t**-0.5), WarpSpec.euclidean(1.0), 0.0,
+            ("0x1.fffffffffa562p+0", "0x1.80da7333f68a4p-37", 80, True),
+        ),
+        "divergent": (
+            Integrand(lambda t: t**-3.0), WarpSpec.euclidean(1.0), 0.0,
+            ("0x1.ffff7ffffffe5p+16", "inf", 26, False),
+        ),
+        "min_t_floor": (
+            Integrand(lambda t: np.log(t) ** 2, 1.0), WarpSpec.spherical(1.0), 1e-3,
+            ("0x1.f54fbaab295b3p-3", "0x1.b79457f39f9aap-14", 9, False),
+        ),
+        "narrow_bump": (
+            Integrand(lambda t: np.exp(-((1000.0 * (t - 0.01)) ** 2))),
+            WarpSpec.euclidean(1.0), 0.0,
+            ("0x1.d0a35d4b115d6p-10", "0x1.ee9f49e3c3f9ep-50", 18, True),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_results_bit_identical(self, name):
+        f, w, min_t, (value, error, subdivisions, converged) = self.CASES[name]
+        res = integrate_weighted(f, w, min_t=min_t)
+        assert res.value.hex() == value
+        assert res.error_estimate.hex() == error
+        assert res.subdivisions == subdivisions
+        assert res.converged is converged
+
+    def test_nan_beyond_sequential_stop_is_not_raised(self):
+        # the divergence stop fires on the panel [2^-9, 2^-8]; lookahead
+        # evaluates deeper panels, whose NaN must never surface
+        smallest = []
+
+        def evaluator(t):
+            smallest.append(float(np.min(t)))
+            return np.where(t < 2.0**-9, np.nan, t**-3.0)
+
+        res = integrate_weighted(Integrand(evaluator), WarpSpec.euclidean(1.0))
+        assert min(smallest) < 2.0**-9
+        assert res.value.hex() == "0x1.ffff7ffffffe5p+16"
+        assert not res.converged
+
+    def test_nan_on_first_panel_raises(self):
+        bad = Integrand(lambda t: np.where(t > 0.9, np.nan, 1.0))
+        with pytest.raises(EvaluationError, match="non-finite"):
+            integrate_weighted(bad, WarpSpec.euclidean(1.0))
+
+    def test_leftmost_nan_segment_is_reported(self):
+        # the NaN at 0.875 sits on a node of the first bisection level, the
+        # one at 0.5625 only on the second; the report names the one met
+        # first in left-to-right refinement order
+        bad = Integrand(lambda t: np.where(
+            (abs(t - 0.5625) < 1e-4) | (abs(t - 0.875) < 1e-4), np.nan, np.sin(40.0 * t)))
+        with pytest.raises(EvaluationError, match=r"near t=np\.float64\(0\.5625\)"):
+            integrate_weighted(bad, WarpSpec.euclidean(1.0))
+
+    def test_manifold_norm_batches_evaluator_calls(self, monkeypatch):
+        calls = []
+        integrate = funcspace.integrate_weighted
+
+        def counting(f, *args, **kwargs):
+            sizes = []
+            calls.append(sizes)
+
+            def evaluator(t):
+                sizes.append(np.size(t))
+                return f.evaluator(t)
+
+            return integrate(Integrand(evaluator, f.weight_exponent, f.envelope),
+                             *args, **kwargs)
+
+        monkeypatch.setattr(funcspace, "integrate_weighted", counting)
+        value = sobolev_norm_manifold(
+            RadialFunction.gaussian(1.0), 1, 2.0, ManifoldSpec(WarpSpec.hyperbolic(), 3))
+        assert value.hex() == "0x1.26c669441d1c0p+2"
+        assert len(calls) == 2
+        for sizes in calls:
+            assert len(sizes) <= 8
+            assert max(sizes) <= 240

@@ -339,6 +339,18 @@ class TestSuite:
         with pytest.raises(InadmissibleParameterError):
             spec("counterexample", WarpSpec.tanh_cap(0.05), 2, k=3, p=2.0)
 
+    def test_params_list_only_fields_the_kind_reads(self):
+        gaussian = [RadialFunction.gaussian(1.0)]
+        counter = spec("counterexample", WarpSpec.tanh_cap(2.0), 2, gaussian, k=3, p=2.0)
+        assert counter.params_dict()["families"] == ["linear"]
+        assert counter.params_dict()["p"] == 2.0
+        for kind, warp, k in (("identity", WarpSpec.hyperbolic(), 2),
+                              ("gradient_inequality", WarpSpec.hyperbolic(), 2),
+                              ("asymptotic_leading", WarpSpec.euclidean(), 3)):
+            params = spec(kind, warp, 3, gaussian, k=k, p=3.0).params_dict()
+            assert "p" not in params
+            assert ("families" in params) == (kind != "asymptotic_leading")
+
 
 UNBOUNDED_CUSTOM = WarpSpec.custom((1.0, 0.1), math.inf)
 
