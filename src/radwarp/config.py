@@ -178,9 +178,7 @@ def make_family(entry: dict) -> RadialFunction:
                 envelope_override=tuple(float(x) for x in envelope),
             )
         return base
-    except RadwarpError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (RadwarpError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for family {kind!r}: {exc}") from exc
 
 

@@ -175,7 +175,7 @@ class RadialFunction:
 
     def _validate_envelope(self, env: DecayEnvelope):
         grid = np.geomspace(max(env.valid_from, 1e-3), max(40.0, 4 * env.valid_from), 96)
-        bound = env.coef * grid**env.power * np.exp(-env.rate * grid - env.quad_rate * grid**2)
+        bound = env(grid)
         for j in range(MAX_JET_ORDER + 1):
             vals = np.abs(self.derivative_values(grid, j))
             if np.any(vals > bound + 1e-300):
@@ -317,9 +317,7 @@ def _profile_envelope(v: RadialFunction, m: ManifoldSpec, j: int,
     t0 = max(base.valid_from, 1.0)
     grid = np.geomspace(t0, 4.0 * t0, 33)
     profile = geometry.norm_profiles(v, m, grid, j)[j]
-    env_vals = base.coef * grid**base.power * np.exp(
-        -base.rate * grid - base.quad_rate * grid**2
-    )
+    env_vals = base(grid)
     margin = float(np.max(profile / env_vals)) if np.all(env_vals > 0) else math.inf
     if not math.isfinite(margin):
         return None

@@ -274,30 +274,3 @@ def metric_at(m: ManifoldSpec, point, order: int) -> DiagonalMetric:
     for entry in g[1:]:
         g_inv.append(jet_compose_univariate("recip", entry))
     return DiagonalMetric(n, order, tuple(g), tuple(g_inv), base)
-
-
-# ---------------------------------------------------------------------------
-# tail growth bounds used by certified truncation on unbounded domains
-
-
-@dataclass(frozen=True)
-class GrowthBound:
-    """Bound of the form coef * t^power * exp(rate * t), valid for t >= valid_from."""
-
-    coef: float
-    power: float
-    rate: float
-    valid_from: float = 1.0
-
-
-def warp_growth_bounds(w: WarpSpec) -> tuple[GrowthBound, GrowthBound]:
-    """(upper, lower) bounds for phi on the tail of an unbounded domain."""
-    if math.isfinite(w.radius):
-        raise DomainError("growth bounds are only defined for unbounded warps")
-    if w.kind == "euclidean":
-        return GrowthBound(1.0, 1.0, 0.0), GrowthBound(1.0, 1.0, 0.0)
-    if w.kind == "hyperbolic":
-        return GrowthBound(0.5, 0.0, 1.0), GrowthBound(0.5 * (1 - math.exp(-2.0)), 0.0, 1.0)
-    if w.kind == "tanh_cap":
-        return GrowthBound(1.0, 0.0, 0.0), GrowthBound(math.tanh(1.0), 0.0, 0.0)
-    raise DomainError("no certified tail growth bound for custom warps on unbounded domains")

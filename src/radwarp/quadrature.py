@@ -5,8 +5,10 @@ Gauss-Kronrod 15(7) panels arranged dyadically toward the origin, where the
 weight behaves like t^theta_w; the geometric grading equidistributes the
 error without Jacobi-weighted rules.  Unbounded domains are truncated at a
 point T whose tail contribution is bounded through a declared decay envelope
-(coef * t^power * exp(-rate t)); the bound is folded into the reported error
-estimate, so truncation stays certified.
+(coef * t^power * exp(-rate t - quad_rate t^2)) times the envelope of the
+warp weight (from warp_growth_bounds); the tail bound is one elementary
+formula, and it is folded into the reported error estimate, so truncation
+stays certified.
 
 Integrands are evaluated strictly inside (0, R); the endpoints are never
 touched.  All panel schedules and summation orders are fixed, so results are
@@ -27,10 +29,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import DomainError, EvaluationError
-from .manifold import WarpSpec, warp_growth_bounds, warp_value
+from .manifold import WarpSpec, warp_value
 
 # Gauss-Kronrod 15(7) nodes on [-1, 1] and the matching weights.  Gauss
 # weights are zero on the Kronrod-only nodes.
@@ -88,8 +89,9 @@ class DecayEnvelope:
 
     Valid for t >= valid_from.  The quadratic term carries Gaussian-type
     profiles, whose tails would otherwise be uncertifiable against
-    exponentially growing warp weights.  coef == 0 encodes compact support:
-    the function vanishes beyond valid_from exactly.
+    exponentially growing warp weights; it must be nonnegative.  A negative
+    rate bounds growth, as for the warp weights.  coef == 0 encodes compact
+    support: the function vanishes beyond valid_from exactly.
     """
 
     coef: float
@@ -97,6 +99,14 @@ class DecayEnvelope:
     rate: float = 0.0
     valid_from: float = 1.0
     quad_rate: float = 0.0
+
+    def __post_init__(self):
+        if not self.quad_rate >= 0.0:
+            raise DomainError("decay envelope needs a nonnegative quadratic rate")
+
+    def __call__(self, t) -> np.ndarray:
+        """The bound at t, vectorized."""
+        return self.coef * t**self.power * np.exp(-self.rate * t - self.quad_rate * t**2)
 
     def scaled(self, c: float) -> "DecayEnvelope":
         return DecayEnvelope(self.coef * c, self.power, self.rate, self.valid_from, self.quad_rate)
@@ -118,18 +128,22 @@ class DecayEnvelope:
         )
 
     def tail_integral(self, t: float) -> float:
-        """Upper bound for the integral of the envelope over [t, inf)."""
+        """Upper bound for the integral of the envelope over [t, inf).
+
+        For s >= t, log(s/t) <= (s-t)/t gives s^P <= t^P exp(P (s-t)/t) when
+        P >= 0, so the integral is at most coef t^P exp(-rate t) / (rate -
+        max(P, 0)/t) whenever that denominator is positive; for P <= 0 this
+        is the exact integral of the bound t^P exp(-rate s).
+        """
         if self.coef == 0.0:
             return 0.0
         t = max(t, self.valid_from)
-        # exp(-c t^2) <= exp(-c T t) for t >= T folds the quadratic term
+        # exp(-c s^2) <= exp(-c t s) for s >= t folds the quadratic term
         # into an effective linear rate at the truncation point
         rate = self.rate + self.quad_rate * t
-        if rate > 0:
-            if self.power <= 0:
-                return self.coef * t**self.power * math.exp(-rate * t) / rate
-            s = self.power + 1.0
-            return float(self.coef * rate**-s * math.gamma(s) * gammaincc(s, rate * t))
+        margin = rate - max(self.power, 0.0) / t
+        if margin > 0:
+            return self.coef * t**self.power * math.exp(-rate * t) / margin
         if rate == 0.0 and self.power < -1.0:
             return self.coef * t ** (self.power + 1.0) / (-self.power - 1.0)
         return math.inf
@@ -165,15 +179,30 @@ def _weighted(f: Integrand, w: WarpSpec) -> Callable[[np.ndarray], np.ndarray]:
     ) ** f.weight_exponent
 
 
+def warp_growth_bounds(w: WarpSpec) -> tuple[DecayEnvelope, DecayEnvelope]:
+    """(upper, lower) bounds for phi on the tail of an unbounded domain.
+
+    Exponential growth is a negative rate.
+    """
+    if math.isfinite(w.radius):
+        raise DomainError("growth bounds are only defined for unbounded warps")
+    if w.kind == "euclidean":
+        return DecayEnvelope(1.0, 1.0), DecayEnvelope(1.0, 1.0)
+    if w.kind == "hyperbolic":
+        return (DecayEnvelope(0.5, 0.0, -1.0),
+                DecayEnvelope(0.5 * (1 - math.exp(-2.0)), 0.0, -1.0))
+    if w.kind == "tanh_cap":
+        return DecayEnvelope(1.0), DecayEnvelope(math.tanh(1.0))
+    raise DomainError("no certified tail growth bound for custom warps on unbounded domains")
+
+
 def _warp_power_envelope(w: WarpSpec, theta_w: float) -> DecayEnvelope:
     """Envelope of phi(t)^theta_w on the tail of an unbounded domain."""
     if theta_w == 0.0:
         return DecayEnvelope(1.0, 0.0, 0.0, 1.0)
     upper, lower = warp_growth_bounds(w)
     b = upper if theta_w > 0 else lower
-    return DecayEnvelope(
-        b.coef**theta_w, b.power * theta_w, -b.rate * theta_w, b.valid_from
-    )
+    return DecayEnvelope(b.coef**theta_w, b.power * theta_w, b.rate * theta_w, b.valid_from)
 
 
 def _gk_segments(fn, bounds) -> list[tuple[float, float, float | None]]:

@@ -41,10 +41,9 @@ from .manifold import (
     WarpSpec,
     c_phi,
     sphere_volume,
-    warp_growth_bounds,
     warp_value,
 )
-from .quadrature import Integrand, divergence_probe, integrate_weighted
+from .quadrature import Integrand, divergence_probe, integrate_weighted, warp_growth_bounds
 
 _TINY = 1e-300
 # the one family the counterexample check evaluates, whatever spec.families is
@@ -122,7 +121,7 @@ class CheckSpec:
         kind, row = self.kind, CHECK_TABLE[self.kind]
         if not 0 <= k <= 4:
             raise InadmissibleParameterError("derivative count k must be within 0..4")
-        if p < 1:
+        if "p" in row.reads and p < 1:
             raise InadmissibleParameterError("p must be at least 1")
         if self.theta < 0:
             raise InadmissibleParameterError("theta must be nonnegative")
@@ -214,14 +213,14 @@ class CheckSpec:
     def params_dict(self) -> dict:
         w = self.manifold.warp
         row = CHECK_TABLE[self.kind]
-        families = self.families if row.families is None else row.families
+        families = (row.families or self.families) if "families" in row.reads else ()
         out = {
             "warp": w.kind,
             "R": "inf" if math.isinf(w.radius) else w.radius,
             "N": self.manifold.dim,
             "k": self.k,
         }
-        if row.reads_p:
+        if "p" in row.reads:
             out["p"] = self.p
         out.update(theta=self.theta, quad_tol=self.quad_tol, tol=self.tol)
         if families:
@@ -630,13 +629,12 @@ class CheckKind:
     """One check kind: what it runs and the hypotheses of the claim it tests.
 
     `reads` names the optional check fields the kind reads (the grid fields
-    for a kind that samples spec.grid).  `domain` is "bounded", "unbounded"
-    or None for either.  On a bounded domain `edge` asks the warp to stay
-    positive near the outer edge; on R = inf `tail` asks for a certified warp
-    tail growth bound and `c_phi` for a positive warp monotonicity constant.
-    `families` are the families the kind evaluates in place of
-    spec.families (None: spec.families), and `reads_p` says whether it reads
-    spec.p; the report's params list only what the kind reads.
+    for a kind that samples spec.grid); the report's params list only what
+    the kind reads.  `domain` is "bounded", "unbounded" or None for either.
+    On a bounded domain `edge` asks the warp to stay positive near the outer
+    edge; on R = inf `tail` asks for a certified warp tail growth bound and
+    `c_phi` for a positive warp monotonicity constant.  `families`, when
+    set, are the families the kind evaluates in place of spec.families.
     """
 
     run: Callable[[CheckSpec], tuple[dict, dict, bool]]
@@ -646,34 +644,36 @@ class CheckKind:
     edge: bool = False
     tail: bool = False
     c_phi: bool = False
-    families: tuple[RadialFunction, ...] | None = None
-    reads_p: bool = True
+    families: tuple[RadialFunction, ...] = ()
 
     @property
     def samples_grid(self) -> bool:
         return "grid" in self.reads
 
 
-_GRID_FIELDS = frozenset({"grid", "grid_lo", "grid_hi"})
-_RADIAL_LEMMA = CheckKind(check_radial_lemma, 0.01, _GRID_FIELDS, "bounded", edge=True)
+# the fields of a family walk over a radial grid and of one over norms of
+# exponent p; every kind but asymptotic_leading walks spec.families
+_GRID_FIELDS = frozenset({"families", "grid", "grid_lo", "grid_hi"})
+_NORM_FIELDS = frozenset({"families", "p"})
+_RADIAL_LEMMA = CheckKind(check_radial_lemma, 0.01, _GRID_FIELDS | _NORM_FIELDS, "bounded",
+                          edge=True)
 
 CHECK_TABLE = {
-    "identity": CheckKind(check_identity, 1e-8, _GRID_FIELDS, reads_p=False),
-    "gradient_inequality": CheckKind(check_gradient_inequality, 1e-10, _GRID_FIELDS,
-                                     reads_p=False),
-    "k1_norm_equality": CheckKind(check_k1_norm_equality, 1e-8, tail=True),
+    "identity": CheckKind(check_identity, 1e-8, _GRID_FIELDS),
+    "gradient_inequality": CheckKind(check_gradient_inequality, 1e-10, _GRID_FIELDS),
+    "k1_norm_equality": CheckKind(check_k1_norm_equality, 1e-8, _NORM_FIELDS, tail=True),
     "radial_lemma_power": _RADIAL_LEMMA,
     "radial_lemma_log": _RADIAL_LEMMA,
-    "decay_lemma": CheckKind(check_decay_lemma, 1e-6, _GRID_FIELDS, "unbounded",
+    "decay_lemma": CheckKind(check_decay_lemma, 1e-6, _GRID_FIELDS | _NORM_FIELDS, "unbounded",
                              tail=True, c_phi=True),
-    "hardy": CheckKind(check_hardy, 0.01, frozenset({"j"}), "bounded", edge=True),
+    "hardy": CheckKind(check_hardy, 0.01, _NORM_FIELDS | {"j"}, "bounded", edge=True),
     "embedding_ratio": CheckKind(check_embedding_ratio, 0.01,
-                                 frozenset({"q", "theta", "variant", "diagnostic"}),
+                                 _NORM_FIELDS | {"q", "theta", "variant", "diagnostic"},
                                  edge=True, tail=True, c_phi=True),
-    "counterexample": CheckKind(check_counterexample, 0.02, domain="bounded",
+    # accepts families, as generated configs give one to every check
+    "counterexample": CheckKind(check_counterexample, 0.02, _NORM_FIELDS, "bounded",
                                 families=(_LINEAR,)),
-    "asymptotic_leading": CheckKind(check_asymptotic_leading, 0.01, families=(),
-                                    reads_p=False),
+    "asymptotic_leading": CheckKind(check_asymptotic_leading, 0.01),
 }
 CHECK_KINDS = tuple(CHECK_TABLE)
 # the check fields only some kinds read

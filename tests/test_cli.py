@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radwarp
 from radwarp.cli import main
 from radwarp.config import build_check_specs, make_warp, parse_config
 from radwarp.errors import ConfigError
@@ -146,12 +151,19 @@ class TestRunCommand:
         "check.2.grid = 8",
         "check.3.j = 1",
         'check.3.variant = "interval"',
+        "check.1.p = 3",
+        "check.1.p = 0.5",
+        "check.2.p = 2",
+        'check.2.families = ["gaussian"]',
         "family.1.support = 0.5",
+        # exp(-2t + 0.01 t^2) is not integrable
+        "family.1.envelope = [1e4, 0.0, 2.0, -0.01]",
     ], ids=["grid_zero", "grid_one", "grid_lo_text", "grid_lo_above_hi", "k_text",
             "tol_text", "panel_budget_text", "unbounded_custom_warp_norm",
             "panel_budget_typo", "tail_cap_typo", "panel_budget_removed",
             "tail_cap_removed", "dump_tail_cap_removed", "identity_q", "identity_theta",
-            "gridless_grid", "lemma_j", "lemma_variant", "gaussian_support"])
+            "gridless_grid", "lemma_j", "lemma_variant", "identity_p", "identity_small_p",
+            "asymptotic_p", "asymptotic_families", "gaussian_support", "growing_envelope"])
     def test_invalid_fields_exit_2_without_report(self, tmp_path, capsys, lines):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(SMALL_CONFIG + lines + "\n")
@@ -355,3 +367,15 @@ class TestDumpCommand:
         i = np.argmin(np.abs(rows[:, 0] - res.worst_case["r"]))
         assert rows[i, 0] == res.worst_case["r"]
         assert rows[i, 1] == res.measured["max_ratio"]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only: the runtime depends on numpy alone
+    src = str(Path(radwarp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, radwarp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -115,6 +115,12 @@ class TestEnvelopes:
         with pytest.raises(DomainError):
             RadialFunction("linear", (), envelope_override=(0.5, 0.0, 0.0))
 
+    def test_envelope_override_rejected_when_growing(self):
+        # exp(-2t + 0.01 t^2) dominates the gaussian on the grid, but is not
+        # integrable: a negative quadratic rate certifies no tail
+        with pytest.raises(DomainError, match="quadratic rate"):
+            RadialFunction("gaussian", (("a", 1.0),), envelope_override=(1e4, 0.0, 2.0, -0.01))
+
 
 class TestLebesgueNorms:
     def test_linear_weighted_square(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from radwarp import funcspace
 from radwarp.errors import DomainError, EvaluationError
@@ -139,10 +141,34 @@ class TestEnvelopeAlgebra:
         assert env.tail_integral(2.0) == pytest.approx(2.0**-2 / 2.0, rel=1e-12)
 
     def test_tail_integral_positive_power_exact(self):
+        # the elementary bound T^P e^-T / (1 - P/T) at P = 1, above the exact
         # int_T^inf t e^-t dt = (T+1) e^-T
         env = DecayEnvelope(1.0, 1.0, 1.0, 0.5)
         t = 3.0
-        assert env.tail_integral(t) == pytest.approx((t + 1) * math.exp(-t), rel=1e-10)
+        bound = env.tail_integral(t)
+        assert bound == pytest.approx(t**2 * math.exp(-t) / (t - 1.0), rel=1e-12)
+        assert bound >= (t + 1) * math.exp(-t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coef=st.floats(0.1, 10.0),
+        power=st.floats(-3.0, 10.0),
+        rate=st.floats(0.1, 4.0),
+        quad_rate=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        t=st.floats(1.0, 20.0),
+    )
+    def test_tail_integral_bounds_the_envelope_integral(self, coef, power, rate, quad_rate, t):
+        env = DecayEnvelope(coef, power, rate, 1.0, quad_rate)
+        # split where the integrand has decayed past its peak, so that quad
+        # sees the whole bulk on a finite interval
+        split = max(t, power / rate) + 50.0 / rate
+        opts = dict(epsabs=0.0, epsrel=1e-11, limit=200)
+        exact = quad(env, t, split, **opts)[0] + quad(env, split, math.inf, **opts)[0]
+        bound = env.tail_integral(t)
+        assert bound >= exact * (1.0 - 1e-9)
+        x = rate * t
+        if quad_rate == 0.0 and x > power >= 0.0:
+            assert bound <= exact / (1.0 - power / x) * (1.0 + 1e-9)
 
     def test_non_decaying_tail_is_infinite(self):
         assert math.isinf(DecayEnvelope(1.0, 1.0, 0.0, 1.0).tail_integral(5.0))

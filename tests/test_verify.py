@@ -351,6 +351,11 @@ class TestSuite:
             assert "p" not in params
             assert ("families" in params) == (kind != "asymptotic_leading")
 
+    def test_p_checked_only_where_read(self):
+        spec("identity", WarpSpec.hyperbolic(), 3, k=2, p=0.5)
+        with pytest.raises(InadmissibleParameterError, match="p must be at least 1"):
+            spec("k1_norm_equality", WarpSpec.hyperbolic(), 3, p=0.5)
+
 
 UNBOUNDED_CUSTOM = WarpSpec.custom((1.0, 0.1), math.inf)
 
