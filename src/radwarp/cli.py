@@ -127,6 +127,10 @@ def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
         j = int(entry.get("j", 1))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad dump value: {exc}") from exc
+    if not p >= 1:
+        raise ConfigError(f"dump.p must be at least 1, got {p}")
+    if not (0 <= k <= 4 and 0 <= j <= 4):
+        raise ConfigError(f"dump.k and dump.j must be within 0..4, got k={k}, j={j}")
     grid = GridSpec(n=n).resolve(m.warp.radius)
     quad_tol = quadrature_tol(cfg, tol)
 

@@ -10,7 +10,6 @@ radius.  Example::
     manifold.N = 3
     family.1.kind = "gaussian"
     family.1.a = 1.0
-    family.1.envelope = [1e6, 6.0, 0.0, 0.5]   # optional decay-envelope override
     quadrature.tol = 1e-10
     check.1.kind = "identity"
     check.1.k = 3
@@ -34,16 +33,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, RadwarpError
 from .funcspace import FAMILY_KINDS, RadialFunction, default_families
-from .manifold import ManifoldSpec, WarpSpec
+from .manifold import WARP_KINDS, ManifoldSpec, WarpSpec
 from .verify import CHECK_KINDS, CHECK_TABLE, OPTIONAL_FIELDS, CheckSpec, GridSpec
-
-_DEFAULT_RADII = {
-    "euclidean": math.inf,
-    "hyperbolic": math.inf,
-    "spherical": math.pi,
-    "tanh_cap": math.inf,
-    "custom_odd_series": math.inf,
-}
 
 # how each check field given in a config is read; a field left out keeps the
 # CheckSpec or GridSpec default
@@ -146,16 +137,19 @@ def _as_radius(value) -> float:
 
 
 def make_warp(tag, radius) -> WarpSpec:
+    """Call the WarpSpec constructor named by `tag` (`custom` for a list of
+    series coefficients), passing the radius only when one is given, so that
+    each default radius is the constructor's."""
+    kwargs = {} if radius is None else {"radius": _as_radius(radius)}
     if isinstance(tag, list):
-        coeffs = tuple(float(c) for c in tag)
-        r = _as_radius(radius) if radius is not None else _DEFAULT_RADII["custom_odd_series"]
-        return WarpSpec.custom(coeffs, r)
+        return WarpSpec.custom(tuple(float(c) for c in tag), **kwargs)
     if not isinstance(tag, str):
         raise ConfigError(f"warp must be a tag string or a coefficient list, got {tag!r}")
-    if tag not in _DEFAULT_RADII:
+    if tag == "custom_odd_series":
+        raise ConfigError("a custom warp is given by its list of series coefficients")
+    if tag not in WARP_KINDS:
         raise ConfigError(f"unknown warp tag {tag!r}")
-    r = _as_radius(radius) if radius is not None else _DEFAULT_RADII[tag]
-    return WarpSpec(tag, r)
+    return getattr(WarpSpec, tag)(**kwargs)
 
 
 def make_family(entry: dict) -> RadialFunction:
@@ -163,7 +157,6 @@ def make_family(entry: dict) -> RadialFunction:
     fields (floats; `coeffs` a tuple of floats) as keyword arguments."""
     fields = dict(entry)
     kind = fields.pop("kind", None)
-    envelope = fields.pop("envelope", None)
     if kind not in FAMILY_KINDS:
         raise ConfigError(f"unknown family kind {kind!r}")
     try:
@@ -171,13 +164,7 @@ def make_family(entry: dict) -> RadialFunction:
             key: tuple(float(c) for c in value) if key == "coeffs" else float(value)
             for key, value in fields.items()
         }
-        base = getattr(RadialFunction, kind)(**kwargs)
-        if envelope is not None:
-            base = RadialFunction(
-                base.family, base.params,
-                envelope_override=tuple(float(x) for x in envelope),
-            )
-        return base
+        return getattr(RadialFunction, kind)(**kwargs)
     except (RadwarpError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for family {kind!r}: {exc}") from exc
 

@@ -2,8 +2,9 @@
 
 Each family carries closed-form derivative jets to order 4 at any point of
 its domain, so norm integrands and covariant-derivative inputs are exact.
-Families destined for unbounded domains also declare a decay envelope
-(see quadrature.DecayEnvelope) used to certify tail truncation.
+The decaying families also declare a decay envelope (see
+quadrature.DecayEnvelope); it is the only certificate for tail truncation,
+so a norm over an unbounded domain of a family without one is infinite.
 
 Norm conventions
 ----------------
@@ -41,16 +42,10 @@ MAX_JET_ORDER = 4
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """A named radial profile v on (0, R) with exact derivative jets.
-
-    `envelope_override` replaces the built-in decay envelope with user-given
-    parameters (coef, power, rate[, quad_rate[, valid_from]]); it is checked
-    against all derivative orders on a validation grid at construction.
-    """
+    """A named radial profile v on (0, R) with exact derivative jets."""
 
     family: str
     params: tuple[tuple[str, float], ...] = ()
-    envelope_override: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.family not in FAMILY_KINDS:
@@ -58,15 +53,6 @@ class RadialFunction:
         object.__setattr__(
             self, "params", tuple((k, float(v)) for k, v in self.params)
         )
-        if self.envelope_override:
-            if not 3 <= len(self.envelope_override) <= 5:
-                raise DomainError(
-                    "envelope override takes (coef, power, rate[, quad_rate[, valid_from]])"
-                )
-            object.__setattr__(
-                self, "envelope_override", tuple(float(x) for x in self.envelope_override)
-            )
-            self._validate_envelope(self._override_envelope())
 
     # -- constructors --------------------------------------------------------
 
@@ -167,26 +153,13 @@ class RadialFunction:
 
     # -- decay ----------------------------------------------------------------
 
-    def _override_envelope(self) -> DecayEnvelope:
-        coef, power, rate, *rest = self.envelope_override
-        quad = rest[0] if rest else 0.0
-        valid_from = rest[1] if len(rest) > 1 else 1.0
-        return DecayEnvelope(coef, power, rate, valid_from, quad)
-
-    def _validate_envelope(self, env: DecayEnvelope):
-        grid = np.geomspace(max(env.valid_from, 1e-3), max(40.0, 4 * env.valid_from), 96)
-        bound = env(grid)
-        for j in range(MAX_JET_ORDER + 1):
-            vals = np.abs(self.derivative_values(grid, j))
-            if np.any(vals > bound + 1e-300):
-                raise DomainError(
-                    f"envelope override violated by derivative order {j} of {self.label}"
-                )
-
     def decay_envelope(self) -> DecayEnvelope | None:
-        """Bound valid for every derivative order up to 4 on the tail."""
-        if self.envelope_override:
-            return self._override_envelope()
+        """Bound valid for every derivative order up to 4 on the tail.
+
+        Only the decaying families have one: compact support, a Gaussian
+        rate or a negative power.  `linear` and `log_profile` return None,
+        so no norm of theirs over an unbounded domain is certified.
+        """
         if self.family == "gaussian":
             a = self.param("a")
             return DecayEnvelope(2.0 * (1.0 + 2.0 * a) ** 4, 4.0, 0.0, 1.0, quad_rate=a)
@@ -195,21 +168,7 @@ class RadialFunction:
             return DecayEnvelope((2.0 * a + 4.0) ** 4, -2.0 * a, 0.0, 1.0)
         if self.family == "polynomial_bump":
             return DecayEnvelope(0.0, 0.0, 0.0, self.param("support"))
-        if self.family == "linear":
-            return DecayEnvelope(1.0, 1.0, 0.0, 1.0)
-        return None  # log_profile: bounded-interval use only
-
-    def admissible_unbounded(self) -> bool:
-        """Whether tail truncation over R = inf can ever be certified.
-
-        True when the envelope decays in some sense (compactly supported,
-        exponential/Gaussian rate, or a negative power); whether a specific
-        norm is finite still depends on the warp weight it meets.
-        """
-        env = self.decay_envelope()
-        return env is not None and (
-            env.coef == 0.0 or env.rate > 0 or env.quad_rate > 0 or env.power < 0
-        )
+        return None
 
 
 def _quadratic_jet(ta: np.ndarray, order: int, c0: float, c2: float) -> Jet:
@@ -269,10 +228,8 @@ def lq_theta_norm_1d(v: RadialFunction, q: float, theta: float, w: WarpSpec,
     """( int_0^R |v|^q phi^theta dt )^(1/q); inf when the integral diverges."""
     if q < 1:
         raise InadmissibleParameterError("Lebesgue exponent must be >= 1")
-    env = None
-    if math.isinf(w.radius):
-        base = v.decay_envelope()
-        env = base.power_scaled(q) if base is not None else None
+    base = v.decay_envelope()
+    env = base.power_scaled(q) if base is not None else None
     value = weighted_integral(lambda t: np.abs(v.values(t)) ** q, theta, w, env, tol)
     return value ** (1.0 / q) if math.isfinite(value) else math.inf
 
@@ -284,10 +241,10 @@ def sobolev_seminorms_1d(v: RadialFunction, k: int, p: float, n: int, w: WarpSpe
         raise InadmissibleParameterError("weight dimension must be >= 2")
     if k > MAX_JET_ORDER:
         raise InadmissibleParameterError(f"derivative count limited to {MAX_JET_ORDER}")
-    base_env = v.decay_envelope() if math.isinf(w.radius) else None
+    base = v.decay_envelope()
+    env = base.power_scaled(p) if base is not None else None
     out = []
     for j in range(k + 1):
-        env = base_env.power_scaled(p) if base_env is not None else None
         evaluator = (lambda jj: lambda t: np.abs(v.derivative_values(t, jj)) ** p)(j)
         out.append(weighted_integral(evaluator, n - 1.0, w, env, tol))
     return out
@@ -310,7 +267,7 @@ def _profile_envelope(v: RadialFunction, m: ManifoldSpec, j: int,
     inflated, then checked against the family envelope shape.
     """
     base = v.decay_envelope()
-    if base is None or not v.admissible_unbounded():
+    if base is None:
         return None
     if base.coef == 0.0:
         return base  # compact support survives differentiation
@@ -332,10 +289,7 @@ def _manifold_norm_term(v: RadialFunction, j: int, p: float, m: ManifoldSpec,
     default evaluation angles; angle independence is a separately tested
     property, so the sphere integral collapses to the radial line.
     """
-    unbounded = math.isinf(m.warp.radius)
-    env = _profile_envelope(v, m, j, p) if unbounded else None
-    if unbounded and env is None:
-        return math.inf
+    env = _profile_envelope(v, m, j, p) if math.isinf(m.warp.radius) else None
     integral = weighted_integral(
         lambda t: geometry.norm_profiles(v, m, t, j)[j] ** p,
         m.dim - 1.0, m.warp, env, tol, min_t=geometry.MIN_RADIUS,

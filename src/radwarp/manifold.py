@@ -89,7 +89,7 @@ class WarpSpec:
         return WarpSpec("tanh_cap", radius)
 
     @staticmethod
-    def custom(coeffs, radius: float) -> "WarpSpec":
+    def custom(coeffs, radius: float = math.inf) -> "WarpSpec":
         return WarpSpec("custom_odd_series", radius, tuple(coeffs))
 
     # -- validation ----------------------------------------------------------

@@ -332,27 +332,27 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
 
     `min_t` keeps panels away from evaluators with a positive proximity
     floor; the uncovered sliver is still accounted for in the error.
+
+    On an unbounded domain the panels start at the truncation point U where
+    the envelope tail drops below tol/4.  When the envelope certifies no
+    such U, the integrand is never evaluated: the result is
+    converged=False with infinite value and error and no subdivisions.
     """
     if tol < 1e-13:
         raise DomainError("quadrature tolerance below 1e-13 is not supported")
 
-    weighted = _weighted(f, w)
-
     tail_bound = 0.0
-    certified_tail = True
+    upper = w.radius
     if math.isinf(w.radius):
         if f.envelope is None:
             raise DomainError("integration over an unbounded domain requires a decay envelope")
         total_env = f.envelope.times(_warp_power_envelope(w, f.weight_exponent))
         upper = _truncation_point(total_env, tol / 4.0)
         if upper is None:
-            upper = 64.0
-            tail_bound = math.inf
-            certified_tail = False
-        else:
-            tail_bound = total_env.tail_integral(upper)
-    else:
-        upper = w.radius
+            return QuadResult(math.inf, math.inf, 0, False)  # no certified tail
+        tail_bound = total_env.tail_integral(upper)
+
+    weighted = _weighted(f, w)
 
     contributions: list[float] = []
     errors: list[float] = []
@@ -414,7 +414,7 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
             sliver = math.inf
 
     error_estimate = math.fsum(errors) + sliver + tail_bound
-    converged = certified_tail and error_estimate <= tol * max(1.0, abs(value))
+    converged = error_estimate <= tol * max(1.0, abs(value))
     return QuadResult(value, error_estimate, subdivisions, converged)
 
 

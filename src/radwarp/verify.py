@@ -66,6 +66,8 @@ class GridSpec:
             raise InadmissibleParameterError(f"radial grid needs at least 2 points, got {self.n}")
         if not 0 < lo < hi:
             raise InadmissibleParameterError(f"empty radial grid [{lo}, {hi}]")
+        if hi >= radius:
+            raise InadmissibleParameterError(f"radial grid ends at {hi}, not below R = {radius}")
         return np.geomspace(lo, hi, self.n)
 
     def doubled(self) -> "GridSpec":

@@ -76,12 +76,6 @@ class TestConfigParsing:
         assert w.kind == "custom_odd_series"
         assert w.radius == 1.5
 
-    def test_family_envelope_override_key(self):
-        from radwarp.config import make_family
-
-        f = make_family({"kind": "gaussian", "a": 1.0, "envelope": [1e6, 6.0, 0.0, 0.5]})
-        assert f.decay_envelope().coef == 1e6
-
     def test_inf_radius_token(self):
         w = make_warp("euclidean", "inf")
         assert math.isinf(w.radius)
@@ -156,14 +150,19 @@ class TestRunCommand:
         "check.2.p = 2",
         'check.2.families = ["gaussian"]',
         "family.1.support = 0.5",
-        # exp(-2t + 0.01 t^2) is not integrable
+        # tail envelopes come from the family kind alone
         "family.1.envelope = [1e4, 0.0, 2.0, -0.01]",
+        "family.1.envelope = [1e12, 0.0, 0.5]",
+        # check 3 runs on R = 1.0: its grid must end below R
+        "check.3.grid_hi = 1.5",
+        "check.3.grid_hi = 1.0",
     ], ids=["grid_zero", "grid_one", "grid_lo_text", "grid_lo_above_hi", "k_text",
             "tol_text", "panel_budget_text", "unbounded_custom_warp_norm",
             "panel_budget_typo", "tail_cap_typo", "panel_budget_removed",
             "tail_cap_removed", "dump_tail_cap_removed", "identity_q", "identity_theta",
             "gridless_grid", "lemma_j", "lemma_variant", "identity_p", "identity_small_p",
-            "asymptotic_p", "asymptotic_families", "gaussian_support", "growing_envelope"])
+            "asymptotic_p", "asymptotic_families", "gaussian_support", "growing_envelope",
+            "false_tail_envelope", "grid_hi_past_R", "grid_hi_at_R"])
     def test_invalid_fields_exit_2_without_report(self, tmp_path, capsys, lines):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(SMALL_CONFIG + lines + "\n")
@@ -305,7 +304,15 @@ class TestDumpCommand:
         ('dump.j = "one"', []),
         ('quadrature.tol = "tight"', []),
         ("", ["--grid", "0"]),
-    ], ids=["grid_text", "k_text", "p_text", "j_text", "tol_text", "grid_option_zero"])
+        ("dump.p = 0", []),
+        ("dump.p = 0.5", []),
+        ("dump.p = -1", []),
+        ("dump.k = -1", []),
+        ("dump.k = 5", []),
+        ("dump.j = -1", []),
+        ("dump.j = 5", []),
+    ], ids=["grid_text", "k_text", "p_text", "j_text", "tol_text", "grid_option_zero",
+            "p_zero", "p_half", "p_negative", "k_negative", "k_five", "j_negative", "j_five"])
     def test_malformed_numbers_exit_2_without_csv(self, tmp_path, capsys, lines, args):
         cfg_path = tmp_path / "d.cfg"
         cfg_path.write_text(DUMP_CONFIG + lines + "\n")

@@ -99,27 +99,12 @@ class TestEnvelopes:
             assert np.all(vals <= bound + 1e-300), f"order {j} escapes the envelope"
 
     def test_admissibility_flags(self):
-        assert RadialFunction.gaussian().admissible_unbounded()
-        assert RadialFunction.polynomial_bump().admissible_unbounded()
-        assert RadialFunction.power_decay().admissible_unbounded()
-        assert not RadialFunction.linear().admissible_unbounded()
-        assert not RadialFunction.log_profile(5.0).admissible_unbounded()
-
-    def test_envelope_override_accepted_when_valid(self):
-        f = RadialFunction("gaussian", (("a", 1.0),),
-                           envelope_override=(1e6, 6.0, 0.0, 0.5))
-        env = f.decay_envelope()
-        assert env.coef == 1e6 and env.quad_rate == 0.5
-
-    def test_envelope_override_rejected_when_violated(self):
-        with pytest.raises(DomainError):
-            RadialFunction("linear", (), envelope_override=(0.5, 0.0, 0.0))
-
-    def test_envelope_override_rejected_when_growing(self):
-        # exp(-2t + 0.01 t^2) dominates the gaussian on the grid, but is not
-        # integrable: a negative quadratic rate certifies no tail
-        with pytest.raises(DomainError, match="quadratic rate"):
-            RadialFunction("gaussian", (("a", 1.0),), envelope_override=(1e4, 0.0, 2.0, -0.01))
+        # only the decaying families carry a tail certificate
+        assert RadialFunction.gaussian().decay_envelope() is not None
+        assert RadialFunction.polynomial_bump().decay_envelope() is not None
+        assert RadialFunction.power_decay().decay_envelope() is not None
+        assert RadialFunction.linear().decay_envelope() is None
+        assert RadialFunction.log_profile(5.0).decay_envelope() is None
 
 
 class TestLebesgueNorms:

@@ -87,6 +87,18 @@ class TestWeightedIntegrals:
         with pytest.raises(DomainError):
             integrate_weighted(Integrand(const_one), WarpSpec.euclidean())
 
+    def test_uncertified_tail_skips_evaluation(self):
+        # t^-1/2 against the weight t: the envelope tail never drops below
+        # tol, so the integral is reported unconverged before any evaluation
+        def untouchable(t):
+            raise AssertionError("evaluator called for an uncertified tail")
+
+        env = DecayEnvelope(1.0, -0.5, 0.0, 1.0)
+        res = integrate_weighted(Integrand(untouchable, 1.0, env), WarpSpec.euclidean())
+        assert not res.converged
+        assert math.isinf(res.error_estimate)
+        assert res.subdivisions == 0
+
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
             integrate_weighted(Integrand(const_one), WarpSpec.euclidean(1.0), tol=1e-14)
@@ -175,6 +187,12 @@ class TestEnvelopeAlgebra:
 
     def test_compact_support(self):
         assert DecayEnvelope(0.0, 0.0, 0.0, 0.7).tail_integral(0.1) == 0.0
+
+    def test_negative_quadratic_rate_rejected(self):
+        # exp(-2t + 0.01 t^2) is not integrable: a growing quadratic term
+        # certifies no tail
+        with pytest.raises(DomainError, match="quadratic rate"):
+            DecayEnvelope(1e4, 0.0, 2.0, 1.0, -0.01)
 
     def test_quadratic_dominates_linear_growth(self):
         env = DecayEnvelope(1.0, 0.0, -2.0, 1.0, quad_rate=1.0)  # e^{2t - t^2}
