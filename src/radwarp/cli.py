@@ -28,6 +28,7 @@ from . import __version__, geometry
 from .config import (
     DEFAULT_SUITE,
     RunConfig,
+    as_int,
     build_check_specs,
     family_pool,
     parse_config,
@@ -121,10 +122,10 @@ def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
     if family is None:
         raise ConfigError(f"dump.family {wanted!r} matches no family")
     try:
-        n = grid_n if grid_n is not None else int(entry.get("grid", 256))
-        k = int(entry.get("k", 2))
+        n = grid_n if grid_n is not None else as_int(entry.get("grid", 256))
+        k = as_int(entry.get("k", 2))
         p = float(entry.get("p", 2.0))
-        j = int(entry.get("j", 1))
+        j = as_int(entry.get("j", 1))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad dump value: {exc}") from exc
     if not p >= 1:

@@ -36,11 +36,22 @@ from .funcspace import FAMILY_KINDS, RadialFunction, default_families
 from .manifold import WARP_KINDS, ManifoldSpec, WarpSpec
 from .verify import CHECK_KINDS, CHECK_TABLE, OPTIONAL_FIELDS, CheckSpec, GridSpec
 
+
+def as_int(value) -> int:
+    """An integer field: an int, or a float with an integral value.  Text,
+    booleans and fractional numbers raise ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 # how each check field given in a config is read; a field left out keeps the
 # CheckSpec or GridSpec default
-_CHECK_VALUES = {"k": int, "p": float, "q": float, "theta": float, "j": int, "tol": float,
-                 "variant": str, "diagnostic": bool, "grid": int, "grid_lo": float,
-                 "grid_hi": float}
+_CHECK_VALUES = {"k": as_int, "p": float, "q": float, "theta": float, "j": as_int,
+                 "tol": float, "variant": str, "diagnostic": bool, "grid": as_int,
+                 "grid_lo": float, "grid_hi": float}
 _GRID_ATTRS = {"grid": "n", "grid_lo": "lo", "grid_hi": "hi"}
 
 # the fields the program reads in each section; any other key is an error.
@@ -142,6 +153,9 @@ def make_warp(tag, radius) -> WarpSpec:
     each default radius is the constructor's."""
     kwargs = {} if radius is None else {"radius": _as_radius(radius)}
     if isinstance(tag, list):
+        if not all(isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
+                   for c in tag):
+            raise ConfigError(f"custom warp coefficients must be finite numbers, got {tag!r}")
         return WarpSpec.custom(tuple(float(c) for c in tag), **kwargs)
     if not isinstance(tag, str):
         raise ConfigError(f"warp must be a tag string or a coefficient list, got {tag!r}")
@@ -178,7 +192,11 @@ def _resolve_manifold(cfg: RunConfig, entry: dict) -> ManifoldSpec:
     if n is None:
         raise ConfigError("no dimension given (manifold.N or a per-check override)")
     try:
-        return ManifoldSpec(make_warp(warp_tag, radius), int(n))
+        n = as_int(n)
+    except ValueError as exc:
+        raise ConfigError(f"bad N: {exc}") from exc
+    try:
+        return ManifoldSpec(make_warp(warp_tag, radius), n)
     except RadwarpError as exc:
         raise ConfigError(str(exc)) from exc
 

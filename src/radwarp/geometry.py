@@ -20,6 +20,22 @@ resulting component values are exact up to rounding.  Each recursion step
 consumes one jet order; rank-j components of a depth-k computation hold jets
 of order k - j.
 
+Two facts keep the recursion from doing work that is thrown away:
+
+- The degree <= d coefficients of a truncated product depend only on the
+  degree <= d coefficients of its factors.  Each product in the recursion is
+  subtracted from a partial of order d, so both factors are truncated to
+  order d first; with graded coefficient order the result is bit-identical
+  to the full product cut to order d.  For the same reason the Christoffel
+  symbols are built to order k - 2 only, the most any product reads (at
+  rank 2), from metric jets of order k - 1; for k <= 1 they are not built,
+  since rank 1 is plain partials.
+- Components are computed on demand.  A component is computed when it is
+  first read, from the previous rank's components its formula names, and
+  then kept.  `pointwise_norm` reads them all.  The pure-radial component
+  (1, ..., 1) names only (1, ..., 1) of the rank below, because every
+  Gamma^a_11 vanishes, so reading it alone costs one radial partial per rank.
+
 Coordinate indices are 1-based throughout; coordinate 1 is the radial one.
 """
 
@@ -113,42 +129,62 @@ def christoffel_at(metric: DiagonalMetric) -> ChristoffelTable:
     return ChristoffelTable(n, metric.order - 1, entries, metric.base)
 
 
-@dataclass(frozen=True)
 class CovTensor:
-    """Dense component array of the rank-j covariant derivative at one point.
+    """Rank-j covariant derivative of a radial function at one point.
 
-    `components` is an object ndarray of shape (N,)*rank holding jets of
-    order (depth - rank); rank 0 is a 0-d array with the jet of u itself.
+    Components are jets of order (depth - rank); rank 0 holds the jet of u
+    itself.  A component is computed the first time it is read, by the
+    recursion from the rank-(j-1) components it needs, and then kept.
+    `components` gathers all of them, computing any not yet read, into a new
+    object ndarray of shape (N,)*rank.
     """
 
-    rank: int
-    dim: int
-    components: np.ndarray
-    base: object
+    def __init__(self, rank: int, dim: int, base, prev: "CovTensor | None" = None,
+                 gamma: ChristoffelTable | None = None, value: Jet | None = None):
+        self.rank, self.dim, self.base = rank, dim, base
+        self._prev, self._gamma = prev, gamma
+        self._known = {} if value is None else {(): value}  # 1-based index -> jet
+        # index -> jet one order lower, as the next rank multiplies it; None if zero
+        self._factors = {}
 
     def component(self, idx: tuple = ()) -> Jet:
+        idx = tuple(idx)
         if len(idx) != self.rank:
             raise DomainError(f"rank-{self.rank} tensor indexed with {len(idx)} indices")
-        return self.components[tuple(i - 1 for i in idx)]
+        if not all(1 <= i <= self.dim for i in idx):
+            raise DomainError(f"index {idx} outside 1..{self.dim}")
+        return self._entry(idx)
 
+    @property
+    def components(self) -> np.ndarray:
+        out = np.empty((self.dim,) * self.rank, dtype=object)
+        for idx in np.ndindex(out.shape):
+            out[idx] = self._entry(tuple(i + 1 for i in idx))
+        return out
 
-def _recursion_step(prev: np.ndarray, gamma: ChristoffelTable, n: int) -> np.ndarray:
-    rank = prev.ndim + 1
-    new = np.empty((n,) * rank, dtype=object)
-    prev_zero = np.empty(prev.shape, dtype=bool)
-    for idx in np.ndindex(prev.shape):
-        prev_zero[idx] = prev[idx].is_zero()
-    for first in range(n):
-        for idx in np.ndindex(prev.shape):
-            t = jet_partial(prev[idx], first + 1)
-            for pos in range(rank - 1):
-                for alpha, gjet in gamma.lowered(first + 1, idx[pos] + 1):
-                    ridx = idx[:pos] + (alpha - 1,) + idx[pos + 1 :]
-                    if prev_zero[ridx]:
-                        continue
-                    t = t - jet_mul(gjet, prev[ridx])
-            new[(first,) + idx] = t
-    return new
+    def _entry(self, idx: tuple) -> Jet:
+        jet = self._known.get(idx)
+        if jet is None:
+            first, rest = idx[0], idx[1:]
+            prev = self._prev
+            jet = jet_partial(prev._entry(rest), first)
+            # the sum keeps only degrees <= jet.order of each product, and
+            # those depend only on degrees <= jet.order of the factors, so the
+            # factors come truncated to that order; the product is the same
+            # to the bit, since its table pairs the same terms in the same order
+            for pos, i in enumerate(rest):
+                for alpha, gjet in self._gamma.lowered(first, i):
+                    term = prev._factor(rest[:pos] + (alpha,) + rest[pos + 1 :])
+                    if term is not None:
+                        jet = jet - jet_mul(gjet.truncated(jet.order), term)
+            self._known[idx] = jet
+        return jet
+
+    def _factor(self, idx: tuple) -> Jet | None:
+        if idx not in self._factors:
+            jet = self._entry(idx)
+            self._factors[idx] = None if jet.is_zero() else jet.truncated(jet.order - 1)
+        return self._factors[idx]
 
 
 def covariant_bundle(v, m: ManifoldSpec, r, k: int, angles=None):
@@ -156,6 +192,9 @@ def covariant_bundle(v, m: ManifoldSpec, r, k: int, angles=None):
 
     `v` is any radial profile exposing eval_jet(t, order) -> univariate Jet.
     `r` may be an array; angles default to pi/2 (all nested sine factors 1).
+    The metric jets have order max(k - 1, 0): the recursion reads the
+    Christoffel symbols only to order k - 2, at rank 2, and the norms read
+    only metric values.
     """
     if not 0 <= k <= MAX_RANK:
         raise DomainError(f"covariant derivative rank must be within 0..{MAX_RANK}")
@@ -163,17 +202,13 @@ def covariant_bundle(v, m: ManifoldSpec, r, k: int, angles=None):
     if np.any(ra < MIN_RADIUS):
         raise ProximityError(f"evaluation requires r >= {MIN_RADIUS}")
     point = default_point(m, r) if angles is None else (r,) + tuple(angles)
-    metric = metric_at(m, point, order=max(k, 1))
+    metric = metric_at(m, point, order=max(k - 1, 0))
     u_jet = embed_univariate(v.eval_jet(r, k), m.dim, 1, metric.base)
 
-    comps = np.empty((), dtype=object)
-    comps[()] = u_jet
-    tensors = [CovTensor(0, m.dim, comps, metric.base)]
-    if k >= 1:
-        gamma = christoffel_at(metric)
-        for _ in range(k):
-            comps = _recursion_step(comps, gamma, m.dim)
-            tensors.append(CovTensor(comps.ndim, m.dim, comps, metric.base))
+    tensors = [CovTensor(0, m.dim, metric.base, value=u_jet)]
+    gamma = christoffel_at(metric) if k >= 2 else None  # rank 1 is plain partials
+    for rank in range(1, k + 1):
+        tensors.append(CovTensor(rank, m.dim, metric.base, tensors[-1], gamma))
     return metric, tensors
 
 
@@ -186,11 +221,12 @@ def pointwise_norm(t: CovTensor, metric: DiagonalMetric):
     if t.base is not metric.base and not metric.base.matches(t.base):
         raise DomainError("tensor and metric were built at different base points")
     if t.rank == 0:
-        return np.abs(t.components[()].value)
-    inv = [metric.inverse_entry(i).value for i in range(1, metric.dim + 1)]
+        return np.abs(t.component().value)
+    n = metric.dim
+    inv = {i: metric.inverse_entry(i).value for i in range(1, n + 1)}
     total = 0.0
-    for idx in np.ndindex(t.components.shape):
-        comp = t.components[idx]
+    for idx in product(range(1, n + 1), repeat=t.rank):
+        comp = t.component(idx)
         if comp.is_zero():
             continue
         weight = inv[idx[0]]

@@ -219,7 +219,13 @@ class ManifoldSpec:
 
 @dataclass(frozen=True)
 class DiagonalMetric:
-    """Diagonal metric entries and their inverses as jets at one base point."""
+    """Diagonal metric entries and their inverses as jets at one base point.
+
+    The entries g_ii have jet order `order`; the inverses have order
+    `order - 1` (0 when `order` is 0).  Their readers need no more: the
+    Christoffel symbols multiply them by first partials of the entries, and
+    tensor norms read only their values.
+    """
 
     dim: int
     order: int
@@ -257,20 +263,13 @@ def metric_at(m: ManifoldSpec, point, order: int) -> DiagonalMetric:
     base = BasePoint(point)
 
     phi = embed_univariate(warp_eval(m.warp, r, order), n, 1, base)
-    phi_sq = jet_mul(phi, phi)
-    sin_sq = {}
-    for j in range(2, n):
+    g = [jet_constant(n, order, np.ones_like(r), base), jet_mul(phi, phi)]
+    for j in range(2, n):  # g_{j+1} = g_j sin(theta_j)^2
         theta_jet = jet_coordinate(1, order, 1, float(point[j - 1]))
         s = embed_univariate(jet_compose_univariate("sin", theta_jet), n, j, base)
-        sin_sq[j] = jet_mul(s, s)
-
-    g = [jet_constant(n, order, np.ones_like(r), base)]
-    for i in range(2, n + 1):
-        entry = phi_sq
-        for j in range(2, i):
-            entry = jet_mul(entry, sin_sq[j])
-        g.append(entry)
-    g_inv = [g[0]]
+        g.append(jet_mul(g[-1], jet_mul(s, s)))
+    inv_order = max(order - 1, 0)
+    g_inv = [g[0].truncated(inv_order)]
     for entry in g[1:]:
-        g_inv.append(jet_compose_univariate("recip", entry))
+        g_inv.append(jet_compose_univariate("recip", entry.truncated(inv_order)))
     return DiagonalMetric(n, order, tuple(g), tuple(g_inv), base)

@@ -156,13 +156,26 @@ class TestRunCommand:
         # check 3 runs on R = 1.0: its grid must end below R
         "check.3.grid_hi = 1.5",
         "check.3.grid_hi = 1.0",
+        # integer fields take integers only
+        "manifold.N = 3.5",
+        'manifold.N = "three"',
+        "check.1.k = 2.5",
+        "check.1.k = true",
+        "check.1.grid = 8.7",
+        "check.3.N = 3.5",
+        # custom warp coefficients must be finite numbers
+        'manifold.warp = ["x"]\nmanifold.R = 1.0',
+        "manifold.warp = [1.0, true]\nmanifold.R = 1.0",
+        "manifold.warp = [1.0, NaN]\nmanifold.R = 1.0",
     ], ids=["grid_zero", "grid_one", "grid_lo_text", "grid_lo_above_hi", "k_text",
             "tol_text", "panel_budget_text", "unbounded_custom_warp_norm",
             "panel_budget_typo", "tail_cap_typo", "panel_budget_removed",
             "tail_cap_removed", "dump_tail_cap_removed", "identity_q", "identity_theta",
             "gridless_grid", "lemma_j", "lemma_variant", "identity_p", "identity_small_p",
             "asymptotic_p", "asymptotic_families", "gaussian_support", "growing_envelope",
-            "false_tail_envelope", "grid_hi_past_R", "grid_hi_at_R"])
+            "false_tail_envelope", "grid_hi_past_R", "grid_hi_at_R", "N_fraction", "N_text",
+            "k_fraction", "k_bool", "grid_fraction", "check_N_fraction",
+            "custom_warp_text_coeff", "custom_warp_bool_coeff", "custom_warp_nan_coeff"])
     def test_invalid_fields_exit_2_without_report(self, tmp_path, capsys, lines):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(SMALL_CONFIG + lines + "\n")
@@ -311,8 +324,17 @@ class TestDumpCommand:
         ("dump.k = 5", []),
         ("dump.j = -1", []),
         ("dump.j = 5", []),
+        ("dump.grid = 24.5", []),
+        ("dump.k = 1.5", []),
+        ("dump.j = true", []),
+        ("dump.N = 3.5", []),
+        ('dump.N = "three"', []),
+        ("manifold.N = 2.5", []),
+        ('manifold.warp = ["x"]', []),
     ], ids=["grid_text", "k_text", "p_text", "j_text", "tol_text", "grid_option_zero",
-            "p_zero", "p_half", "p_negative", "k_negative", "k_five", "j_negative", "j_five"])
+            "p_zero", "p_half", "p_negative", "k_negative", "k_five", "j_negative", "j_five",
+            "grid_fraction", "k_fraction", "j_bool", "N_fraction", "N_text",
+            "manifold_N_fraction", "custom_warp_text_coeff"])
     def test_malformed_numbers_exit_2_without_csv(self, tmp_path, capsys, lines, args):
         cfg_path = tmp_path / "d.cfg"
         cfg_path.write_text(DUMP_CONFIG + lines + "\n")

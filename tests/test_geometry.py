@@ -170,6 +170,25 @@ class TestCovariantDerivatives:
         with pytest.raises(SingularMetricError):
             christoffel_at(degenerate)
 
+    def test_reading_the_radial_component_computes_nothing_else(self, monkeypatch):
+        # every component costs exactly one partial; Gamma^a_11 vanishes, so
+        # (1,...,1) at rank 4 needs only (1,...,1) at ranks 1..3
+        from radwarp import geometry
+
+        m = ManifoldSpec(WarpSpec.hyperbolic(), 5)
+        _, tensors = covariant_bundle(RadialFunction.gaussian(), m, np.array([0.5, 1.5]), 4)
+        calls = []
+        partial = geometry.jet_partial
+        monkeypatch.setattr(geometry, "jet_partial", lambda *a: calls.append(a) or partial(*a))
+        tensors[4].component((1, 1, 1, 1))
+        assert len(calls) == 4
+        assert [a[0].order for a in calls] == [4, 3, 2, 1]
+        assert all(a[1] == 1 for a in calls)
+        tensors[4].component((1, 1, 1, 1))
+        assert len(calls) == 4
+        with pytest.raises(DomainError):
+            tensors[4].component((1, 1, 1, 6))
+
 
 class TestPointwiseNorm:
     def test_rank1_is_abs_derivative(self):
@@ -277,3 +296,43 @@ def test_identity_and_inequality_fuzz_over_custom_warps(c3, c5, a, r, n):
         rhs = float(vjet.derivative(k))
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
         assert float(pointwise_norm(tensors[k], metric)) >= abs(rhs) - 1e-10
+
+
+# float.hex of norm_profiles rows (j = 0..4) and of the (1,...,1) components
+# (ranks 1..4) for gaussian(a=1) at r = 0.25, 1.1, 2.7: which components are
+# computed, in what order and at what jet order must not move a single bit
+PINNED_PROFILES = {
+    ("hyperbolic", 5): [
+        ["0x1.e0fabfbc702a4p-1", "0x1.315aa0aba1521p-2", "0x1.65bc855fb5068p-11"],
+        ["0x1.e0fabfbc702a4p-2", "0x1.4fe3b0bccb0d8p-1", "0x1.e2f1b40e012f3p-9"],
+        ["0x1.0b13b06a2b328p+2", "0x1.d84cb98ed1485p+0", "0x1.4728d8e16ed5cp-6"],
+        ["0x1.16cb93d276996p+2", "0x1.a583ec5017ecbp+2", "0x1.ce0627ca60b4cp-4"],
+        ["0x1.35d7e52159a58p+5", "0x1.93692019e02e5p+4", "0x1.60890f4623444p-1"],
+    ],
+    ("tanh_cap", 4): [
+        ["0x1.e0fabfbc702a4p-1", "0x1.315aa0aba1521p-2", "0x1.65bc855fb5068p-11"],
+        ["0x1.e0fabfbc702a4p-2", "0x1.4fe3b0bccb0d8p-1", "0x1.e2f1b40e012f3p-9"],
+        ["0x1.c3b042574e050p+1", "0x1.fa1fc859a4015p-1", "0x1.2fa278b864ed5p-6"],
+        ["0x1.01a45b2b98d47p+2", "0x1.1fc141f118a76p+1", "0x1.5d9017392e167p-4"],
+        ["0x1.da07a4732d84ep+4", "0x1.199589f484bd4p+3", "0x1.661fe6b117caap-2"],
+    ],
+}
+# the pure-radial components are v^(k)(r) for both warps, since Gamma^a_11 = 0
+PINNED_RADIAL = [
+    ["-0x1.e0fabfbc702a4p-2", "-0x1.4fe3b0bccb0d8p-1", "-0x1.e2f1b40e012f3p-9"],
+    ["-0x1.a4db67c4e2250p+0", "0x1.b19a4a8d50989p-1", "0x1.2fa0f799df15ep-6"],
+    ["0x1.59b439cf709e6p+1", "0x1.85a1b88914801p-1", "-0x1.5d87e48df9d14p-4"],
+    ["0x1.106e0699bb87fp+3", "-0x1.b059caa9487c0p+2", "0x1.66017e192a65ap-2"],
+]
+
+
+@pytest.mark.parametrize("kind, n", sorted(PINNED_PROFILES))
+def test_rank4_values_are_pinned_bit_for_bit(kind, n):
+    m = ManifoldSpec(getattr(WarpSpec, kind)(), n)
+    v = RadialFunction.gaussian(1.0)
+    r = np.array([0.25, 1.1, 2.7])
+    profiles = norm_profiles(v, m, r, 4)
+    assert [[float(x).hex() for x in row] for row in profiles] == PINNED_PROFILES[(kind, n)]
+    _, tensors = covariant_bundle(v, m, r, 4)
+    radial = [[float(x).hex() for x in tensors[j].component((1,) * j).value] for j in range(1, 5)]
+    assert radial == PINNED_RADIAL

@@ -277,3 +277,61 @@ def test_coeffs_are_immutable():
     a = jet_constant(1, 2, 1.0)
     with pytest.raises(ValueError):
         a.coeffs[0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# truncation commutes with arithmetic, bit for bit: the degree <= d
+# coefficients of a product or composition depend only on the degree <= d
+# coefficients of its inputs, and they are summed in the same order
+
+
+def random_jet(seed: int, num_vars: int, order: int, batch: tuple, positive: bool = False) -> Jet:
+    """Jet with a constant term of size 0.2..3 (positive if asked) and other
+    coefficients uniform, about a third of them zeros of either sign.
+
+    The constant term is never zero: at -0.0 an odd function's series starts
+    with -0.0, and whether Horner's additions keep that sign depends on the
+    order (at order 0 there are none).
+    """
+    rng = np.random.default_rng(seed)
+    shape = batch + (jets.n_terms(num_vars, order),)
+    zero = rng.random(shape)
+    c = np.where(zero < 0.15, 0.0, np.where(zero < 0.3, -0.0, rng.uniform(-4.0, 4.0, shape)))
+    sign = 1.0 if positive else rng.choice([-1.0, 1.0], batch)
+    c[..., 0] = sign * rng.uniform(0.2, 3.0, batch)
+    return Jet(num_vars, order, c)
+
+
+truncation_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    num_vars=st.integers(1, 5),
+    order=st.integers(0, 4),
+    cut=st.integers(0, 4),
+    batch=st.sampled_from([(), (1,), (3,), (2, 2)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(extra=st.integers(0, 2), **truncation_cases)
+def test_product_of_truncations_is_truncated_product(seed, num_vars, order, cut, batch, extra):
+    d = min(cut, order)
+    a = random_jet(seed, num_vars, order, batch)
+    b = random_jet(seed + 1, num_vars, min(order + extra, 4), batch)
+    lhs = jet_mul(a.truncated(d), b.truncated(d))
+    rhs = jet_mul(a, b).truncated(d)
+    assert lhs.order == rhs.order == d
+    assert lhs.coeffs.tobytes() == rhs.coeffs.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.sampled_from(jets.COMPOSABLE_FUNCTIONS),
+       alpha=st.sampled_from([-1.5, 0.5, 2.0, 3.7]), **truncation_cases)
+def test_composition_of_truncation_is_truncated_composition(seed, num_vars, order, cut, batch,
+                                                            f, alpha):
+    d = min(cut, order)
+    x = random_jet(seed, num_vars, order, batch, positive=f in ("log", "pow", "recip"))
+    alpha = alpha if f == "pow" else None
+    lhs = jet_compose_univariate(f, x.truncated(d), alpha)
+    rhs = jet_compose_univariate(f, x, alpha).truncated(d)
+    assert lhs.order == rhs.order == d
+    assert lhs.coeffs.tobytes() == rhs.coeffs.tobytes()
