@@ -19,7 +19,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
@@ -28,6 +27,7 @@ from . import __version__, geometry
 from .config import (
     DEFAULT_SUITE,
     RunConfig,
+    as_float,
     as_int,
     build_check_specs,
     family_pool,
@@ -38,6 +38,7 @@ from .config import (
 from .errors import ConfigError, RadwarpError
 from .manifold import warp_value
 from .verify import (
+    CheckSpec,
     GridSpec,
     decay_ratio_profile,
     radial_lemma_ratio_profile,
@@ -121,18 +122,16 @@ def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
     family = next((f for f in pool if wanted in (None, f.family, f.label)), None)
     if family is None:
         raise ConfigError(f"dump.family {wanted!r} matches no family")
-    try:
-        n = grid_n if grid_n is not None else as_int(entry.get("grid", 256))
-        k = as_int(entry.get("k", 2))
-        p = float(entry.get("p", 2.0))
-        j = as_int(entry.get("j", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad dump value: {exc}") from exc
+    n = grid_n if grid_n is not None else as_int(entry.get("grid", 256), "dump.grid")
+    k = as_int(entry.get("k", 2), "dump.k")
+    p = as_float(entry.get("p", 2.0), "dump.p")
+    j = as_int(entry.get("j", 1), "dump.j")
     if not p >= 1:
         raise ConfigError(f"dump.p must be at least 1, got {p}")
     if not (0 <= k <= 4 and 0 <= j <= 4):
         raise ConfigError(f"dump.k and dump.j must be within 0..4, got k={k}, j={j}")
-    grid = GridSpec(n=n).resolve(m.warp.radius)
+    grid_spec = GridSpec(n=n)
+    grid = grid_spec.resolve(m.warp.radius)
     quad_tol = quadrature_tol(cfg, tol)
 
     params = {"warp": m.warp.kind, "N": m.dim}
@@ -140,32 +139,22 @@ def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
         values = geometry.norm_profiles(family, m, grid, j)[j]
         params.update(j=j, family=family.label)
     elif quantity == "decay_ratio":
+        # a ratio curve is valid where the check that plots it is
+        CheckSpec("decay_lemma", m, (family,), p=p, grid=grid_spec, quad_tol=quad_tol)
         values = decay_ratio_profile(m, family, p, grid, quad_tol)
-        if values is None:
-            raise ConfigError(
-                f"family {family.label} has no finite first-order norms on this domain"
-            )
         params.update(p=p, family=family.label)
     elif quantity == "lemma_ratio":
-        if m.dim > k * p:
-            variant = "power"
-        elif m.dim == k * p and math.isfinite(m.warp.radius):
-            variant = "log"
-        else:
-            raise ConfigError(
-                "lemma_ratio needs N > kp, or N = kp on a bounded domain "
-                f"(got N={m.dim}, k={k}, p={p}, R={m.warp.radius})"
-            )
+        variant = "power" if m.dim > k * p else "log"
+        CheckSpec(f"radial_lemma_{variant}", m, (family,), k=k, p=p, grid=grid_spec,
+                  quad_tol=quad_tol)
         values = radial_lemma_ratio_profile(m, family, k, p, grid, variant, quad_tol)
-        if values is None:
-            raise ConfigError(
-                f"family {family.label} has no finite norms for the lemma ratio"
-            )
         params.update(k=k, p=p, variant=variant, family=family.label)
     else:  # integrand: the divergence-probe weight curve
         expo = m.dim - 1.0 - (k - 1) * p
         values = warp_value(m.warp, grid) ** expo
         params.update(k=k, p=p, exponent=expo)
+    if values is None:  # the ratio's norms are infinite or zero
+        raise ConfigError(f"family {family.label} has no finite nonzero norms for {quantity}")
     return grid, np.asarray(values, dtype=np.float64), params
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, RadwarpError
@@ -37,21 +38,39 @@ from .manifold import WARP_KINDS, ManifoldSpec, WarpSpec
 from .verify import CHECK_KINDS, CHECK_TABLE, OPTIONAL_FIELDS, CheckSpec, GridSpec
 
 
-def as_int(value) -> int:
-    """An integer field: an int, or a float with an integral value.  Text,
-    booleans and fractional numbers raise ValueError."""
+# One reader per scalar type of config value: any other value raises a
+# ConfigError that names the field.
+def as_int(value, name: str) -> int:
+    """An int, or a float with an integral value: not text, a boolean or a
+    fraction."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-# how each check field given in a config is read; a field left out keeps the
-# CheckSpec or GridSpec default
-_CHECK_VALUES = {"k": as_int, "p": float, "q": float, "theta": float, "j": as_int,
-                 "tol": float, "variant": str, "diagnostic": bool, "grid": as_int,
-                 "grid_lo": float, "grid_hi": float}
+def as_float(value, name: str) -> float:
+    """A finite JSON number: not text, a boolean, NaN, ±Infinity or an
+    integer too large for a float."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def as_bool(value, name: str) -> bool:
+    """JSON true or false."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
+# how each check field given in a config is read (CheckSpec checks the
+# variant name); a field left out keeps the CheckSpec or GridSpec default
+_CHECK_VALUES = {"k": as_int, "p": as_float, "q": as_float, "theta": as_float, "j": as_int,
+                 "tol": as_float, "variant": lambda value, name: value, "diagnostic": as_bool,
+                 "grid": as_int, "grid_lo": as_float, "grid_hi": as_float}
 _GRID_ATTRS = {"grid": "n", "grid_lo": "lo", "grid_hi": "hi"}
 
 # the fields the program reads in each section; any other key is an error.
@@ -139,26 +158,14 @@ def parse_config(text: str) -> RunConfig:
 # resolution into domain objects
 
 
-def _as_radius(value) -> float:
-    if value in ("inf", "Infinity", None):
-        return math.inf
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ConfigError(f"radius must be a number or 'inf', got {value!r}")
-
-
 def make_warp(tag, radius) -> WarpSpec:
     """Call the WarpSpec constructor named by `tag` (`custom` for a list of
-    series coefficients), passing the radius only when one is given, so that
-    each default radius is the constructor's."""
-    kwargs = {} if radius is None else {"radius": _as_radius(radius)}
+    series coefficients), passing the radius (a number or "inf") only when
+    one is given, so that each default radius is the constructor's."""
+    kwargs = {} if radius is None else {
+        "radius": math.inf if radius == "inf" else as_float(radius, "R")}
     if isinstance(tag, list):
-        if not all(isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
-                   for c in tag):
-            raise ConfigError(f"custom warp coefficients must be finite numbers, got {tag!r}")
-        return WarpSpec.custom(tuple(float(c) for c in tag), **kwargs)
-    if not isinstance(tag, str):
-        raise ConfigError(f"warp must be a tag string or a coefficient list, got {tag!r}")
+        return WarpSpec.custom(tuple(as_float(c, "a warp coefficient") for c in tag), **kwargs)
     if tag == "custom_odd_series":
         raise ConfigError("a custom warp is given by its list of series coefficients")
     if tag not in WARP_KINDS:
@@ -168,14 +175,15 @@ def make_warp(tag, radius) -> WarpSpec:
 
 def make_family(entry: dict) -> RadialFunction:
     """Call the RadialFunction constructor named by `kind` with the other
-    fields (floats; `coeffs` a tuple of floats) as keyword arguments."""
+    fields (numbers; `coeffs` a list of numbers) as keyword arguments."""
     fields = dict(entry)
     kind = fields.pop("kind", None)
     if kind not in FAMILY_KINDS:
         raise ConfigError(f"unknown family kind {kind!r}")
     try:
         kwargs = {
-            key: tuple(float(c) for c in value) if key == "coeffs" else float(value)
+            key: tuple(as_float(c, "a coefficient") for c in value) if key == "coeffs"
+            else as_float(value, key)
             for key, value in fields.items()
         }
         return getattr(RadialFunction, kind)(**kwargs)
@@ -192,11 +200,7 @@ def _resolve_manifold(cfg: RunConfig, entry: dict) -> ManifoldSpec:
     if n is None:
         raise ConfigError("no dimension given (manifold.N or a per-check override)")
     try:
-        n = as_int(n)
-    except ValueError as exc:
-        raise ConfigError(f"bad N: {exc}") from exc
-    try:
-        return ManifoldSpec(make_warp(warp_tag, radius), n)
+        return ManifoldSpec(make_warp(warp_tag, radius), as_int(n, "N"))
     except RadwarpError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -222,12 +226,9 @@ def _resolve_families(cfg: RunConfig, entry: dict, m: ManifoldSpec):
 
 
 def quadrature_tol(cfg: RunConfig, override: float | None = None) -> float:
-    """quadrature.tol, checked even when `override` replaces it."""
-    try:
-        tol = float(cfg.quadrature.get("tol", 1e-10))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad quadrature.tol: {exc}") from exc
-    return tol if override is None else override
+    """quadrature.tol, checked even when `override` (--tol) replaces it."""
+    tol = as_float(cfg.quadrature.get("tol", 1e-10), "quadrature.tol")
+    return tol if override is None else as_float(override, "--tol")
 
 
 def build_check_specs(cfg: RunConfig, grid_override: int | None = None,
@@ -247,10 +248,8 @@ def build_check_specs(cfg: RunConfig, grid_override: int | None = None,
             raise ConfigError(f"check {idx} ({kind}) does not read {', '.join(unread)}")
         m = _resolve_manifold(cfg, entry)
         families = _resolve_families(cfg, entry, m)
-        try:
-            given = {key: read(entry[key]) for key, read in _CHECK_VALUES.items() if key in entry}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"check {idx} ({kind}): bad value: {exc}") from exc
+        given = {key: read(entry[key], f"check.{idx}.{key}")
+                 for key, read in _CHECK_VALUES.items() if key in entry}
         if grid_override is not None:
             given["grid"] = grid_override
         grid = GridSpec(**{attr: given.pop(key) for key, attr in _GRID_ATTRS.items() if key in given})

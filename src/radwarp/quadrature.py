@@ -74,9 +74,12 @@ _MAX_PANEL_LEVELS = 200
 # suite needs more than 81, so the cap only stops runaway refinement
 _PANEL_BUDGET = 4000
 
-# segments per evaluator call: the cost per point of the manifold norm
-# evaluators falls steeply up to about 240 points and rises again beyond
-# that at N=5, k=4
+# the smallest tolerance integrate_weighted accepts
+MIN_TOL = 1e-13
+
+# segments per evaluator call: a bisection level or lookahead request of the
+# default suite or of the interval-norm checks asks for at most 10 segments,
+# so the cap only bounds the memory of one call on a runaway bisection level
 _CALL_SEGMENTS = 16
 # panels whose root segments are evaluated ahead in one call; most integrals
 # of the default suite stop within 8 panels of a lookahead start
@@ -338,8 +341,8 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     such U, the integrand is never evaluated: the result is
     converged=False with infinite value and error and no subdivisions.
     """
-    if tol < 1e-13:
-        raise DomainError("quadrature tolerance below 1e-13 is not supported")
+    if not tol >= MIN_TOL:
+        raise DomainError(f"quadrature tolerance below {MIN_TOL:g} is not supported")
 
     tail_bound = 0.0
     upper = w.radius

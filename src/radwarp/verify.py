@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -43,10 +43,10 @@ from .manifold import (
     sphere_volume,
     warp_value,
 )
-from .quadrature import Integrand, divergence_probe, integrate_weighted, warp_growth_bounds
+from .quadrature import MIN_TOL, Integrand, divergence_probe, integrate_weighted, warp_growth_bounds
 
 _TINY = 1e-300
-# the one family the counterexample check evaluates, whatever spec.families is
+# the one family the counterexample check evaluates, whatever is configured
 _LINEAR = RadialFunction.linear()
 
 
@@ -107,12 +107,13 @@ class CheckSpec:
     def __post_init__(self):
         if self.kind not in CHECK_KINDS:
             raise InadmissibleParameterError(f"unknown check kind {self.kind!r}")
-        if not self.families:
+        row = CHECK_TABLE[self.kind]
+        if row.families or not self.families:
             object.__setattr__(
-                self, "families", default_families(self.manifold.warp.radius)
+                self, "families", row.families or default_families(self.manifold.warp.radius)
             )
         if self.tol is None:
-            object.__setattr__(self, "tol", CHECK_TABLE[self.kind].tol)
+            object.__setattr__(self, "tol", row.tol)
         self._validate()
 
     # -- admissibility -------------------------------------------------------
@@ -123,10 +124,15 @@ class CheckSpec:
         kind, row = self.kind, CHECK_TABLE[self.kind]
         if not 0 <= k <= 4:
             raise InadmissibleParameterError("derivative count k must be within 0..4")
-        if "p" in row.reads and p < 1:
+        if "p" in row.reads and not p >= 1:
             raise InadmissibleParameterError("p must be at least 1")
-        if self.theta < 0:
+        if not self.theta >= 0:
             raise InadmissibleParameterError("theta must be nonnegative")
+        if not self.quad_tol >= MIN_TOL * row.refine:
+            raise InadmissibleParameterError(
+                f"quadrature tolerance {self.quad_tol:g} is below the "
+                f"{MIN_TOL * row.refine:g} that {kind} supports"
+            )
         # the domain hypotheses of the claim the kind tests
         bounded = math.isfinite(w.radius)
         if row.domain is not None and bounded != (row.domain == "bounded"):
@@ -155,8 +161,8 @@ class CheckSpec:
             raise InadmissibleParameterError(
                 f"log radial lemma needs N = kp and p > 1 (N={n}, k={k}, p={p})"
             )
-        if kind == "decay_lemma" and k != 1:
-            raise InadmissibleParameterError("decay lemma is a first-order statement")
+        if kind in ("k1_norm_equality", "decay_lemma") and k != 1:
+            raise InadmissibleParameterError(f"{kind} is a first-order statement (k = 1)")
         if kind == "hardy":
             if self.j is None or not 0 <= self.j <= k:
                 raise InadmissibleParameterError("hardy check needs a slot j within 0..k")
@@ -213,27 +219,23 @@ class CheckSpec:
             )
 
     def params_dict(self) -> dict:
+        """The manifold, k and both tolerances, then, in field order, each
+        field the kind reads; the grid is reported on its own, and families
+        by label."""
         w = self.manifold.warp
-        row = CHECK_TABLE[self.kind]
-        families = (row.families or self.families) if "families" in row.reads else ()
+        reads = CHECK_TABLE[self.kind].reads
         out = {
             "warp": w.kind,
             "R": "inf" if math.isinf(w.radius) else w.radius,
             "N": self.manifold.dim,
             "k": self.k,
+            "tol": self.tol,
+            "quad_tol": self.quad_tol,
         }
-        if "p" in row.reads:
-            out["p"] = self.p
-        out.update(theta=self.theta, quad_tol=self.quad_tol, tol=self.tol)
-        if families:
-            out["families"] = [f.label for f in families]
-        if self.q is not None:
-            out["q"] = self.q
-        if self.j is not None:
-            out["j"] = self.j
-        if "variant" in row.reads:
-            out["variant"] = self.variant
-            out["diagnostic"] = self.diagnostic
+        for f in fields(self):
+            if f.name in reads and f.name != "grid":
+                value = getattr(self, f.name)
+                out[f.name] = [g.label for g in value] if isinstance(value, tuple) else value
         return out
 
 
@@ -317,10 +319,11 @@ def _relative_change(coarse: float, fine: float) -> float:
 
 def _refined(spec: CheckSpec, measure, *args):
     """The family walk of measure(f, *args, quad_tol) at spec.quad_tol and at
-    quad_tol / 16: the tighter walk's (value, worst_case, skipped) and the
-    relative change of the constant."""
+    quad_tol / refine (the kind's): the tighter walk's (value, worst_case,
+    skipped) and the relative change of the constant."""
     coarse = _family_walk(spec, measure, *args, spec.quad_tol)[0]
-    fine, worst, skipped = _family_walk(spec, measure, *args, spec.quad_tol / 16.0)
+    fine, worst, skipped = _family_walk(spec, measure, *args,
+                                        spec.quad_tol / CHECK_TABLE[spec.kind].refine)
     return fine, worst, skipped, _relative_change(coarse, fine)
 
 
@@ -636,7 +639,9 @@ class CheckKind:
     On a bounded domain `edge` asks the warp to stay positive near the outer
     edge; on R = inf `tail` asks for a certified warp tail growth bound and
     `c_phi` for a positive warp monotonicity constant.  `families`, when
-    set, are the families the kind evaluates in place of spec.families.
+    set, are the families the kind evaluates; they replace spec.families.
+    `refine` divides quad_tol for the tighter family walk of a refined
+    constant (_refined), so quad_tol must be at least MIN_TOL * refine.
     """
 
     run: Callable[[CheckSpec], tuple[dict, dict, bool]]
@@ -647,6 +652,7 @@ class CheckKind:
     tail: bool = False
     c_phi: bool = False
     families: tuple[RadialFunction, ...] = ()
+    refine: float = 1.0
 
     @property
     def samples_grid(self) -> bool:
@@ -668,10 +674,11 @@ CHECK_TABLE = {
     "radial_lemma_log": _RADIAL_LEMMA,
     "decay_lemma": CheckKind(check_decay_lemma, 1e-6, _GRID_FIELDS | _NORM_FIELDS, "unbounded",
                              tail=True, c_phi=True),
-    "hardy": CheckKind(check_hardy, 0.01, _NORM_FIELDS | {"j"}, "bounded", edge=True),
+    "hardy": CheckKind(check_hardy, 0.01, _NORM_FIELDS | {"j"}, "bounded", edge=True,
+                       refine=16.0),
     "embedding_ratio": CheckKind(check_embedding_ratio, 0.01,
                                  _NORM_FIELDS | {"q", "theta", "variant", "diagnostic"},
-                                 edge=True, tail=True, c_phi=True),
+                                 edge=True, tail=True, c_phi=True, refine=16.0),
     # accepts families, as generated configs give one to every check
     "counterexample": CheckKind(check_counterexample, 0.02, _NORM_FIELDS, "bounded",
                                 families=(_LINEAR,)),

@@ -45,6 +45,20 @@ check.3.grid = 64
 output.report = "report.json"
 """
 
+# a hardy check and an out-of-range embedding check to append to SMALL_CONFIG
+HARDY = """\
+check.4.kind = "hardy"
+check.4.warp = "euclidean"
+check.4.R = 1.0
+check.4.j = 1
+"""
+EMBEDDING_Q50 = """\
+check.4.kind = "embedding_ratio"
+check.4.warp = "euclidean"
+check.4.R = 1.0
+check.4.q = 50
+"""
+
 
 class TestConfigParsing:
     def test_sections_and_values(self):
@@ -167,6 +181,24 @@ class TestRunCommand:
         'manifold.warp = ["x"]\nmanifold.R = 1.0',
         "manifold.warp = [1.0, true]\nmanifold.R = 1.0",
         "manifold.warp = [1.0, NaN]\nmanifold.R = 1.0",
+        # real fields take finite numbers only, flags take true or false only
+        "check.3.p = true",
+        'check.3.p = "2"',
+        HARDY + "check.4.p = NaN",
+        "check.1.tol = true",
+        EMBEDDING_Q50 + 'check.4.diagnostic = "false"',
+        EMBEDDING_Q50 + "check.4.diagnostic = no",
+        "quadrature.tol = NaN",
+        "check.3.p = 1" + "0" * 400,
+        "manifold.R = true",
+        "manifold.R = Infinity",
+        "family.1.a = true",
+        # integrals below the quadrature floor, directly or at the tighter
+        # tolerance of a refined constant
+        "quadrature.tol = 1e-14",
+        HARDY + "quadrature.tol = 1e-12",
+        # a first-order statement
+        'check.4.kind = "k1_norm_equality"\ncheck.4.k = 3',
     ], ids=["grid_zero", "grid_one", "grid_lo_text", "grid_lo_above_hi", "k_text",
             "tol_text", "panel_budget_text", "unbounded_custom_warp_norm",
             "panel_budget_typo", "tail_cap_typo", "panel_budget_removed",
@@ -175,7 +207,11 @@ class TestRunCommand:
             "asymptotic_p", "asymptotic_families", "gaussian_support", "growing_envelope",
             "false_tail_envelope", "grid_hi_past_R", "grid_hi_at_R", "N_fraction", "N_text",
             "k_fraction", "k_bool", "grid_fraction", "check_N_fraction",
-            "custom_warp_text_coeff", "custom_warp_bool_coeff", "custom_warp_nan_coeff"])
+            "custom_warp_text_coeff", "custom_warp_bool_coeff", "custom_warp_nan_coeff",
+            "p_bool", "p_text", "hardy_p_nan", "tol_bool", "diagnostic_text",
+            "diagnostic_bare_word", "quad_tol_nan", "p_beyond_float", "R_bool", "R_infinity",
+            "family_param_bool", "quad_tol_below_floor", "hardy_refined_tol_below_floor",
+            "k1_norm_k3"])
     def test_invalid_fields_exit_2_without_report(self, tmp_path, capsys, lines):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(SMALL_CONFIG + lines + "\n")
@@ -293,7 +329,8 @@ class TestDumpCommand:
     @pytest.mark.parametrize("quantity", ["norm_profile", "decay_ratio", "lemma_ratio"])
     def test_dump_writes_csv(self, tmp_path, quantity):
         cfg_path = tmp_path / "d.cfg"
-        cfg_path.write_text(DUMP_CONFIG)
+        # the radial lemmas are checked on bounded domains only
+        cfg_path.write_text(DUMP_CONFIG + ("dump.R = 2.0\n" if quantity == "lemma_ratio" else ""))
         out_path = tmp_path / "curve.csv"
         assert main(["dump", quantity, str(cfg_path), "--out", str(out_path)]) == 0
         lines = out_path.read_text().strip().splitlines()
@@ -331,16 +368,38 @@ class TestDumpCommand:
         ('dump.N = "three"', []),
         ("manifold.N = 2.5", []),
         ('manifold.warp = ["x"]', []),
+        ("dump.p = true", []),
+        ("", ["--tol", "inf"]),
     ], ids=["grid_text", "k_text", "p_text", "j_text", "tol_text", "grid_option_zero",
             "p_zero", "p_half", "p_negative", "k_negative", "k_five", "j_negative", "j_five",
             "grid_fraction", "k_fraction", "j_bool", "N_fraction", "N_text",
-            "manifold_N_fraction", "custom_warp_text_coeff"])
+            "manifold_N_fraction", "custom_warp_text_coeff", "p_bool",
+            "tol_option_inf"])
     def test_malformed_numbers_exit_2_without_csv(self, tmp_path, capsys, lines, args):
         cfg_path = tmp_path / "d.cfg"
         cfg_path.write_text(DUMP_CONFIG + lines + "\n")
         out_path = tmp_path / "c.csv"
         code = main(["dump", "norm_profile", str(cfg_path), "--out", str(out_path), *args])
         assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("quantity, lines", [
+        # radial_lemma_log needs N = kp and p > 1
+        ("lemma_ratio", 'dump.warp = "euclidean"\ndump.R = 1.0\ndump.N = 2\ndump.k = 2\ndump.p = 1'),
+        # radial_lemma_power needs the warp positive near the outer edge
+        ("lemma_ratio", 'dump.warp = "spherical"\ndump.R = 3.141592653589793'),
+        # the radial lemmas are checked on bounded domains only
+        ("lemma_ratio", ""),
+        # decay_lemma requires R = inf
+        ("decay_ratio", 'dump.warp = "euclidean"\ndump.R = 2.0'),
+    ], ids=["lemma_log_p_one", "lemma_spherical_edge", "lemma_unbounded", "decay_bounded"])
+    def test_curve_outside_its_check_exit_2_without_csv(self, tmp_path, capsys, quantity,
+                                                        lines):
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(DUMP_CONFIG + lines + "\n")
+        out_path = tmp_path / "c.csv"
+        assert main(["dump", quantity, str(cfg_path), "--out", str(out_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out_path.exists()
 

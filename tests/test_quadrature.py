@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from radwarp import funcspace
@@ -161,6 +161,7 @@ class TestEnvelopeAlgebra:
         assert bound == pytest.approx(t**2 * math.exp(-t) / (t - 1.0), rel=1e-12)
         assert bound >= (t + 1) * math.exp(-t)
 
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @settings(max_examples=60, deadline=None)
     @given(
         coef=st.floats(0.1, 10.0),
@@ -169,13 +170,23 @@ class TestEnvelopeAlgebra:
         quad_rate=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
         t=st.floats(1.0, 20.0),
     )
+    # draws whose envelope values are subnormal on [split, inf) and on [t, split]
+    @example(coef=9.770639823443702, power=10.0, rate=4.0, quad_rate=2.0, t=5.46935408880488)
+    @example(coef=7.642932319716789, power=10.0, rate=1.3199110078564642,
+             quad_rate=1.7547689355708396, t=20.0)
     def test_tail_integral_bounds_the_envelope_integral(self, coef, power, rate, quad_rate, t):
         env = DecayEnvelope(coef, power, rate, 1.0, quad_rate)
+
+        # env(s) / env(t), taken in logs: it is 1 at t, so quad never meets
+        # the subnormal values where it loses its relative accuracy
+        def ratio(s):
+            return math.exp(power * math.log(s / t) - rate * (s - t) - quad_rate * (s * s - t * t))
+
         # split where the integrand has decayed past its peak, so that quad
         # sees the whole bulk on a finite interval
         split = max(t, power / rate) + 50.0 / rate
         opts = dict(epsabs=0.0, epsrel=1e-11, limit=200)
-        exact = quad(env, t, split, **opts)[0] + quad(env, split, math.inf, **opts)[0]
+        exact = env(t) * (quad(ratio, t, split, **opts)[0] + quad(ratio, split, math.inf, **opts)[0])
         bound = env.tail_integral(t)
         assert bound >= exact * (1.0 - 1e-9)
         x = rate * t
