@@ -147,6 +147,8 @@ def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
         variant = "power" if m.dim > k * p else "log"
         CheckSpec(f"radial_lemma_{variant}", m, (family,), k=k, p=p, grid=grid_spec,
                   quad_tol=quad_tol)
+        # the check takes its constant over the doubled grid
+        grid = grid_spec.doubled().resolve(m.warp.radius)
         values = radial_lemma_ratio_profile(m, family, k, p, grid, variant, quad_tol)
         params.update(k=k, p=p, variant=variant, family=family.label)
     else:  # integrand: the divergence-probe weight curve

@@ -210,17 +210,32 @@ def critical_q(n: int, k: int, p: float, theta: float = 0.0,
 # norms
 
 
-def weighted_integral(evaluator, theta: float, w: WarpSpec,
-                      envelope: DecayEnvelope | None, tol: float,
-                      min_t: float = 0.0) -> float:
-    """int_0^R evaluator(t) phi(t)^theta dt; inf when it diverges or, on an
-    unbounded domain, when no envelope certifies the tail."""
+def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
+                      space: WarpSpec | ManifoldSpec, tol: float) -> float:
+    """int_0^R g(t)^p phi(t)^theta dt, with g = |v^(j)| when `space` is a
+    warp (the interval side) and g = |grad^j u|_g, u = v(r), when it is a
+    manifold; inf when it diverges or, on an unbounded domain, when no
+    envelope certifies the tail.
+
+    The evaluator and its quadrature key are built here from the same
+    arguments, so integrals of one integrand share segments in a
+    quadrature.SegmentMemo.
+    """
+    p = float(p)
+    if isinstance(space, ManifoldSpec):
+        w, min_t = space.warp, geometry.MIN_RADIUS
+        evaluator = lambda t: geometry.norm_profiles(v, space, t, j)[j] ** p
+        envelope = _profile_envelope(v, space, j, p) if math.isinf(w.radius) else None
+    else:
+        w, min_t = space, 0.0
+        evaluator = lambda t: np.abs(v.derivative_values(t, j)) ** p
+        base = v.decay_envelope()
+        envelope = base.power_scaled(p) if base is not None else None
     if math.isinf(w.radius) and envelope is None:
         return math.inf  # no certified tail: infinite-norm signal
-    res = integrate_weighted(Integrand(evaluator, theta, envelope), w, tol, min_t=min_t)
-    if not res.converged:
-        return math.inf
-    return res.value
+    integrand = Integrand(evaluator, theta, envelope, key=(v, j, p, space))
+    res = integrate_weighted(integrand, w, tol, min_t=min_t)
+    return res.value if res.converged else math.inf
 
 
 def lq_theta_norm_1d(v: RadialFunction, q: float, theta: float, w: WarpSpec,
@@ -228,9 +243,7 @@ def lq_theta_norm_1d(v: RadialFunction, q: float, theta: float, w: WarpSpec,
     """( int_0^R |v|^q phi^theta dt )^(1/q); inf when the integral diverges."""
     if q < 1:
         raise InadmissibleParameterError("Lebesgue exponent must be >= 1")
-    base = v.decay_envelope()
-    env = base.power_scaled(q) if base is not None else None
-    value = weighted_integral(lambda t: np.abs(v.values(t)) ** q, theta, w, env, tol)
+    value = weighted_integral(v, 0, q, theta, w, tol)
     return value ** (1.0 / q) if math.isfinite(value) else math.inf
 
 
@@ -241,13 +254,7 @@ def sobolev_seminorms_1d(v: RadialFunction, k: int, p: float, n: int, w: WarpSpe
         raise InadmissibleParameterError("weight dimension must be >= 2")
     if k > MAX_JET_ORDER:
         raise InadmissibleParameterError(f"derivative count limited to {MAX_JET_ORDER}")
-    base = v.decay_envelope()
-    env = base.power_scaled(p) if base is not None else None
-    out = []
-    for j in range(k + 1):
-        evaluator = (lambda jj: lambda t: np.abs(v.derivative_values(t, jj)) ** p)(j)
-        out.append(weighted_integral(evaluator, n - 1.0, w, env, tol))
-    return out
+    return [weighted_integral(v, j, p, n - 1.0, w, tol) for j in range(k + 1)]
 
 
 def sobolev_norm_1d(v: RadialFunction, k: int, p: float, n: int, w: WarpSpec,
@@ -289,11 +296,7 @@ def _manifold_norm_term(v: RadialFunction, j: int, p: float, m: ManifoldSpec,
     default evaluation angles; angle independence is a separately tested
     property, so the sphere integral collapses to the radial line.
     """
-    env = _profile_envelope(v, m, j, p) if math.isinf(m.warp.radius) else None
-    integral = weighted_integral(
-        lambda t: geometry.norm_profiles(v, m, t, j)[j] ** p,
-        m.dim - 1.0, m.warp, env, tol, min_t=geometry.MIN_RADIUS,
-    )
+    integral = weighted_integral(v, j, p, m.dim - 1.0, m, tol)
     if not math.isfinite(integral):
         return math.inf
     return (sphere_volume(m.dim) * integral) ** (1.0 / p)

@@ -19,12 +19,18 @@ the 15 nodes of up to 16 GK segments (240 points).  Bisection is breadth
 first, one call per level, and the root segments of the next dyadic panels
 are evaluated ahead in one call.  Every accept and stop decision depends only
 on segment results, and each segment is summed on its own, so the results
-are those of evaluating one segment per call, bit for bit.
+are those of evaluating one segment per call, bit for bit.  For the same
+reason a segment result can be reused: inside `with SegmentMemo():` the
+segments of an integrand with a `key` are evaluated once, and later
+integrals of an equal integrand (a tighter tolerance, say) read them back
+and evaluate only the segments they add.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -158,11 +164,18 @@ class Integrand:
 
     `envelope` bounds the raw evaluator (without the warp weight) on the tail
     of an unbounded domain; it is required there and ignored otherwise.
+
+    `key` is a hashable identity of the evaluator's values: two integrands
+    with equal key and weight_exponent, integrated over an equal WarpSpec,
+    must give bit-identical weighted values at every point.  Inside an
+    active SegmentMemo their segment results are shared; an integrand
+    without a key is never memoized.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     weight_exponent: float = 0.0
     envelope: DecayEnvelope | None = None
+    key: object = None
 
 
 @dataclass(frozen=True)
@@ -208,6 +221,40 @@ def _warp_power_envelope(w: WarpSpec, theta_w: float) -> DecayEnvelope:
     return DecayEnvelope(b.coef**theta_w, b.power * theta_w, b.rate * theta_w, b.valid_from)
 
 
+class SegmentMemo:
+    """GK segment results of keyed integrands, shared while the memo is active.
+
+    `with SegmentMemo():` makes it the memo that integrate_weighted reads
+    until the block ends, also when the block raises.  A segment result
+    depends only on the weighted integrand and the segment, so a reused one
+    is the result a new evaluation would give, bit for bit.  The results are
+    dropped with the memo.
+    """
+
+    def __init__(self):
+        self._results: dict = {}  # (key, weight exponent, warp) -> {(a, b): segment}
+        self._token = None
+
+    def __enter__(self) -> "SegmentMemo":
+        self._token = _ACTIVE_MEMO.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _ACTIVE_MEMO.reset(self._token)
+
+    def segments(self, fn, identity, bounds) -> list[tuple[float, float, float | None]]:
+        """_gk_segments(fn, bounds), evaluating only the segments not yet
+        known for the integrand `identity`."""
+        known = self._results.setdefault(identity, {})
+        missing = [ab for ab in bounds if ab not in known]
+        known.update(zip(missing, _gk_segments(fn, missing)))
+        return [known[ab] for ab in bounds]
+
+
+_ACTIVE_MEMO: ContextVar[SegmentMemo | None] = ContextVar("radwarp_segment_memo",
+                                                           default=None)
+
+
 def _gk_segments(fn, bounds) -> list[tuple[float, float, float | None]]:
     """GK 15(7) (value, error, first non-finite node or None) of each [a, b].
 
@@ -241,7 +288,7 @@ def _non_finite(t) -> EvaluationError:
     return EvaluationError(f"integrand produced a non-finite value near t={t!r}")
 
 
-def _adaptive_interval(fn, a: float, b: float, tol_abs: float,
+def _adaptive_interval(segments, a: float, b: float, tol_abs: float,
                        root=None) -> tuple[float, float, int]:
     """Breadth-first bisection on [a, b]; error target proportional to length.
 
@@ -249,15 +296,16 @@ def _adaptive_interval(fn, a: float, b: float, tol_abs: float,
     test depends on that segment alone, so the accepted set equals that of
     a depth-first search.  A non-finite segment stops refinement to its
     right, and the error names the leftmost one, which depth-first order
-    meets first.  `root` is the result for [a, b] if already evaluated.
+    meets first.  `segments` maps a list of (a, b) to their results, as
+    _gk_segments does.  `root` is the result for [a, b] if already evaluated.
     """
     length = b - a
-    segments = []  # (left endpoint, value, error)
+    accepted = []  # (left endpoint, value, error)
     bad = None
     level = [(a, b, root)]
     depth = 0
     while level:
-        fresh = iter(_gk_segments(fn, [(lo, hi) for lo, hi, seg in level if seg is None]))
+        fresh = iter(segments([(lo, hi) for lo, hi, seg in level if seg is None]))
         children = []
         for lo, hi, seg in level:
             val, err, bad_t = seg or next(fresh)
@@ -266,7 +314,7 @@ def _adaptive_interval(fn, a: float, b: float, tol_abs: float,
                 break  # segments to its right would be refined after it
             target = tol_abs * (hi - lo) / length + _MACHINE_FLOOR * abs(val)
             if err <= target or depth >= _MAX_BISECT_DEPTH:
-                segments.append((lo, val, err))
+                accepted.append((lo, val, err))
             else:
                 mid = 0.5 * (lo + hi)
                 children += [(lo, mid, None), (mid, hi, None)]
@@ -274,13 +322,13 @@ def _adaptive_interval(fn, a: float, b: float, tol_abs: float,
         depth += 1
     if bad is not None:
         raise _non_finite(bad)
-    segments.sort(key=lambda s: s[0])
-    value = math.fsum(s[1] for s in segments)
-    error = math.fsum(s[2] for s in segments)
-    return value, error, len(segments)
+    accepted.sort(key=lambda s: s[0])
+    value = math.fsum(s[1] for s in accepted)
+    error = math.fsum(s[2] for s in accepted)
+    return value, error, len(accepted)
 
 
-def _lookahead(fn, upper: float, m: int, min_t: float,
+def _lookahead(segments, upper: float, m: int, min_t: float,
                budget: int) -> list[tuple[float, float, tuple]]:
     """(a, b, evaluated root segment) of panels m, m+1, ... in one call.
 
@@ -294,7 +342,7 @@ def _lookahead(fn, upper: float, m: int, min_t: float,
         if a_panel < min_t:
             break
         bounds.append((a_panel, upper * 2.0**-i))
-    return [(a, b, seg) for (a, b), seg in zip(bounds, _gk_segments(fn, bounds))]
+    return [(a, b, seg) for (a, b), seg in zip(bounds, segments(bounds))]
 
 
 def _truncation_point(env: DecayEnvelope, budget: float) -> float | None:
@@ -356,6 +404,11 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
         tail_bound = total_env.tail_integral(upper)
 
     weighted = _weighted(f, w)
+    memo = _ACTIVE_MEMO.get()
+    if f.key is None or memo is None:
+        segments = functools.partial(_gk_segments, weighted)
+    else:
+        segments = functools.partial(memo.segments, weighted, (f.key, f.weight_exponent, w))
 
     contributions: list[float] = []
     errors: list[float] = []
@@ -368,13 +421,13 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     ahead: list[tuple[float, float, tuple]] = []  # panels m, m+1, ... evaluated early
     while m <= _MAX_PANEL_LEVELS and subdivisions < _PANEL_BUDGET:
         if not ahead:
-            ahead = _lookahead(weighted, upper, m, min_t, _PANEL_BUDGET - subdivisions)
+            ahead = _lookahead(segments, upper, m, min_t, _PANEL_BUDGET - subdivisions)
             if not ahead:
                 break  # evaluator floor reached; the sliver bound covers the rest
         a_panel, b_panel, root = ahead.pop(0)
         scale = max(1.0, abs(total))
         panel_tol = tol * scale / (8.0 * (m + 1) * (m + 2))
-        val, err, nsub = _adaptive_interval(weighted, a_panel, b_panel, panel_tol, root)
+        val, err, nsub = _adaptive_interval(segments, a_panel, b_panel, panel_tol, root)
         contributions.append(val)
         errors.append(err)
         subdivisions += nsub
@@ -443,16 +496,17 @@ class ProbeResult:
 def _integrate_log_window(weighted, lo: float, hi: float, tol: float) -> float:
     """Integral over [lo, hi] via s = log t substitution, GK panels in s."""
     transformed = lambda s: weighted(np.exp(s)) * np.exp(s)
+    segments = functools.partial(_gk_segments, transformed)
     a, b = math.log(lo), math.log(hi)
     parts = []
-    for val, _, bad_t in _gk_segments(
-        transformed, [(a + (b - a) * i / 8, a + (b - a) * (i + 1) / 8) for i in range(8)]
+    for val, _, bad_t in segments(
+        [(a + (b - a) * i / 8, a + (b - a) * (i + 1) / 8) for i in range(8)]
     ):
         if bad_t is not None:
             raise _non_finite(bad_t)
         parts.append(val)
     coarse = math.fsum(parts)
-    value, _, _ = _adaptive_interval(transformed, a, b, tol * max(1.0, abs(coarse)))
+    value, _, _ = _adaptive_interval(segments, a, b, tol * max(1.0, abs(coarse)))
     return value
 
 

@@ -335,9 +335,27 @@ class TestDumpCommand:
         assert main(["dump", quantity, str(cfg_path), "--out", str(out_path)]) == 0
         lines = out_path.read_text().strip().splitlines()
         assert lines[0].startswith(f"r,{quantity}{{")
-        assert len(lines) == 25
+        # the lemma curve is sampled on the check's doubled grid, 2 * 24 - 1 points
+        assert len(lines) == (48 if quantity == "lemma_ratio" else 25)
         r, v = lines[1].split(",")
         assert float(r) > 0 and math.isfinite(float(v))
+
+    def test_lemma_curve_holds_the_check_worst_case(self, tmp_path):
+        cfg_path = tmp_path / "lemma.cfg"
+        cfg_path.write_text(
+            'manifold.warp = "euclidean"\nmanifold.R = 1.0\nmanifold.N = 3\n'
+            'family.1.kind = "gaussian"\nfamily.1.a = 1.0\n'
+            'check.1.kind = "radial_lemma_power"\ncheck.1.k = 1\ncheck.1.p = 2\n'
+            "check.1.grid = 24\n"
+            "dump.k = 1\ndump.p = 2\ndump.grid = 24\n"
+        )
+        report_path, csv_path = tmp_path / "r.json", tmp_path / "c.csv"
+        assert main(["run", str(cfg_path), "--out", str(report_path)]) == 0
+        assert main(["dump", "lemma_ratio", str(cfg_path), "--out", str(csv_path)]) == 0
+        check = json.loads(report_path.read_text())["checks"][0]
+        rows = [tuple(map(float, line.split(",")))
+                for line in csv_path.read_text().splitlines()[1:]]
+        assert (check["worst_case"]["r"], check["measured"]["constant"]) in rows
 
     def test_unknown_family_exit_2_without_csv(self, tmp_path, capsys):
         cfg_path = tmp_path / "d.cfg"

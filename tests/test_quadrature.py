@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from radwarp import funcspace
+from radwarp import funcspace, quadrature
 from radwarp.errors import DomainError, EvaluationError
 from radwarp.funcspace import RadialFunction, sobolev_norm_manifold
 from radwarp.manifold import ManifoldSpec, WarpSpec
 from radwarp.quadrature import (
     DecayEnvelope,
     Integrand,
+    SegmentMemo,
     divergence_probe,
     integrate_weighted,
 )
@@ -366,3 +367,126 @@ class TestBatchedSchedule:
         for sizes in calls:
             assert len(sizes) <= 8
             assert max(sizes) <= 240
+
+
+def _bits(res):
+    return (res.value.hex(), res.error_estimate.hex(), res.subdivisions, res.converged)
+
+
+@pytest.fixture
+def segment_counts(monkeypatch):
+    """[key, segments evaluated] of each integral funcspace starts, in order."""
+    counts = []
+    gk_segments, integrate = quadrature._gk_segments, funcspace.integrate_weighted
+
+    def counting(fn, bounds):
+        counts[-1][1] += len(bounds)
+        return gk_segments(fn, bounds)
+
+    def recording(f, *args, **kwargs):
+        counts.append([f.key, 0])
+        return integrate(f, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_gk_segments", counting)
+    monkeypatch.setattr(funcspace, "integrate_weighted", recording)
+    return counts
+
+
+class TestSegmentMemo:
+    """Inside a SegmentMemo an integrand with a key evaluates each GK segment
+    once; every result stays bit-identical to a run without the memo."""
+
+    GAUSS = RadialFunction.gaussian(1.0)
+    UNIT = WarpSpec.euclidean(1.0)
+    # (v, j, p, theta, space) of weighted_integral, each one field from BASE
+    BASE = (GAUSS, 1, 2.0, 2.0, UNIT)
+    VARIANTS = {
+        "family": (RadialFunction.gaussian(2.0), 1, 2.0, 2.0, UNIT),
+        "j": (GAUSS, 2, 2.0, 2.0, UNIT),
+        "p": (GAUSS, 1, 1.5, 2.0, UNIT),
+        "weight_exponent": (GAUSS, 1, 2.0, 1.0, UNIT),
+        "warp": (GAUSS, 1, 2.0, 2.0, WarpSpec.hyperbolic(1.0)),
+        "manifold": (GAUSS, 1, 2.0, 2.0, ManifoldSpec(UNIT, 3)),
+    }
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        family=st.one_of(
+            st.floats(0.5, 2.0).map(RadialFunction.gaussian),
+            st.floats(0.75, 2.0).map(RadialFunction.power_decay),
+            st.tuples(st.floats(-0.5, 1.0), st.floats(0.3, 0.9)).map(
+                lambda c: RadialFunction.polynomial_bump((1.0, c[0]), support=c[1])),
+        ),
+        j=st.integers(0, 2),
+        p=st.sampled_from([1.0, 1.5, 2.0]),
+        w=st.sampled_from([WarpSpec.euclidean(1.0), WarpSpec.hyperbolic(2.0),
+                           WarpSpec.euclidean(), WarpSpec.hyperbolic()]),
+        tol=st.sampled_from([1e-8, 1e-10]),
+    )
+    def test_results_equal_fresh_results(self, family, j, p, w, tol):
+        env = family.decay_envelope()
+        f = Integrand(lambda t: np.abs(family.derivative_values(t, j)) ** p, 2.0,
+                      env.power_scaled(p), key=(family, j, p))
+        fresh = [_bits(integrate_weighted(f, w, t)) for t in (tol, tol / 16)]
+        with SegmentMemo():
+            memo = [_bits(integrate_weighted(f, w, t)) for t in (tol, tol / 16)]
+        assert memo == fresh
+
+    def test_repeat_integral_makes_no_evaluator_call(self):
+        # the integral stops at its min_t floor, so the small-panel mass
+        # probe, which evaluates outside the segments, never runs
+        calls = []
+
+        def evaluator(t):
+            calls.append(t.size)
+            return np.log(t) ** 2
+
+        f = Integrand(evaluator, 1.0, key="log_squared")
+        w = WarpSpec.spherical(1.0)
+        with SegmentMemo():
+            first = integrate_weighted(f, w, min_t=1e-3)
+            made = len(calls)
+            second = integrate_weighted(f, w, min_t=1e-3)
+        assert made > 0 and len(calls) == made
+        assert _bits(second) == _bits(first)
+
+    def test_unkeyed_integrand_is_not_memoized(self):
+        calls = []
+
+        def evaluator(t):
+            calls.append(t.size)
+            return np.log(t) ** 2
+
+        f = Integrand(evaluator, 1.0)
+        with SegmentMemo():
+            integrate_weighted(f, WarpSpec.spherical(1.0), min_t=1e-3)
+            made = len(calls)
+            integrate_weighted(f, WarpSpec.spherical(1.0), min_t=1e-3)
+        assert len(calls) == 2 * made
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_different_integrands_share_no_segment(self, segment_counts, name):
+        variant = self.VARIANTS[name]
+        with SegmentMemo():
+            funcspace.weighted_integral(*variant, 1e-10)
+        with SegmentMemo():
+            funcspace.weighted_integral(*self.BASE, 1e-10)
+            funcspace.weighted_integral(*variant, 1e-10)
+        (_, alone), _, (_, shared) = segment_counts
+        assert shared == alone > 0
+
+    def test_integer_and_float_exponent_share_segments(self, segment_counts):
+        v, j, _, theta, w = self.BASE
+        with SegmentMemo():
+            a = funcspace.weighted_integral(v, j, 2.0, theta, w, 1e-10)
+            b = funcspace.weighted_integral(v, j, 2, theta, w, 1e-10)
+        assert b.hex() == a.hex()
+        (key_a, made), (key_b, repeated) = segment_counts
+        assert key_a == key_b and made > 0 and repeated == 0
+
+    def test_memo_is_inactive_after_its_block(self):
+        with pytest.raises(RuntimeError):
+            with SegmentMemo() as memo:
+                assert quadrature._ACTIVE_MEMO.get() is memo
+                raise RuntimeError("check failed")
+        assert quadrature._ACTIVE_MEMO.get() is None

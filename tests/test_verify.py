@@ -1,5 +1,6 @@
 """The certification checks: verdicts, measured constants, and guard paths."""
 
+import dataclasses
 import math
 
 import pytest
@@ -420,3 +421,47 @@ class TestNormReuse:
         ))
         assert sum(calls.values()) == 2
         assert max(calls.values()) == 1
+
+
+class TestSegmentMemoScope:
+    """Each check runs inside a SegmentMemo of its own, dropped when it ends."""
+
+    HARDY = spec("hardy", WarpSpec.euclidean(1.0), 3, k=1, j=1, p=2.0,
+                 families=[RadialFunction.gaussian(1.0)])
+
+    def _patch_run(self, monkeypatch, run):
+        from radwarp import verify
+
+        row = verify.CHECK_TABLE["hardy"]
+        monkeypatch.setitem(verify.CHECK_TABLE, "hardy", dataclasses.replace(row, run=run(row)))
+
+    def test_each_check_has_its_own_memo(self, monkeypatch):
+        from radwarp import quadrature
+
+        seen = []
+
+        def run(row):
+            def observed(s):
+                seen.append(quadrature._ACTIVE_MEMO.get())
+                return row.run(s)
+            return observed
+
+        self._patch_run(monkeypatch, run)
+        assert run_check(self.HARDY).verdict == "pass"
+        assert run_check(self.HARDY).verdict == "pass"
+        assert None not in seen and seen[0] is not seen[1]
+        assert quadrature._ACTIVE_MEMO.get() is None
+
+    def test_memo_is_dropped_when_a_check_raises(self, monkeypatch):
+        from radwarp import quadrature
+
+        def run(row):
+            def failing(s):
+                assert quadrature._ACTIVE_MEMO.get() is not None
+                raise RuntimeError("check failed")
+            return failing
+
+        self._patch_run(monkeypatch, run)
+        with pytest.raises(RuntimeError, match="check failed"):
+            run_check(self.HARDY)
+        assert quadrature._ACTIVE_MEMO.get() is None
