@@ -4,7 +4,7 @@ Commands::
 
     radwarp run <config> [--tol T] [--grid N] [--out PATH]
     radwarp run --default-suite [--out PATH]
-    radwarp dump <quantity> <config> [--out PATH] [--grid N]
+    radwarp dump <quantity> <config> [--out PATH] [--grid N] [--tol T]
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 configuration
 error.  The JSON report schema is
@@ -27,25 +27,19 @@ from . import __version__, geometry
 from .config import (
     DEFAULT_SUITE,
     RunConfig,
-    as_float,
-    as_int,
+    build_check_spec,
     build_check_specs,
-    family_pool,
     parse_config,
     quadrature_tol,
-    _resolve_manifold,
 )
 from .errors import ConfigError, RadwarpError
 from .manifold import warp_value
-from .verify import (
-    CheckSpec,
-    GridSpec,
-    decay_ratio_profile,
-    radial_lemma_ratio_profile,
-    run_suite,
-)
+from .verify import decay_ratio_profile, radial_lemma_ratio_profile, run_suite
 
-DUMP_QUANTITIES = ("norm_profile", "decay_ratio", "lemma_ratio", "integrand")
+# the check kind each dumped curve belongs to; a lemma_ratio dump is a
+# radial_lemma_log check when N = kp and p > 1, else a radial_lemma_power one
+DUMP_KINDS = {"norm_profile": "gradient_inequality", "decay_ratio": "decay_lemma",
+              "lemma_ratio": "radial_lemma_log", "integrand": "counterexample"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="report path (default from the config)")
 
     dump_p = sub.add_parser("dump", help="write a two-column CSV curve")
-    dump_p.add_argument("quantity", choices=DUMP_QUANTITIES)
+    dump_p.add_argument("quantity", choices=tuple(DUMP_KINDS))
     dump_p.add_argument("config", help="path to a config file")
     dump_p.add_argument("--out", help="CSV path (default <quantity>.csv)")
     dump_p.add_argument("--grid", type=int, help="number of radial samples")
@@ -115,46 +109,35 @@ def _cmd_run(args) -> int:
 
 def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
                  tol: float | None = None):
-    entry = dict(cfg.dump)
-    m = _resolve_manifold(cfg, entry)
-    pool = family_pool(cfg, m)
-    wanted = entry.get("family")
-    family = next((f for f in pool if wanted in (None, f.family, f.label)), None)
-    if family is None:
-        raise ConfigError(f"dump.family {wanted!r} matches no family")
-    n = grid_n if grid_n is not None else as_int(entry.get("grid", 256), "dump.grid")
-    k = as_int(entry.get("k", 2), "dump.k")
-    p = as_float(entry.get("p", 2.0), "dump.p")
-    j = as_int(entry.get("j", 1), "dump.j")
-    if not p >= 1:
-        raise ConfigError(f"dump.p must be at least 1, got {p}")
-    if not (0 <= k <= 4 and 0 <= j <= 4):
-        raise ConfigError(f"dump.k and dump.j must be within 0..4, got k={k}, j={j}")
-    grid_spec = GridSpec(n=n)
-    grid = grid_spec.resolve(m.warp.radius)
     quad_tol = quadrature_tol(cfg, tol)
 
-    params = {"warp": m.warp.kind, "N": m.dim}
+    def build(kind):
+        return build_check_spec(cfg, {**cfg.dump, "kind": kind}, "dump", quad_tol, grid_n)
+
+    try:
+        spec = build(DUMP_KINDS[quantity])
+    except ConfigError:
+        if quantity != "lemma_ratio":
+            raise
+        # the lemmas share every rule but the last, so an entry that is not a
+        # log lemma (N = kp, p > 1) is validated as a power lemma (N > kp)
+        spec = build("radial_lemma_power")
+    m, family = spec.manifold, spec.families[0]
+    grid = spec.grid.resolve(m.warp.radius)
+    params = {"kind": spec.kind, **spec.params_dict(), "families": family.label}
     if quantity == "norm_profile":
-        values = geometry.norm_profiles(family, m, grid, j)[j]
-        params.update(j=j, family=family.label)
+        values = geometry.norm_profiles(family, m, grid, spec.k)[spec.k]
     elif quantity == "decay_ratio":
-        # a ratio curve is valid where the check that plots it is
-        CheckSpec("decay_lemma", m, (family,), p=p, grid=grid_spec, quad_tol=quad_tol)
-        values = decay_ratio_profile(m, family, p, grid, quad_tol)
-        params.update(p=p, family=family.label)
+        values = decay_ratio_profile(m, family, spec.p, grid, spec.quad_tol)
     elif quantity == "lemma_ratio":
-        variant = "power" if m.dim > k * p else "log"
-        CheckSpec(f"radial_lemma_{variant}", m, (family,), k=k, p=p, grid=grid_spec,
-                  quad_tol=quad_tol)
         # the check takes its constant over the doubled grid
-        grid = grid_spec.doubled().resolve(m.warp.radius)
-        values = radial_lemma_ratio_profile(m, family, k, p, grid, variant, quad_tol)
-        params.update(k=k, p=p, variant=variant, family=family.label)
-    else:  # integrand: the divergence-probe weight curve
-        expo = m.dim - 1.0 - (k - 1) * p
-        values = warp_value(m.warp, grid) ** expo
-        params.update(k=k, p=p, exponent=expo)
+        grid = spec.grid.doubled().resolve(m.warp.radius)
+        variant = "power" if spec.kind == "radial_lemma_power" else "log"
+        values = radial_lemma_ratio_profile(m, family, spec.k, spec.p, grid, variant,
+                                            spec.quad_tol)
+    else:  # integrand: the divergence-probe weight curve, on spec.grid
+        params["exponent"] = m.dim - 1.0 - (spec.k - 1) * spec.p
+        values = warp_value(m.warp, grid) ** params["exponent"]
     if values is None:  # the ratio's norms are infinite or zero
         raise ConfigError(f"family {family.label} has no finite nonzero norms for {quantity}")
     return grid, np.asarray(values, dtype=np.float64), params

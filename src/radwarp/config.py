@@ -22,7 +22,9 @@ Every check entry may override the manifold (warp, R, N) and restrict the
 family set; anything omitted falls back to the manifold/family sections or
 the built-in defaults.  A key the program does not read (a typo, say), a
 family field its kind's constructor does not take and a check field its kind
-does not read are configuration errors.
+does not read are configuration errors.  A `dump.*` entry is a check entry
+without `kind`: `radwarp dump` takes the kind from the quantity it writes
+and validates the entry as that check.
 """
 
 from __future__ import annotations
@@ -76,13 +78,15 @@ _GRID_ATTRS = {"grid": "n", "grid_lo": "lo", "grid_hi": "hi"}
 # the fields the program reads in each section; any other key is an error.
 # A family takes the fields its constructor takes (see make_family), and a
 # check reads an optional field only when its kind's table row lists it.
+# The dump section is a check entry whose kind the dumped quantity names.
+_CHECK_FIELDS = {"kind", "warp", "R", "N", "families", *_CHECK_VALUES}
 _FIELDS = {
     "manifold": {"warp", "R", "N"},
     "family": None,
-    "check": {"kind", "warp", "R", "N", "families", *_CHECK_VALUES},
+    "check": _CHECK_FIELDS,
     "quadrature": {"tol"},
     "output": {"report", "csv"},
-    "dump": {"warp", "R", "N", "family", "grid", "k", "p", "j"},
+    "dump": _CHECK_FIELDS - {"kind"},
 }
 
 
@@ -205,15 +209,13 @@ def _resolve_manifold(cfg: RunConfig, entry: dict) -> ManifoldSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def family_pool(cfg: RunConfig, m: ManifoldSpec) -> list[RadialFunction]:
-    """The configured families in index order, or the default set for m."""
-    if cfg.families:
-        return [make_family(cfg.families[i]) for i in sorted(cfg.families)]
-    return list(default_families(m.warp.radius))
-
-
 def _resolve_families(cfg: RunConfig, entry: dict, m: ManifoldSpec):
-    pool = family_pool(cfg, m)
+    """The configured families in index order, or the default set for m,
+    restricted to entry's `families` (one name or label, or a list) if given."""
+    if cfg.families:
+        pool = [make_family(cfg.families[i]) for i in sorted(cfg.families)]
+    else:
+        pool = default_families(m.warp.radius)
     subset = entry.get("families")
     if subset is None:
         return tuple(pool)
@@ -231,34 +233,38 @@ def quadrature_tol(cfg: RunConfig, override: float | None = None) -> float:
     return tol if override is None else as_float(override, "--tol")
 
 
+def build_check_spec(cfg: RunConfig, entry: dict, name: str, quad_tol: float,
+                     grid_override: int | None = None) -> CheckSpec:
+    """The validated CheckSpec of one check entry; errors name its fields
+    `<name>.<field>`.  Any invalid combination raises ConfigError."""
+    kind = entry.get("kind")
+    if kind not in CHECK_KINDS:
+        raise ConfigError(f"{name}: unknown kind {kind!r}")
+    unread = sorted((entry.keys() & OPTIONAL_FIELDS) - CHECK_TABLE[kind].reads)
+    if unread:
+        raise ConfigError(f"{name} ({kind}) does not read {', '.join(unread)}")
+    m = _resolve_manifold(cfg, entry)
+    families = _resolve_families(cfg, entry, m)
+    given = {key: read(entry[key], f"{name}.{key}")
+             for key, read in _CHECK_VALUES.items() if key in entry}
+    if grid_override is not None:
+        given["grid"] = grid_override
+    grid = GridSpec(**{attr: given.pop(key) for key, attr in _GRID_ATTRS.items() if key in given})
+    try:
+        return CheckSpec(kind=kind, manifold=m, families=families, grid=grid,
+                         quad_tol=quad_tol, **given)
+    except RadwarpError as exc:
+        raise ConfigError(f"{name} ({kind}): {exc}") from exc
+
+
 def build_check_specs(cfg: RunConfig, grid_override: int | None = None,
                       tol_override: float | None = None) -> list[CheckSpec]:
-    """Validated CheckSpec list; any invalid combination raises ConfigError."""
+    """Validated CheckSpec list, one per check entry in index order."""
     if not cfg.checks:
         raise ConfigError("configuration defines no checks")
     quad_tol = quadrature_tol(cfg, tol_override)
-    specs = []
-    for idx in sorted(cfg.checks):
-        entry = dict(cfg.checks[idx])
-        kind = entry.get("kind")
-        if kind not in CHECK_KINDS:
-            raise ConfigError(f"check {idx}: unknown kind {kind!r}")
-        unread = sorted((entry.keys() & OPTIONAL_FIELDS) - CHECK_TABLE[kind].reads)
-        if unread:
-            raise ConfigError(f"check {idx} ({kind}) does not read {', '.join(unread)}")
-        m = _resolve_manifold(cfg, entry)
-        families = _resolve_families(cfg, entry, m)
-        given = {key: read(entry[key], f"check.{idx}.{key}")
-                 for key, read in _CHECK_VALUES.items() if key in entry}
-        if grid_override is not None:
-            given["grid"] = grid_override
-        grid = GridSpec(**{attr: given.pop(key) for key, attr in _GRID_ATTRS.items() if key in given})
-        try:
-            specs.append(CheckSpec(kind=kind, manifold=m, families=families, grid=grid,
-                                   quad_tol=quad_tol, **given))
-        except RadwarpError as exc:
-            raise ConfigError(f"check {idx} ({kind}): {exc}") from exc
-    return specs
+    return [build_check_spec(cfg, cfg.checks[idx], f"check.{idx}", quad_tol, grid_override)
+            for idx in sorted(cfg.checks)]
 
 
 DEFAULT_SUITE = """\

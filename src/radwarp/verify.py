@@ -71,8 +71,9 @@ class GridSpec:
         hi = self.hi if self.hi is not None else min(0.999 * radius, 10.0)
         if self.n < 2:
             raise InadmissibleParameterError(f"radial grid needs at least 2 points, got {self.n}")
-        if not 0 < lo < hi:
-            raise InadmissibleParameterError(f"empty radial grid [{lo}, {hi}]")
+        if not geometry.MIN_RADIUS <= lo < hi:
+            raise InadmissibleParameterError(
+                f"radial grid [{lo}, {hi}] is empty or starts below r = {geometry.MIN_RADIUS}")
         if hi >= radius:
             raise InadmissibleParameterError(f"radial grid ends at {hi}, not below R = {radius}")
         return np.geomspace(lo, hi, self.n)

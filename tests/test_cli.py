@@ -170,6 +170,8 @@ class TestRunCommand:
         # check 3 runs on R = 1.0: its grid must end below R
         "check.3.grid_hi = 1.5",
         "check.3.grid_hi = 1.0",
+        # tensors are evaluated down to r = 1e-6 only
+        "check.1.grid_lo = 1e-7",
         # integer fields take integers only
         "manifold.N = 3.5",
         'manifold.N = "three"',
@@ -205,7 +207,8 @@ class TestRunCommand:
             "tail_cap_removed", "dump_tail_cap_removed", "identity_q", "identity_theta",
             "gridless_grid", "lemma_j", "lemma_variant", "identity_p", "identity_small_p",
             "asymptotic_p", "asymptotic_families", "gaussian_support", "growing_envelope",
-            "false_tail_envelope", "grid_hi_past_R", "grid_hi_at_R", "N_fraction", "N_text",
+            "false_tail_envelope", "grid_hi_past_R", "grid_hi_at_R", "grid_lo_below_min_radius",
+            "N_fraction", "N_text",
             "k_fraction", "k_bool", "grid_fraction", "check_N_fraction",
             "custom_warp_text_coeff", "custom_warp_bool_coeff", "custom_warp_nan_coeff",
             "p_bool", "p_text", "hardy_p_nan", "tol_bool", "diagnostic_text",
@@ -317,12 +320,19 @@ manifold.warp = "hyperbolic"
 manifold.R = "inf"
 manifold.N = 3
 check.1.kind = "identity"
-dump.family = "gaussian"
-dump.j = 1
-dump.p = 2
+dump.families = "gaussian"
 dump.k = 1
 dump.grid = 24
 """
+
+
+def check_and_dump(kind, **fields):
+    """A hyperbolic N=3 config whose check 1, of the given kind, and whose dump
+    section hold the same fields."""
+    lines = [f"{key} = {value}" for key, value in fields.items()]
+    return ('manifold.warp = "hyperbolic"\nmanifold.R = "inf"\nmanifold.N = 3\n'
+            f'check.1.kind = "{kind}"\n'
+            + "".join(f"{section}.{line}\n" for section in ("check.1", "dump") for line in lines))
 
 
 class TestDumpCommand:
@@ -330,7 +340,9 @@ class TestDumpCommand:
     def test_dump_writes_csv(self, tmp_path, quantity):
         cfg_path = tmp_path / "d.cfg"
         # the radial lemmas are checked on bounded domains only
-        cfg_path.write_text(DUMP_CONFIG + ("dump.R = 2.0\n" if quantity == "lemma_ratio" else ""))
+        extra = {"norm_profile": "", "decay_ratio": "dump.p = 2\n",
+                 "lemma_ratio": "dump.p = 2\ndump.R = 2.0\n"}[quantity]
+        cfg_path.write_text(DUMP_CONFIG + extra)
         out_path = tmp_path / "curve.csv"
         assert main(["dump", quantity, str(cfg_path), "--out", str(out_path)]) == 0
         lines = out_path.read_text().strip().splitlines()
@@ -365,66 +377,90 @@ class TestDumpCommand:
         assert "no_such_family" in capsys.readouterr().err
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("lines, args", [
-        ('dump.grid = "many"', []),
-        ('dump.k = "two"', []),
-        ('dump.p = "x"', []),
-        ('dump.j = "one"', []),
-        ('quadrature.tol = "tight"', []),
-        ("", ["--grid", "0"]),
-        ("dump.p = 0", []),
-        ("dump.p = 0.5", []),
-        ("dump.p = -1", []),
-        ("dump.k = -1", []),
-        ("dump.k = 5", []),
-        ("dump.j = -1", []),
-        ("dump.j = 5", []),
-        ("dump.grid = 24.5", []),
-        ("dump.k = 1.5", []),
-        ("dump.j = true", []),
-        ("dump.N = 3.5", []),
-        ('dump.N = "three"', []),
-        ("manifold.N = 2.5", []),
-        ('manifold.warp = ["x"]', []),
-        ("dump.p = true", []),
-        ("", ["--tol", "inf"]),
+    @pytest.mark.parametrize("quantity, lines, args", [
+        ("norm_profile", 'dump.grid = "many"', []),
+        ("norm_profile", 'dump.k = "two"', []),
+        ("decay_ratio", 'dump.p = "x"', []),
+        ("norm_profile", 'dump.j = "one"', []),
+        ("norm_profile", 'quadrature.tol = "tight"', []),
+        ("norm_profile", "", ["--grid", "0"]),
+        ("decay_ratio", "dump.p = 0", []),
+        ("decay_ratio", "dump.p = 0.5", []),
+        ("decay_ratio", "dump.p = -1", []),
+        ("norm_profile", "dump.k = -1", []),
+        ("norm_profile", "dump.k = 5", []),
+        ("norm_profile", "dump.j = -1", []),
+        ("norm_profile", "dump.j = 5", []),
+        ("norm_profile", "dump.grid = 24.5", []),
+        ("norm_profile", "dump.k = 1.5", []),
+        ("norm_profile", "dump.j = true", []),
+        ("norm_profile", "dump.N = 3.5", []),
+        ("norm_profile", 'dump.N = "three"', []),
+        ("norm_profile", "manifold.N = 2.5", []),
+        ("norm_profile", 'manifold.warp = ["x"]', []),
+        ("decay_ratio", "dump.p = true", []),
+        ("norm_profile", "", ["--tol", "inf"]),
     ], ids=["grid_text", "k_text", "p_text", "j_text", "tol_text", "grid_option_zero",
             "p_zero", "p_half", "p_negative", "k_negative", "k_five", "j_negative", "j_five",
             "grid_fraction", "k_fraction", "j_bool", "N_fraction", "N_text",
             "manifold_N_fraction", "custom_warp_text_coeff", "p_bool",
             "tol_option_inf"])
-    def test_malformed_numbers_exit_2_without_csv(self, tmp_path, capsys, lines, args):
+    def test_malformed_numbers_exit_2_without_csv(self, tmp_path, capsys, quantity, lines,
+                                                  args):
         cfg_path = tmp_path / "d.cfg"
         cfg_path.write_text(DUMP_CONFIG + lines + "\n")
         out_path = tmp_path / "c.csv"
-        code = main(["dump", "norm_profile", str(cfg_path), "--out", str(out_path), *args])
+        code = main(["dump", quantity, str(cfg_path), "--out", str(out_path), *args])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        # no dumped curve reads j, so any value of it is an unread field
+        if "dump.j" in lines:
+            assert "does not read j" in err
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("quantity, lines", [
-        # radial_lemma_log needs N = kp and p > 1
-        ("lemma_ratio", 'dump.warp = "euclidean"\ndump.R = 1.0\ndump.N = 2\ndump.k = 2\ndump.p = 1'),
+    @pytest.mark.parametrize("quantity, lines, message", [
+        # radial_lemma_log needs N = kp and p > 1, radial_lemma_power N > kp
+        ("lemma_ratio", 'dump.warp = "euclidean"\ndump.R = 1.0\ndump.N = 2\ndump.k = 2\n'
+         "dump.p = 1", "needs N > kp"),
         # radial_lemma_power needs the warp positive near the outer edge
-        ("lemma_ratio", 'dump.warp = "spherical"\ndump.R = 3.141592653589793'),
+        ("lemma_ratio", 'dump.warp = "spherical"\ndump.R = 3.141592653589793', "outer edge"),
         # the radial lemmas are checked on bounded domains only
-        ("lemma_ratio", ""),
+        ("lemma_ratio", "", "requires a bounded domain"),
         # decay_lemma requires R = inf
-        ("decay_ratio", 'dump.warp = "euclidean"\ndump.R = 2.0'),
-    ], ids=["lemma_log_p_one", "lemma_spherical_edge", "lemma_unbounded", "decay_bounded"])
+        ("decay_ratio", 'dump.warp = "euclidean"\ndump.R = 2.0', "unbounded domain"),
+        # counterexample needs N <= (k-1)p (here N = 5 > 4) and k >= 2
+        ("integrand", 'dump.warp = "tanh_cap"\ndump.R = 2.0\ndump.N = 5\ndump.k = 3',
+         "counterexample regime needs N <= (k-1)p"),
+        ("integrand", 'dump.warp = "tanh_cap"\ndump.R = 2.0\ndump.N = 2', "needs k >= 2"),
+        # a field is rejected exactly when the check of the curve rejects it
+        ("decay_ratio", "dump.k = 3", "first-order statement"),
+        ("norm_profile", "dump.p = 2", "does not read p"),
+        ("integrand", 'dump.warp = "tanh_cap"\ndump.R = 2.0\ndump.N = 2\ndump.k = 3\n'
+         "dump.q = 4", "does not read q"),
+        ("decay_ratio", "dump.grid_lo = 1e-7", "starts below"),
+        ("norm_profile", "dump.R = 2.0\ndump.grid_hi = 20.0", "not below R"),
+    ], ids=["lemma_log_p_one", "lemma_spherical_edge", "lemma_unbounded", "decay_bounded",
+            "integrand_norm_equivalence", "integrand_first_order", "decay_k3",
+            "norm_profile_p", "integrand_q", "decay_grid_lo_below_min_radius",
+            "norm_profile_grid_hi_past_R"])
     def test_curve_outside_its_check_exit_2_without_csv(self, tmp_path, capsys, quantity,
-                                                        lines):
+                                                        lines, message):
+        text = DUMP_CONFIG + lines + "\n"
+        if quantity == "integrand":  # counterexample does not read grid
+            text = text.replace("dump.grid = 24\n", "")
         cfg_path = tmp_path / "d.cfg"
-        cfg_path.write_text(DUMP_CONFIG + lines + "\n")
+        cfg_path.write_text(text)
         out_path = tmp_path / "c.csv"
         assert main(["dump", quantity, str(cfg_path), "--out", str(out_path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
         assert not out_path.exists()
 
     def test_integrand_curve_matches_weight(self, tmp_path):
         text = DUMP_CONFIG.replace('"hyperbolic"', '"tanh_cap"').replace(
             'manifold.R = "inf"', "manifold.R = 2.0"
-        ).replace("dump.k = 1", "dump.k = 3\ndump.N = 2")
+        ).replace("dump.k = 1", "dump.k = 3\ndump.N = 2").replace("dump.grid = 24\n", "")
         cfg_path = tmp_path / "d.cfg"
         cfg_path.write_text(text)
         out_path = tmp_path / "c.csv"
@@ -435,9 +471,9 @@ class TestDumpCommand:
         assert v == pytest.approx(math.tanh(r) ** -3, rel=1e-12)
 
     def test_linear_norm_profile_is_radius(self, tmp_path):
-        text = DUMP_CONFIG.replace('dump.family = "gaussian"', 'dump.family = "linear"')
+        text = DUMP_CONFIG.replace('dump.families = "gaussian"', 'dump.families = "linear"')
         cfg_path = tmp_path / "d.cfg"
-        cfg_path.write_text(text.replace("dump.j = 1", "dump.j = 0"))
+        cfg_path.write_text(text.replace("dump.k = 1", "dump.k = 0"))
         out_path = tmp_path / "c.csv"
         assert main(["dump", "norm_profile", str(cfg_path), "--out", str(out_path)]) == 0
         rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
@@ -450,6 +486,35 @@ class TestDumpCommand:
         assert main(["dump", "decay_ratio", str(cfg_path), "--out", str(out_path)]) == 0
         rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
         assert np.all(rows[:, 1] <= 1.0 + 1e-6)
+
+    def test_decay_curve_on_custom_grid_holds_the_check_worst_case(self, tmp_path):
+        cfg_path = tmp_path / "decay.cfg"
+        cfg_path.write_text(check_and_dump("decay_lemma", families='"gaussian"', p=2, grid=40,
+                                           grid_lo=0.05, grid_hi=4.0))
+        report_path, csv_path = tmp_path / "r.json", tmp_path / "c.csv"
+        assert main(["run", str(cfg_path), "--out", str(report_path)]) == 0
+        assert main(["dump", "decay_ratio", str(cfg_path), "--out", str(csv_path)]) == 0
+        check = json.loads(report_path.read_text())["checks"][0]
+        rows = [tuple(map(float, line.split(",")))
+                for line in csv_path.read_text().splitlines()[1:]]
+        assert rows[0][0] == 0.05 and rows[-1][0] == 4.0
+        assert (check["worst_case"]["r"], check["measured"]["max_ratio"]) in rows
+
+    def test_norm_profile_is_the_gradient_check_row(self, tmp_path):
+        from radwarp import geometry
+
+        text = check_and_dump("gradient_inequality", families='"gaussian"', k=2, grid=24,
+                              grid_lo=0.01)
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(text)
+        out_path = tmp_path / "c.csv"
+        assert main(["dump", "norm_profile", str(cfg_path), "--out", str(out_path)]) == 0
+        rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
+        spec, = build_check_specs(parse_config(text))
+        grid = spec.grid.resolve(spec.manifold.warp.radius)
+        np.testing.assert_array_equal(rows[:, 0], grid)
+        expected = geometry.norm_profiles(spec.families[0], spec.manifold, grid, 2)[2]
+        np.testing.assert_array_equal(rows[:, 1], expected)
 
     def test_csv_matches_report_worst_case(self, tmp_path):
         # the dumped curve and the check report share grid and code path, so

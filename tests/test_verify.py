@@ -372,6 +372,15 @@ class TestValidation:
         res = run_check(spec("identity", UNBOUNDED_CUSTOM, 3, k=2))
         assert res.verdict == "pass"
 
+    @pytest.mark.parametrize("kind", ["identity", "gradient_inequality"])
+    def test_grid_below_the_evaluation_floor_rejected(self, kind):
+        # tensors are evaluated down to geometry.MIN_RADIUS only, so such a
+        # grid would fail at run time
+        with pytest.raises(InadmissibleParameterError, match="starts below"):
+            spec(kind, WarpSpec.hyperbolic(), 3, grid=GridSpec(n=8, lo=1e-7))
+        res = run_check(spec(kind, WarpSpec.hyperbolic(), 3, grid=GridSpec(n=8, lo=1e-6)))
+        assert res.grid["lo"] == 1e-6
+
 
 NORM_FUNCTIONS = (
     "lq_theta_norm_1d",
