@@ -20,7 +20,7 @@ resulting component values are exact up to rounding.  Each recursion step
 consumes one jet order; rank-j components of a depth-k computation hold jets
 of order k - j.
 
-Two facts keep the recursion from doing work that is thrown away:
+The recursion computes only what its readers keep, and only when they read it:
 
 - The degree <= d coefficients of a truncated product depend only on the
   degree <= d coefficients of its factors.  Each product in the recursion is
@@ -30,18 +30,19 @@ Two facts keep the recursion from doing work that is thrown away:
   symbols are built to order k - 2 only, the most any product reads (at
   rank 2), from metric jets of order k - 1; for k <= 1 they are not built,
   since rank 1 is plain partials.
-- Components are computed on demand.  A component is computed when it is
-  first read, from the previous rank's components its formula names, and
-  then kept.  `pointwise_norm` reads them all.  The pure-radial component
-  (1, ..., 1) names only (1, ..., 1) of the rank below, because every
-  Gamma^a_11 vanishes, so reading it alone costs one radial partial per rank.
+- Components and Christoffel rows are computed on demand, each when first
+  read and then kept.  A component reads the previous rank's components its
+  formula names and the rows Gamma^alpha_ij of the lower pairs (i, j) it
+  names.  `pointwise_norm` reads every component, and so every row.  The
+  pure-radial component (1, ..., 1) names only (1, ..., 1) of the rank below
+  and the row of (1, 1), which is empty because radial lines are geodesics;
+  reading it alone costs one radial partial per rank and that one row.
 
 Coordinate indices are 1-based throughout; coordinate 1 is the radial one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -60,73 +61,69 @@ MIN_RADIUS = 1e-6
 MAX_RANK = 4
 
 
-@dataclass(frozen=True)
 class ChristoffelTable:
     """Jet-valued Christoffel symbols of a diagonal metric at one point.
 
-    Only nonzero entries are stored; `entry` returns None for identically
-    vanishing symbols.  `lowered(i, j)` lists the nonzero (alpha, jet) pairs
-    of Gamma^alpha_ij, the access pattern of the covariant recursion.
+    `lowered(i, j)` lists the nonzero (alpha, jet) pairs of Gamma^alpha_ij in
+    ascending alpha, the access pattern of the covariant recursion; the row
+    of a lower pair is computed the first time it is read, and then kept.
+    `entry` reads through it and returns None for a vanishing symbol.
     """
 
-    dim: int
-    order: int
-    entries: dict
-    base: object
+    def __init__(self, metric: DiagonalMetric):
+        self._metric = metric
+        self._partials = {}  # (i, v) -> d_v g_ii, read once so far
+        self._rows = {}  # (i, j) -> ((alpha, jet), ...)
 
     def entry(self, k: int, i: int, j: int) -> Jet | None:
-        return self.entries.get((k, i, j))
+        return next((jet for alpha, jet in self.lowered(i, j) if alpha == k), None)
 
     def lowered(self, i: int, j: int) -> tuple:
-        return self._by_lower.get((i, j), ())
+        row = self._rows.get((i, j))
+        if row is None:  # torsion-free: (j, i) holds the same row, exactly
+            row = self._rows[(i, j)] = self._rows[(j, i)] = self._row(min(i, j), max(i, j))
+        return row
 
-    def __post_init__(self):
-        by_lower: dict = {}
-        for (k, i, j), jet in self.entries.items():
-            by_lower.setdefault((i, j), []).append((k, jet))
-        object.__setattr__(
-            self, "_by_lower", {key: tuple(val) for key, val in by_lower.items()}
-        )
+    def _dg(self, i: int, v: int) -> Jet:
+        """d_v g_ii.  Only the rows of (i, i) and of {i, v} read it, one
+        row when v = i, so it is kept from the first read to the second."""
+        if i == v:
+            return jet_partial(self._metric.entry(i), v)
+        jet = self._partials.pop((i, v), None)
+        if jet is None:
+            jet = self._partials[(i, v)] = jet_partial(self._metric.entry(i), v)
+        return jet
+
+    def _row(self, i: int, j: int) -> tuple:
+        g_inv, half = self._metric.inverse_entry, 0.5
+        row = []
+        for k in range(1, self._metric.dim + 1):
+            if i == j == k:
+                jet = half * jet_mul(g_inv(k), self._dg(i, i))
+            elif i == j:
+                jet = (-half) * jet_mul(g_inv(k), self._dg(i, k))
+            elif k == i:
+                jet = half * jet_mul(g_inv(i), self._dg(i, j))
+            elif k == j:
+                jet = half * jet_mul(g_inv(j), self._dg(j, i))
+            else:
+                continue
+            if not jet.is_zero():
+                row.append((k, jet))
+        return tuple(row)
 
 
 def christoffel_at(metric: DiagonalMetric) -> ChristoffelTable:
-    """Full Christoffel table from diagonal metric jets; order drops by one."""
+    """Christoffel table of diagonal metric jets; order drops by one.
+
+    The metric is checked here; each row is computed when first read.
+    """
     if metric.order < 1:
         raise DomainError("Christoffel symbols need metric jets of order >= 1")
-    n = metric.dim
-    for i in range(1, n + 1):
+    for i in range(1, metric.dim + 1):
         if np.any(metric.entry(i).value == 0.0):
             raise SingularMetricError(f"diagonal metric entry g_{i}{i} vanishes")
-
-    partials = {}  # (i, v) -> d_v g_ii, computed lazily
-
-    def dg(i: int, v: int) -> Jet:
-        key = (i, v)
-        if key not in partials:
-            partials[key] = jet_partial(metric.entry(i), v)
-        return partials[key]
-
-    entries = {}
-    half = 0.5
-    for k, i, j in product(range(1, n + 1), repeat=3):
-        if i > j:
-            continue
-        if i == j == k:
-            jet = half * jet_mul(metric.inverse_entry(k), dg(i, i))
-        elif i == j:
-            jet = (-half) * jet_mul(metric.inverse_entry(k), dg(i, k))
-        elif k == i:
-            jet = half * jet_mul(metric.inverse_entry(i), dg(i, j))
-        elif k == j:
-            jet = half * jet_mul(metric.inverse_entry(j), dg(j, i))
-        else:
-            continue
-        if jet.is_zero():
-            continue
-        entries[(k, i, j)] = jet
-        if i != j:
-            entries[(k, j, i)] = jet  # torsion-free symmetry, exact
-    return ChristoffelTable(n, metric.order - 1, entries, metric.base)
+    return ChristoffelTable(metric)
 
 
 class CovTensor:
@@ -135,8 +132,6 @@ class CovTensor:
     Components are jets of order (depth - rank); rank 0 holds the jet of u
     itself.  A component is computed the first time it is read, by the
     recursion from the rank-(j-1) components it needs, and then kept.
-    `components` gathers all of them, computing any not yet read, into a new
-    object ndarray of shape (N,)*rank.
     """
 
     def __init__(self, rank: int, dim: int, base, prev: "CovTensor | None" = None,
@@ -154,13 +149,6 @@ class CovTensor:
         if not all(1 <= i <= self.dim for i in idx):
             raise DomainError(f"index {idx} outside 1..{self.dim}")
         return self._entry(idx)
-
-    @property
-    def components(self) -> np.ndarray:
-        out = np.empty((self.dim,) * self.rank, dtype=object)
-        for idx in np.ndindex(out.shape):
-            out[idx] = self._entry(tuple(i + 1 for i in idx))
-        return out
 
     def _entry(self, idx: tuple) -> Jet:
         jet = self._known.get(idx)

@@ -14,21 +14,22 @@ Integrands are evaluated strictly inside (0, R); the endpoints are never
 touched.  All panel schedules and summation orders are fixed, so results are
 deterministic for identical inputs.
 
-Evaluation is batched: each evaluator call receives a flat 1-D array holding
-the 15 nodes of up to 16 GK segments (240 points).  Bisection is breadth
-first, one call per level, and the root segments of the next dyadic panels
-are evaluated ahead in one call.  Every accept and stop decision depends only
-on segment results, and each segment is summed on its own, so the results
-are those of evaluating one segment per call, bit for bit.  For the same
-reason a segment result can be reused: inside `with SegmentMemo():` the
-segments of an integrand with a `key` are evaluated once, and later
-integrals of an equal integrand (a tighter tolerance, say) read them back
-and evaluate only the segments they add.
+Segment results come from one store per integral, a dict from (a, b) to
+the segment's result: each segment is evaluated when first asked for, then
+kept.  A request evaluates only the missing segments, and batches them: each
+evaluator call receives a flat 1-D array holding the 15 nodes of up to 16
+GK segments (240 points).  Bisection is breadth first, one request per
+level, and when a dyadic panel's root segment is not yet known, the roots of
+that panel and the next 7 are requested together.  Every accept and stop
+decision depends only on segment results, and each segment is summed on its
+own, so the results are those of evaluating one segment per call, bit for
+bit.  For the same reason a store can outlive its integral: inside `with
+SegmentMemo():` the integrals of an equal integrand with a `key` (at a
+tighter tolerance, say) share one store, so each segment is evaluated once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -83,13 +84,13 @@ _PANEL_BUDGET = 4000
 # the smallest tolerance integrate_weighted accepts
 MIN_TOL = 1e-13
 
-# segments per evaluator call: a bisection level or lookahead request of the
-# default suite or of the interval-norm checks asks for at most 10 segments,
-# so the cap only bounds the memory of one call on a runaway bisection level
+# segments per evaluator call: a bisection level or prefetch of the default
+# suite or of the interval-norm checks asks for at most 10 segments, so the
+# cap only bounds the memory of one call on a runaway bisection level
 _CALL_SEGMENTS = 16
-# panels whose root segments are evaluated ahead in one call; most integrals
-# of the default suite stop within 8 panels of a lookahead start
-_LOOKAHEAD_PANELS = 8
+# panels whose root segments are prefetched in one call; most integrals of
+# the default suite stop within 8 panels of a prefetch
+_PREFETCH_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -222,17 +223,18 @@ def _warp_power_envelope(w: WarpSpec, theta_w: float) -> DecayEnvelope:
 
 
 class SegmentMemo:
-    """GK segment results of keyed integrands, shared while the memo is active.
+    """The segment store of each keyed integrand, shared by its integrals
+    while the memo is active.
 
     `with SegmentMemo():` makes it the memo that integrate_weighted reads
     until the block ends, also when the block raises.  A segment result
     depends only on the weighted integrand and the segment, so a reused one
-    is the result a new evaluation would give, bit for bit.  The results are
+    is the result a new evaluation would give, bit for bit.  The stores are
     dropped with the memo.
     """
 
     def __init__(self):
-        self._results: dict = {}  # (key, weight exponent, warp) -> {(a, b): segment}
+        self.stores: dict = {}  # (key, weight exponent, warp) -> {(a, b): segment}
         self._token = None
 
     def __enter__(self) -> "SegmentMemo":
@@ -241,14 +243,6 @@ class SegmentMemo:
 
     def __exit__(self, *exc) -> None:
         _ACTIVE_MEMO.reset(self._token)
-
-    def segments(self, fn, identity, bounds) -> list[tuple[float, float, float | None]]:
-        """_gk_segments(fn, bounds), evaluating only the segments not yet
-        known for the integrand `identity`."""
-        known = self._results.setdefault(identity, {})
-        missing = [ab for ab in bounds if ab not in known]
-        known.update(zip(missing, _gk_segments(fn, missing)))
-        return [known[ab] for ab in bounds]
 
 
 _ACTIVE_MEMO: ContextVar[SegmentMemo | None] = ContextVar("radwarp_segment_memo",
@@ -284,31 +278,39 @@ def _gk_segments(fn, bounds) -> list[tuple[float, float, float | None]]:
     return out
 
 
+def _segment_source(fn, known: dict):
+    """segments(bounds): the results of the segments [a, b] in `bounds`,
+    evaluating through _gk_segments only those not in `known`, which keeps
+    them."""
+    def segments(bounds):
+        missing = [ab for ab in bounds if ab not in known]
+        known.update(zip(missing, _gk_segments(fn, missing)))
+        return [known[ab] for ab in bounds]
+    return segments
+
+
 def _non_finite(t) -> EvaluationError:
     return EvaluationError(f"integrand produced a non-finite value near t={t!r}")
 
 
-def _adaptive_interval(segments, a: float, b: float, tol_abs: float,
-                       root=None) -> tuple[float, float, int]:
+def _adaptive_interval(segments, a: float, b: float,
+                       tol_abs: float) -> tuple[float, float, int]:
     """Breadth-first bisection on [a, b]; error target proportional to length.
 
     The live segments of a level are evaluated together.  A segment's accept
     test depends on that segment alone, so the accepted set equals that of
     a depth-first search.  A non-finite segment stops refinement to its
     right, and the error names the leftmost one, which depth-first order
-    meets first.  `segments` maps a list of (a, b) to their results, as
-    _gk_segments does.  `root` is the result for [a, b] if already evaluated.
+    meets first.  `segments` maps a list of (a, b) to their results.
     """
     length = b - a
     accepted = []  # (left endpoint, value, error)
     bad = None
-    level = [(a, b, root)]
+    level = [(a, b)]
     depth = 0
     while level:
-        fresh = iter(segments([(lo, hi) for lo, hi, seg in level if seg is None]))
         children = []
-        for lo, hi, seg in level:
-            val, err, bad_t = seg or next(fresh)
+        for (lo, hi), (val, err, bad_t) in zip(level, segments(level)):
             if bad_t is not None:
                 bad = bad_t
                 break  # segments to its right would be refined after it
@@ -317,7 +319,7 @@ def _adaptive_interval(segments, a: float, b: float, tol_abs: float,
                 accepted.append((lo, val, err))
             else:
                 mid = 0.5 * (lo + hi)
-                children += [(lo, mid, None), (mid, hi, None)]
+                children += [(lo, mid), (mid, hi)]
         level = children
         depth += 1
     if bad is not None:
@@ -328,21 +330,21 @@ def _adaptive_interval(segments, a: float, b: float, tol_abs: float,
     return value, error, len(accepted)
 
 
-def _lookahead(segments, upper: float, m: int, min_t: float,
-               budget: int) -> list[tuple[float, float, tuple]]:
-    """(a, b, evaluated root segment) of panels m, m+1, ... in one call.
+def _panel(upper: float, m: int) -> tuple[float, float]:
+    """The dyadic panel [U 2^-(m+1), U 2^-m]."""
+    return upper * 2.0 ** -(m + 1), upper * 2.0**-m
+
+
+def _prefetch(segments, upper: float, m: int, min_t: float, budget: int) -> None:
+    """Evaluate the root segments of panels m, m+1, ... in one call.
 
     Only panels the sequential loop may still reach: none past
     _MAX_PANEL_LEVELS, none below min_t, and at most `budget` of them, since
     each panel takes at least one subdivision.
     """
-    bounds = []
-    for i in range(m, min(m + _LOOKAHEAD_PANELS, _MAX_PANEL_LEVELS + 1, m + budget)):
-        a_panel = upper * 2.0 ** -(i + 1)
-        if a_panel < min_t:
-            break
-        bounds.append((a_panel, upper * 2.0**-i))
-    return [(a, b, seg) for (a, b), seg in zip(bounds, segments(bounds))]
+    last = min(m + _PREFETCH_PANELS, _MAX_PANEL_LEVELS + 1, m + budget)
+    panels = (_panel(upper, i) for i in range(m, last))
+    segments([ab for ab in panels if ab[0] >= min_t])
 
 
 def _truncation_point(env: DecayEnvelope, budget: float) -> float | None:
@@ -406,9 +408,10 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     weighted = _weighted(f, w)
     memo = _ACTIVE_MEMO.get()
     if f.key is None or memo is None:
-        segments = functools.partial(_gk_segments, weighted)
+        known = {}
     else:
-        segments = functools.partial(memo.segments, weighted, (f.key, f.weight_exponent, w))
+        known = memo.stores.setdefault((f.key, f.weight_exponent, w), {})
+    segments = _segment_source(weighted, known)
 
     contributions: list[float] = []
     errors: list[float] = []
@@ -418,16 +421,15 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     growth_run = 0
     diverging = False
     m = 0
-    ahead: list[tuple[float, float, tuple]] = []  # panels m, m+1, ... evaluated early
     while m <= _MAX_PANEL_LEVELS and subdivisions < _PANEL_BUDGET:
-        if not ahead:
-            ahead = _lookahead(segments, upper, m, min_t, _PANEL_BUDGET - subdivisions)
-            if not ahead:
-                break  # evaluator floor reached; the sliver bound covers the rest
-        a_panel, b_panel, root = ahead.pop(0)
+        a_panel, b_panel = _panel(upper, m)
+        if a_panel < min_t:
+            break  # evaluator floor reached; the sliver bound covers the rest
+        if (a_panel, b_panel) not in known:
+            _prefetch(segments, upper, m, min_t, _PANEL_BUDGET - subdivisions)
         scale = max(1.0, abs(total))
         panel_tol = tol * scale / (8.0 * (m + 1) * (m + 2))
-        val, err, nsub = _adaptive_interval(segments, a_panel, b_panel, panel_tol, root)
+        val, err, nsub = _adaptive_interval(segments, a_panel, b_panel, panel_tol)
         contributions.append(val)
         errors.append(err)
         subdivisions += nsub
@@ -496,7 +498,7 @@ class ProbeResult:
 def _integrate_log_window(weighted, lo: float, hi: float, tol: float) -> float:
     """Integral over [lo, hi] via s = log t substitution, GK panels in s."""
     transformed = lambda s: weighted(np.exp(s)) * np.exp(s)
-    segments = functools.partial(_gk_segments, transformed)
+    segments = _segment_source(transformed, {})
     a, b = math.log(lo), math.log(hi)
     parts = []
     for val, _, bad_t in segments(

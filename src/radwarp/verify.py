@@ -136,10 +136,10 @@ class CheckSpec:
             raise InadmissibleParameterError("p must be at least 1")
         if not self.theta >= 0:
             raise InadmissibleParameterError("theta must be nonnegative")
-        if not self.quad_tol >= MIN_TOL * row.refine:
+        hi = self.tol if "p" in row.reads else math.inf
+        if not MIN_TOL * row.refine <= self.quad_tol <= hi:
             raise InadmissibleParameterError(
-                f"quadrature tolerance {self.quad_tol:g} is below the "
-                f"{MIN_TOL * row.refine:g} that {kind} supports"
+                f"quadrature tolerance {self.quad_tol:g} is outside the range {kind} supports"
             )
         # the domain hypotheses of the claim the kind tests
         bounded = math.isfinite(w.radius)
@@ -404,7 +404,7 @@ def check_k1_norm_equality(spec: CheckSpec) -> tuple[dict, dict, bool]:
 
 def radial_lemma_ratio_profile(m: ManifoldSpec, f: RadialFunction, k: int, p: float,
                                grid: np.ndarray, variant: str,
-                               quad_tol: float = 1e-10) -> np.ndarray | None:
+                               quad_tol: float) -> np.ndarray | None:
     """Pointwise lemma ratio |v(t)| * scale(t) / ||v||; None if the norm is
     infinite or zero (family skipped)."""
     n, w = m.dim, m.warp
@@ -452,7 +452,7 @@ def _decay_prefactor(n: int, p: float, cphi: float) -> float:
 
 
 def decay_ratio_profile(m: ManifoldSpec, f: RadialFunction, p: float,
-                        grid: np.ndarray, quad_tol: float = 1e-10) -> np.ndarray | None:
+                        grid: np.ndarray, quad_tol: float) -> np.ndarray | None:
     """Pointwise decay ratio |v(r)| / (explicit decay bound at r).
 
     None when the family has no finite nonzero first-order norms on the

@@ -199,6 +199,8 @@ class TestRunCommand:
         # tolerance of a refined constant
         "quadrature.tol = 1e-14",
         HARDY + "quadrature.tol = 1e-12",
+        # a quadrature tolerance above the verdict tolerance of a norm check
+        HARDY + "check.4.tol = 1e-11",
         # a first-order statement
         'check.4.kind = "k1_norm_equality"\ncheck.4.k = 3',
     ], ids=["grid_zero", "grid_one", "grid_lo_text", "grid_lo_above_hi", "k_text",
@@ -214,6 +216,7 @@ class TestRunCommand:
             "p_bool", "p_text", "hardy_p_nan", "tol_bool", "diagnostic_text",
             "diagnostic_bare_word", "quad_tol_nan", "p_beyond_float", "R_bool", "R_infinity",
             "family_param_bool", "quad_tol_below_floor", "hardy_refined_tol_below_floor",
+            "quad_tol_above_hardy_tol",
             "k1_norm_k3"])
     def test_invalid_fields_exit_2_without_report(self, tmp_path, capsys, lines):
         cfg_path = tmp_path / "bad.cfg"
@@ -221,6 +224,14 @@ class TestRunCommand:
         out_path = tmp_path / "r.json"
         assert main(["run", str(cfg_path), "--out", str(out_path)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_quadrature_looser_than_a_verdict_exit_2(self, tmp_path, capsys):
+        # every kind that takes norms decides its verdict on integrals; at
+        # --tol 1e6 the default suite used to pass 15 of its 16 checks
+        out_path = tmp_path / "r.json"
+        assert main(["run", "--default-suite", "--tol", "1e6", "--out", str(out_path)]) == 2
+        assert "outside the range k1_norm_equality supports" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_unknown_warp_exit_2(self, tmp_path, capsys):

@@ -155,8 +155,7 @@ class TestCovariantDerivatives:
         _, tensors = covariant_bundle(RadialFunction.gaussian(), m, 0.8, k)
         for rank, tensor in enumerate(tensors):
             assert tensor.rank == rank
-            sample = tensor.components.flat[0]
-            assert sample.order == k - rank
+            assert tensor.component((1,) * rank).order == k - rank
 
     def test_singular_metric_rejected(self):
         from radwarp.errors import SingularMetricError
@@ -170,24 +169,49 @@ class TestCovariantDerivatives:
         with pytest.raises(SingularMetricError):
             christoffel_at(degenerate)
 
-    def test_reading_the_radial_component_computes_nothing_else(self, monkeypatch):
-        # every component costs exactly one partial; Gamma^a_11 vanishes, so
-        # (1,...,1) at rank 4 needs only (1,...,1) at ranks 1..3
+    @staticmethod
+    def _radial_read(monkeypatch):
+        """(metric, rank-4 tensor, jet_partial calls) of reading (1, 1, 1, 1)
+        of an N=5, rank-4 bundle; the calls list keeps recording."""
         from radwarp import geometry
 
         m = ManifoldSpec(WarpSpec.hyperbolic(), 5)
-        _, tensors = covariant_bundle(RadialFunction.gaussian(), m, np.array([0.5, 1.5]), 4)
         calls = []
         partial = geometry.jet_partial
         monkeypatch.setattr(geometry, "jet_partial", lambda *a: calls.append(a) or partial(*a))
+        metric, tensors = covariant_bundle(RadialFunction.gaussian(), m,
+                                           np.array([0.5, 1.5]), 4)
         tensors[4].component((1, 1, 1, 1))
-        assert len(calls) == 4
-        assert [a[0].order for a in calls] == [4, 3, 2, 1]
-        assert all(a[1] == 1 for a in calls)
-        tensors[4].component((1, 1, 1, 1))
-        assert len(calls) == 4
+        return metric, tensors[4], calls
+
+    @staticmethod
+    def _of_metric(metric, call) -> bool:
+        return any(call[0] is metric.entry(i) for i in range(1, metric.dim + 1))
+
+    def test_reading_the_radial_component_computes_nothing_else(self, monkeypatch):
+        # every component costs exactly one partial; Gamma^a_11 vanishes, so
+        # (1,...,1) at rank 4 needs only (1,...,1) at ranks 1..3, and of the
+        # Christoffel symbols only the row of (1, 1), which takes partials of
+        # g_11 alone
+        metric, tensor, calls = self._radial_read(monkeypatch)
+        of_components = [a for a in calls if not self._of_metric(metric, a)]
+        assert [a[0].order for a in of_components] == [4, 3, 2, 1]
+        assert all(a[1] == 1 for a in of_components)
+        assert all(a[0] is metric.entry(1) for a in calls if self._of_metric(metric, a))
+        made = len(calls)
+        tensor.component((1, 1, 1, 1))
+        assert len(calls) == made
         with pytest.raises(DomainError):
-            tensors[4].component((1, 1, 1, 6))
+            tensor.component((1, 1, 1, 6))
+
+    def test_radial_read_builds_only_the_radial_christoffel_row(self, monkeypatch):
+        # the row of (1, 1) is Gamma^1_11 = 1/2 g^11 d_1 g_11 and Gamma^a_11 =
+        # -1/2 g^aa d_a g_11 (a > 1): it takes d_a g_11 for a = 1..5 in
+        # ascending a, and no other row is built
+        metric, _, calls = self._radial_read(monkeypatch)
+        of_metric = [(a[0] is metric.entry(1), a[1]) for a in calls
+                     if self._of_metric(metric, a)]
+        assert of_metric == [(True, 1), (True, 2), (True, 3), (True, 4), (True, 5)]
 
 
 class TestPointwiseNorm:

@@ -317,7 +317,7 @@ class TestBatchedSchedule:
         assert res.converged is converged
 
     def test_nan_beyond_sequential_stop_is_not_raised(self):
-        # the divergence stop fires on the panel [2^-9, 2^-8]; lookahead
+        # the divergence stop fires on the panel [2^-9, 2^-8]; the prefetch
         # evaluates deeper panels, whose NaN must never surface
         smallest = []
 

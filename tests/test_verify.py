@@ -381,6 +381,19 @@ class TestValidation:
         res = run_check(spec(kind, WarpSpec.hyperbolic(), 3, grid=GridSpec(n=8, lo=1e-6)))
         assert res.grid["lo"] == 1e-6
 
+    @pytest.mark.parametrize("kind", ["k1_norm_equality", "decay_lemma", "hardy",
+                                      "embedding_ratio"])
+    def test_quadrature_looser_than_the_verdict_rejected(self, kind):
+        # a kind that takes norms decides its verdict on integrals
+        w = WarpSpec.euclidean(1.0) if kind == "hardy" else WarpSpec.hyperbolic()
+        fields = dict(q=2.0, j=1, tol=1e-3)
+        spec(kind, w, 3, quad_tol=1e-3, **fields)
+        with pytest.raises(InadmissibleParameterError, match="outside the range"):
+            spec(kind, w, 3, quad_tol=2e-3, **fields)
+
+    def test_quadrature_tolerance_of_a_normless_kind_unbounded_above(self):
+        spec("identity", WarpSpec.hyperbolic(), 3, quad_tol=1.0)
+
 
 NORM_FUNCTIONS = (
     "lq_theta_norm_1d",
