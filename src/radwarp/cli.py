@@ -29,6 +29,7 @@ from .config import (
     RunConfig,
     build_check_spec,
     build_check_specs,
+    output_path,
     parse_config,
     quadrature_tol,
 )
@@ -76,6 +77,13 @@ def _read_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def _cmd_run(args) -> int:
     if args.default_suite:
         cfg = parse_config(DEFAULT_SUITE)
@@ -84,6 +92,7 @@ def _cmd_run(args) -> int:
     else:
         raise ConfigError("run needs a config path or --default-suite")
     specs = build_check_specs(cfg, grid_override=args.grid, tol_override=args.tol)
+    out_path = output_path(cfg, "report", "report.json", args.out)
     report = run_suite(specs)
 
     meta = dict(report.run_meta)
@@ -92,8 +101,7 @@ def _cmd_run(args) -> int:
     meta["package_version"] = __version__
     payload = {"run_meta": meta, "checks": [c.to_dict() for c in report.checks]}
 
-    out_path = args.out or cfg.output.get("report", "report.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with _open_output(out_path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -145,13 +153,13 @@ def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
 
 def _cmd_dump(args) -> int:
     cfg = _read_config(args.config)
+    out_path = output_path(cfg, "csv", f"{args.quantity}.csv", args.out)
     try:
         grid, values, params = _dump_values(args.quantity, cfg, args.grid, args.tol)
     except RadwarpError as exc:
         raise ConfigError(str(exc)) from exc
     inner = ";".join(f"{k}={v}" for k, v in params.items())
-    out_path = args.out or cfg.output.get("csv", f"{args.quantity}.csv")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with _open_output(out_path) as fh:
         fh.write(f"r,{args.quantity}{{{inner}}}\n")
         for r, v in zip(grid, values):
             fh.write(f"{float(r)!r},{float(v)!r}\n")

@@ -68,6 +68,13 @@ def as_bool(value, name: str) -> bool:
     raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
+def as_text(value, name: str) -> str:
+    """A quoted string or a bare word."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{name} must be text, got {value!r}")
+
+
 # how each check field given in a config is read (CheckSpec checks the
 # variant name); a field left out keeps the CheckSpec or GridSpec default
 _CHECK_VALUES = {"k": as_int, "p": as_float, "q": as_float, "theta": as_float, "j": as_int,
@@ -209,7 +216,7 @@ def _resolve_manifold(cfg: RunConfig, entry: dict) -> ManifoldSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_families(cfg: RunConfig, entry: dict, m: ManifoldSpec):
+def _resolve_families(cfg: RunConfig, entry: dict, m: ManifoldSpec, name: str):
     """The configured families in index order, or the default set for m,
     restricted to entry's `families` (one name or label, or a list) if given."""
     if cfg.families:
@@ -219,8 +226,7 @@ def _resolve_families(cfg: RunConfig, entry: dict, m: ManifoldSpec):
     subset = entry.get("families")
     if subset is None:
         return tuple(pool)
-    if isinstance(subset, str):
-        subset = [subset]
+    subset = [as_text(s, name) for s in (subset if isinstance(subset, list) else [subset])]
     chosen = [f for f in pool if f.family in subset or f.label in subset]
     if not chosen:
         raise ConfigError(f"family subset {subset!r} matches nothing")
@@ -231,6 +237,12 @@ def quadrature_tol(cfg: RunConfig, override: float | None = None) -> float:
     """quadrature.tol, checked even when `override` (--tol) replaces it."""
     tol = as_float(cfg.quadrature.get("tol", 1e-10), "quadrature.tol")
     return tol if override is None else as_float(override, "--tol")
+
+
+def output_path(cfg: RunConfig, key: str, default: str, override: str | None) -> str:
+    """output.<key>, checked even when `override` (--out) replaces it."""
+    path = as_text(cfg.output.get(key, default), f"output.{key}")
+    return override or path
 
 
 def build_check_spec(cfg: RunConfig, entry: dict, name: str, quad_tol: float,
@@ -244,7 +256,7 @@ def build_check_spec(cfg: RunConfig, entry: dict, name: str, quad_tol: float,
     if unread:
         raise ConfigError(f"{name} ({kind}) does not read {', '.join(unread)}")
     m = _resolve_manifold(cfg, entry)
-    families = _resolve_families(cfg, entry, m)
+    families = _resolve_families(cfg, entry, m, f"{name}.families")
     given = {key: read(entry[key], f"{name}.{key}")
              for key, read in _CHECK_VALUES.items() if key in entry}
     if grid_override is not None:

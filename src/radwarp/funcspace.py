@@ -19,6 +19,8 @@ norm infinite (math.inf), the "infinite norm" signal.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,6 +211,21 @@ def critical_q(n: int, k: int, p: float, theta: float = 0.0,
 # ---------------------------------------------------------------------------
 # norms
 
+# weighted_integral's segment stores by its arguments but tol; None outside a block
+_STORES: ContextVar[dict | None] = ContextVar("radwarp_segment_stores", default=None)
+
+
+@contextmanager
+def shared_segments():
+    """Let weighted_integral calls that differ only in `tol` share one
+    segment store, so a refined integral evaluates only the segments it
+    adds; the stores are dropped when the block ends, also when it raises."""
+    token = _STORES.set({})
+    try:
+        yield
+    finally:
+        _STORES.reset(token)
+
 
 def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
                       space: WarpSpec | ManifoldSpec, tol: float) -> float:
@@ -217,9 +234,8 @@ def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
     manifold; inf when it diverges or, on an unbounded domain, when no
     envelope certifies the tail.
 
-    The evaluator and its quadrature key are built here from the same
-    arguments, so integrals of one integrand share segments in a
-    quadrature.SegmentMemo.
+    The integrand depends on these arguments alone, which is what lets
+    shared_segments share its segments between calls.
     """
     p = float(p)
     if isinstance(space, ManifoldSpec):
@@ -233,8 +249,10 @@ def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
         envelope = base.power_scaled(p) if base is not None else None
     if math.isinf(w.radius) and envelope is None:
         return math.inf  # no certified tail: infinite-norm signal
-    integrand = Integrand(evaluator, theta, envelope, key=(v, j, p, space))
-    res = integrate_weighted(integrand, w, tol, min_t=min_t)
+    stores = _STORES.get()
+    known = None if stores is None else stores.setdefault((v, j, p, theta, space), {})
+    res = integrate_weighted(Integrand(evaluator, theta, envelope), w, tol, min_t=min_t,
+                             known=known)
     return res.value if res.converged else math.inf
 
 

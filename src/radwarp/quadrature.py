@@ -23,16 +23,15 @@ level, and when a dyadic panel's root segment is not yet known, the roots of
 that panel and the next 7 are requested together.  Every accept and stop
 decision depends only on segment results, and each segment is summed on its
 own, so the results are those of evaluating one segment per call, bit for
-bit.  For the same reason a store can outlive its integral: inside `with
-SegmentMemo():` the integrals of an equal integrand with a `key` (at a
-tighter tolerance, say) share one store, so each segment is evaluated once.
+bit.  For the same reason a store can outlive its integral: a caller that
+passes one store to the integrals of an equal weighted integrand (at a
+tighter tolerance, say) has each segment evaluated once.
 """
 
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -165,18 +164,11 @@ class Integrand:
 
     `envelope` bounds the raw evaluator (without the warp weight) on the tail
     of an unbounded domain; it is required there and ignored otherwise.
-
-    `key` is a hashable identity of the evaluator's values: two integrands
-    with equal key and weight_exponent, integrated over an equal WarpSpec,
-    must give bit-identical weighted values at every point.  Inside an
-    active SegmentMemo their segment results are shared; an integrand
-    without a key is never memoized.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     weight_exponent: float = 0.0
     envelope: DecayEnvelope | None = None
-    key: object = None
 
 
 @dataclass(frozen=True)
@@ -220,33 +212,6 @@ def _warp_power_envelope(w: WarpSpec, theta_w: float) -> DecayEnvelope:
     upper, lower = warp_growth_bounds(w)
     b = upper if theta_w > 0 else lower
     return DecayEnvelope(b.coef**theta_w, b.power * theta_w, b.rate * theta_w, b.valid_from)
-
-
-class SegmentMemo:
-    """The segment store of each keyed integrand, shared by its integrals
-    while the memo is active.
-
-    `with SegmentMemo():` makes it the memo that integrate_weighted reads
-    until the block ends, also when the block raises.  A segment result
-    depends only on the weighted integrand and the segment, so a reused one
-    is the result a new evaluation would give, bit for bit.  The stores are
-    dropped with the memo.
-    """
-
-    def __init__(self):
-        self.stores: dict = {}  # (key, weight exponent, warp) -> {(a, b): segment}
-        self._token = None
-
-    def __enter__(self) -> "SegmentMemo":
-        self._token = _ACTIVE_MEMO.set(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _ACTIVE_MEMO.reset(self._token)
-
-
-_ACTIVE_MEMO: ContextVar[SegmentMemo | None] = ContextVar("radwarp_segment_memo",
-                                                           default=None)
 
 
 def _gk_segments(fn, bounds) -> list[tuple[float, float, float | None]]:
@@ -374,7 +339,7 @@ def _remaining_mass_estimate(weighted, a: float, min_t: float) -> float:
 
 
 def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
-                       min_t: float = 0.0) -> QuadResult:
+                       min_t: float = 0.0, known: dict | None = None) -> QuadResult:
     """Integrate f.evaluator(t) * phi(t)^f.weight_exponent over (0, R).
 
     Panels are [U 2^-(m+1), U 2^-m] for m = 0, 1, ...; refinement toward the
@@ -385,6 +350,9 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
 
     `min_t` keeps panels away from evaluators with a positive proximity
     floor; the uncovered sliver is still accounted for in the error.
+
+    `known` is the segment store {(a, b): result}, a fresh one when None;
+    pass one store only to integrals of one weighted integrand.
 
     On an unbounded domain the panels start at the truncation point U where
     the envelope tail drops below tol/4.  When the envelope certifies no
@@ -406,11 +374,7 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
         tail_bound = total_env.tail_integral(upper)
 
     weighted = _weighted(f, w)
-    memo = _ACTIVE_MEMO.get()
-    if f.key is None or memo is None:
-        known = {}
-    else:
-        known = memo.stores.setdefault((f.key, f.weight_exponent, w), {})
+    known = {} if known is None else known
     segments = _segment_source(weighted, known)
 
     contributions: list[float] = []
@@ -491,8 +455,6 @@ class ProbeResult:
     kind: str
     exponent: float
     residual: float
-    eps: tuple[float, ...] = field(repr=False, default=())
-    values: tuple[float, ...] = field(repr=False, default=())
 
 
 def _integrate_log_window(weighted, lo: float, hi: float, tol: float) -> float:
@@ -531,13 +493,12 @@ def divergence_probe(f: Integrand, w: WarpSpec, r0: float, eps_list) -> ProbeRes
 
     weighted = _weighted(f, w)
 
-    values = [_integrate_log_window(weighted, e, r0, 1e-10) for e in eps]
-    v = np.array(values)
+    v = np.array([_integrate_log_window(weighted, e, r0, 1e-10) for e in eps])
     x = np.log(1.0 / np.array(eps))
 
     spread = np.max(v) - np.min(v)
     if spread <= 1e-3 * max(np.max(np.abs(v)), 1e-300):
-        return ProbeResult("convergent", 0.0, 0.0, tuple(eps), tuple(values))
+        return ProbeResult("convergent", 0.0, 0.0)
 
     def _fit(xs, ys):
         a = np.vstack([xs, np.ones_like(xs)]).T
@@ -556,5 +517,5 @@ def divergence_probe(f: Integrand, w: WarpSpec, r0: float, eps_list) -> ProbeRes
     kind = min(fits, key=lambda k: fits[k][1])
     slope, resid = fits[kind]
     if kind == "power" and abs(slope) < 0.05:
-        return ProbeResult("convergent", 0.0, resid, tuple(eps), tuple(values))
-    return ProbeResult(kind, slope, resid, tuple(eps), tuple(values))
+        return ProbeResult("convergent", 0.0, resid)
+    return ProbeResult(kind, slope, resid)

@@ -33,6 +33,7 @@ from .funcspace import (
     lq_theta_norm_1d,
     sobolev_norm_1d,
     sobolev_norm_manifold,
+    shared_segments,
     sobolev_seminorms_1d,
     weighted_integral,
 )
@@ -46,7 +47,6 @@ from .manifold import (
 from .quadrature import (
     MIN_TOL,
     Integrand,
-    SegmentMemo,
     divergence_probe,
     integrate_weighted,
     warp_growth_bounds,
@@ -700,7 +700,7 @@ def run_check(spec: CheckSpec) -> CheckResult:
     row = CHECK_TABLE[spec.kind]
     start = time.perf_counter()
     # the refined walks of a check share their quadrature segments
-    with SegmentMemo():
+    with shared_segments():
         measured, worst, ok = row.run(spec)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     grid_meta = spec.grid.meta(spec.manifold.warp.radius) if row.samples_grid else {}

@@ -203,6 +203,10 @@ class TestRunCommand:
         HARDY + "check.4.tol = 1e-11",
         # a first-order statement
         'check.4.kind = "k1_norm_equality"\ncheck.4.k = 3',
+        # family subsets are names or labels: text, or a list of text
+        "check.1.families = 5",
+        "check.1.families = true",
+        "check.1.families = 1.5",
     ], ids=["grid_zero", "grid_one", "grid_lo_text", "grid_lo_above_hi", "k_text",
             "tol_text", "panel_budget_text", "unbounded_custom_warp_norm",
             "panel_budget_typo", "tail_cap_typo", "panel_budget_removed",
@@ -217,7 +221,7 @@ class TestRunCommand:
             "diagnostic_bare_word", "quad_tol_nan", "p_beyond_float", "R_bool", "R_infinity",
             "family_param_bool", "quad_tol_below_floor", "hardy_refined_tol_below_floor",
             "quad_tol_above_hardy_tol",
-            "k1_norm_k3"])
+            "k1_norm_k3", "families_int", "families_bool", "families_float"])
     def test_invalid_fields_exit_2_without_report(self, tmp_path, capsys, lines):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(SMALL_CONFIG + lines + "\n")
@@ -233,6 +237,26 @@ class TestRunCommand:
         assert main(["run", "--default-suite", "--tol", "1e6", "--out", str(out_path)]) == 2
         assert "outside the range k1_norm_equality supports" in capsys.readouterr().err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("value", ["1", '["a"]'], ids=["int", "list"])
+    def test_report_path_not_text_exit_2_before_any_check(self, tmp_path, capfd,
+                                                          monkeypatch, value):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(SMALL_CONFIG.replace('"report.json"', value))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(cfg_path)]) == 2
+        out, err = capfd.readouterr()
+        assert out == "" and "output.report must be text" in err
+        assert os.listdir(tmp_path) == ["bad.cfg"]
+
+    def test_report_in_missing_directory_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_CONFIG)
+        out_path = tmp_path / "missing" / "r.json"
+        assert main(["run", str(cfg_path), "--out", str(out_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: cannot write") and err.count("\n") == 1
 
     def test_unknown_warp_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
@@ -411,11 +435,13 @@ class TestDumpCommand:
         ("norm_profile", 'manifold.warp = ["x"]', []),
         ("decay_ratio", "dump.p = true", []),
         ("norm_profile", "", ["--tol", "inf"]),
+        ("norm_profile", "dump.families = 7", []),
+        ("norm_profile", "dump.families = true", []),
     ], ids=["grid_text", "k_text", "p_text", "j_text", "tol_text", "grid_option_zero",
             "p_zero", "p_half", "p_negative", "k_negative", "k_five", "j_negative", "j_five",
             "grid_fraction", "k_fraction", "j_bool", "N_fraction", "N_text",
             "manifold_N_fraction", "custom_warp_text_coeff", "p_bool",
-            "tol_option_inf"])
+            "tol_option_inf", "families_int", "families_bool"])
     def test_malformed_numbers_exit_2_without_csv(self, tmp_path, capsys, quantity, lines,
                                                   args):
         cfg_path = tmp_path / "d.cfg"
@@ -429,6 +455,25 @@ class TestDumpCommand:
         if "dump.j" in lines:
             assert "does not read j" in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("value", ["1", '["a"]'], ids=["int", "list"])
+    def test_csv_path_not_text_exit_2(self, tmp_path, capfd, monkeypatch, value):
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(DUMP_CONFIG + f"output.csv = {value}\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["dump", "norm_profile", str(cfg_path)]) == 2
+        out, err = capfd.readouterr()
+        assert out == "" and "output.csv must be text" in err
+        assert os.listdir(tmp_path) == ["d.cfg"]
+
+    def test_csv_in_missing_directory_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(DUMP_CONFIG)
+        out_path = tmp_path / "missing" / "c.csv"
+        assert main(["dump", "norm_profile", str(cfg_path), "--out", str(out_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: cannot write") and err.count("\n") == 1
 
     @pytest.mark.parametrize("quantity, lines, message", [
         # radial_lemma_log needs N = kp and p > 1, radial_lemma_power N > kp

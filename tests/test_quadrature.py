@@ -14,7 +14,6 @@ from radwarp.manifold import ManifoldSpec, WarpSpec
 from radwarp.quadrature import (
     DecayEnvelope,
     Integrand,
-    SegmentMemo,
     divergence_probe,
     integrate_weighted,
 )
@@ -215,16 +214,18 @@ class TestEnvelopeAlgebra:
 class TestDivergenceProbe:
     def test_cubic_blowup_power_law(self):
         # integrand t^-3: I(eps) ~ eps^-2 / 2, fitted slope 2
+        eps_list = [1e-2, 3e-3, 1e-3, 3e-4, 1e-4]
         res = divergence_probe(
             Integrand(lambda t: t**-3.0),
             WarpSpec.euclidean(1.0),
             r0=1.0,
-            eps_list=[1e-2, 3e-3, 1e-3, 3e-4, 1e-4],
+            eps_list=eps_list,
         )
         assert res.kind == "power"
         assert res.exponent == pytest.approx(2.0, rel=1e-2)
-        # oracle: closed form of the cut integral
-        for e, v in zip(res.eps, res.values):
+        # oracle: closed form of the cut integrals the fit is made on
+        for e in eps_list:
+            v = quadrature._integrate_log_window(lambda t: t**-3.0, e, 1.0, 1e-10)
             assert v == pytest.approx((e**-2 - 1.0) / 2.0, rel=1e-8)
 
     def test_log_law(self):
@@ -375,7 +376,8 @@ def _bits(res):
 
 @pytest.fixture
 def segment_counts(monkeypatch):
-    """[key, segments evaluated] of each integral funcspace starts, in order."""
+    """[segment store, segments evaluated] of each integral funcspace starts,
+    in order."""
     counts = []
     gk_segments, integrate = quadrature._gk_segments, funcspace.integrate_weighted
 
@@ -384,7 +386,7 @@ def segment_counts(monkeypatch):
         return gk_segments(fn, bounds)
 
     def recording(f, *args, **kwargs):
-        counts.append([f.key, 0])
+        counts.append([kwargs.get("known"), 0])
         return integrate(f, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_gk_segments", counting)
@@ -393,8 +395,10 @@ def segment_counts(monkeypatch):
 
 
 class TestSegmentMemo:
-    """Inside a SegmentMemo an integrand with a key evaluates each GK segment
-    once; every result stays bit-identical to a run without the memo."""
+    """Integrals given one segment store evaluate each GK segment once, and
+    every result stays bit-identical to one made with a fresh store.  Inside
+    funcspace.shared_segments, weighted_integral calls with equal arguments
+    share one store, and no others do."""
 
     GAUSS = RadialFunction.gaussian(1.0)
     UNIT = WarpSpec.euclidean(1.0)
@@ -426,67 +430,65 @@ class TestSegmentMemo:
     def test_results_equal_fresh_results(self, family, j, p, w, tol):
         env = family.decay_envelope()
         f = Integrand(lambda t: np.abs(family.derivative_values(t, j)) ** p, 2.0,
-                      env.power_scaled(p), key=(family, j, p))
+                      env.power_scaled(p))
         fresh = [_bits(integrate_weighted(f, w, t)) for t in (tol, tol / 16)]
-        with SegmentMemo():
-            memo = [_bits(integrate_weighted(f, w, t)) for t in (tol, tol / 16)]
-        assert memo == fresh
+        known = {}
+        shared = [_bits(integrate_weighted(f, w, t, known=known)) for t in (tol, tol / 16)]
+        assert shared == fresh
+
+    @staticmethod
+    def _counted_log_squared(calls):
+        def evaluator(t):
+            calls.append(t.size)
+            return np.log(t) ** 2
+        return Integrand(evaluator, 1.0)
 
     def test_repeat_integral_makes_no_evaluator_call(self):
         # the integral stops at its min_t floor, so the small-panel mass
         # probe, which evaluates outside the segments, never runs
         calls = []
-
-        def evaluator(t):
-            calls.append(t.size)
-            return np.log(t) ** 2
-
-        f = Integrand(evaluator, 1.0, key="log_squared")
-        w = WarpSpec.spherical(1.0)
-        with SegmentMemo():
-            first = integrate_weighted(f, w, min_t=1e-3)
-            made = len(calls)
-            second = integrate_weighted(f, w, min_t=1e-3)
+        f, w, known = self._counted_log_squared(calls), WarpSpec.spherical(1.0), {}
+        first = integrate_weighted(f, w, min_t=1e-3, known=known)
+        made = len(calls)
+        second = integrate_weighted(f, w, min_t=1e-3, known=known)
         assert made > 0 and len(calls) == made
         assert _bits(second) == _bits(first)
 
-    def test_unkeyed_integrand_is_not_memoized(self):
+    def test_integral_without_a_store_is_not_memoized(self):
         calls = []
-
-        def evaluator(t):
-            calls.append(t.size)
-            return np.log(t) ** 2
-
-        f = Integrand(evaluator, 1.0)
-        with SegmentMemo():
-            integrate_weighted(f, WarpSpec.spherical(1.0), min_t=1e-3)
-            made = len(calls)
-            integrate_weighted(f, WarpSpec.spherical(1.0), min_t=1e-3)
-        assert len(calls) == 2 * made
+        f, w = self._counted_log_squared(calls), WarpSpec.spherical(1.0)
+        integrate_weighted(f, w, min_t=1e-3)
+        made = len(calls)
+        integrate_weighted(f, w, min_t=1e-3)
+        assert len(calls) == 2 * made > 0
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_different_integrands_share_no_segment(self, segment_counts, name):
         variant = self.VARIANTS[name]
-        with SegmentMemo():
+        with funcspace.shared_segments():
             funcspace.weighted_integral(*variant, 1e-10)
-        with SegmentMemo():
+        with funcspace.shared_segments():
             funcspace.weighted_integral(*self.BASE, 1e-10)
             funcspace.weighted_integral(*variant, 1e-10)
-        (_, alone), _, (_, shared) = segment_counts
-        assert shared == alone > 0
+        (_, alone), (base, _), (store, shared) = segment_counts
+        assert shared == alone > 0 and store is not base
 
     def test_integer_and_float_exponent_share_segments(self, segment_counts):
         v, j, _, theta, w = self.BASE
-        with SegmentMemo():
+        with funcspace.shared_segments():
             a = funcspace.weighted_integral(v, j, 2.0, theta, w, 1e-10)
             b = funcspace.weighted_integral(v, j, 2, theta, w, 1e-10)
         assert b.hex() == a.hex()
-        (key_a, made), (key_b, repeated) = segment_counts
-        assert key_a == key_b and made > 0 and repeated == 0
+        (store_a, made), (store_b, repeated) = segment_counts
+        assert store_a is store_b and made > 0 and repeated == 0
 
-    def test_memo_is_inactive_after_its_block(self):
+    def test_memo_is_inactive_after_its_block(self, segment_counts):
         with pytest.raises(RuntimeError):
-            with SegmentMemo() as memo:
-                assert quadrature._ACTIVE_MEMO.get() is memo
+            with funcspace.shared_segments():
+                funcspace.weighted_integral(*self.BASE, 1e-10)
+                (store,) = funcspace._STORES.get().values()
+                assert store is segment_counts[0][0]
                 raise RuntimeError("check failed")
-        assert quadrature._ACTIVE_MEMO.get() is None
+        assert funcspace._STORES.get() is None
+        funcspace.weighted_integral(*self.BASE, 1e-10)
+        assert segment_counts[1][0] is None

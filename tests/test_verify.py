@@ -446,7 +446,8 @@ class TestNormReuse:
 
 
 class TestSegmentMemoScope:
-    """Each check runs inside a SegmentMemo of its own, dropped when it ends."""
+    """Each check runs inside a shared_segments block of its own, whose
+    segment stores are dropped when it ends."""
 
     HARDY = spec("hardy", WarpSpec.euclidean(1.0), 3, k=1, j=1, p=2.0,
                  families=[RadialFunction.gaussian(1.0)])
@@ -458,13 +459,13 @@ class TestSegmentMemoScope:
         monkeypatch.setitem(verify.CHECK_TABLE, "hardy", dataclasses.replace(row, run=run(row)))
 
     def test_each_check_has_its_own_memo(self, monkeypatch):
-        from radwarp import quadrature
+        from radwarp import funcspace
 
         seen = []
 
         def run(row):
             def observed(s):
-                seen.append(quadrature._ACTIVE_MEMO.get())
+                seen.append(funcspace._STORES.get())
                 return row.run(s)
             return observed
 
@@ -472,18 +473,18 @@ class TestSegmentMemoScope:
         assert run_check(self.HARDY).verdict == "pass"
         assert run_check(self.HARDY).verdict == "pass"
         assert None not in seen and seen[0] is not seen[1]
-        assert quadrature._ACTIVE_MEMO.get() is None
+        assert funcspace._STORES.get() is None
 
     def test_memo_is_dropped_when_a_check_raises(self, monkeypatch):
-        from radwarp import quadrature
+        from radwarp import funcspace
 
         def run(row):
             def failing(s):
-                assert quadrature._ACTIVE_MEMO.get() is not None
+                assert funcspace._STORES.get() is not None
                 raise RuntimeError("check failed")
             return failing
 
         self._patch_run(monkeypatch, run)
         with pytest.raises(RuntimeError, match="check failed"):
             run_check(self.HARDY)
-        assert quadrature._ACTIVE_MEMO.get() is None
+        assert funcspace._STORES.get() is None
