@@ -1,42 +1,39 @@
 """Christoffel symbols and exact covariant derivatives of radial functions.
 
-The Christoffel symbols are computed from the diagonal metric jets via the
-general formula
-
-    Gamma^k_ij = (1/2) g^kk (d_i g_jk + d_j g_ik - d_k g_ij),
-
-which for a diagonal metric collapses to four short cases; they are never
-transcribed from closed-form tables, so the known closed forms act as test
-oracles instead of trusted inputs.
+The Christoffel symbols come from the diagonal metric jets via the general
+formula Gamma^k_ij = (1/2) g^kk (d_i g_jk + d_j g_ik - d_k g_ij), which for a
+diagonal metric collapses to four short cases; the closed forms are test
+oracles, never trusted inputs.
 
 The j-fold covariant derivative of a radial function u(x) = v(r) is built by
 the tensor recursion
 
     (T^{j+1})_{i1 i2...} = d_{i1} (T^j)_{i2...}
-                           - sum_l sum_a Gamma^a_{i1 il} (T^j)_{...a...},
+                           - sum_l sum_a Gamma^a_{i1 il} (T^j)_{...a...}
 
-carried out entirely on jets: every partial derivative is exact, so the
-resulting component values are exact up to rounding.  Each recursion step
-consumes one jet order; rank-j components of a depth-k computation hold jets
-of order k - j.
+on exact jets, so the components are exact up to rounding; rank-j components
+of a depth-k computation hold jets of order k - j.  They are kept as raw
+coefficient arrays, combined with the gather tables `jets.partial_table` and
+`jets.mul_table` in the operations and order of `jet_partial`, `jet_mul` and
+jet subtraction, so no Jet is built per component; `CovTensor.component`
+wraps one in a Jet for outside readers.  A product of order 0, as at rank k,
+is one elementwise multiply: the sum over a one-term segment is that term.
 
 The recursion computes only what its readers keep, and only when they read it:
 
-- The degree <= d coefficients of a truncated product depend only on the
-  degree <= d coefficients of its factors.  Each product in the recursion is
-  subtracted from a partial of order d, so both factors are truncated to
-  order d first; with graded coefficient order the result is bit-identical
-  to the full product cut to order d.  For the same reason the Christoffel
-  symbols are built to order k - 2 only, the most any product reads (at
-  rank 2), from metric jets of order k - 1; for k <= 1 they are not built,
-  since rank 1 is plain partials.
-- Components and Christoffel rows are computed on demand, each when first
-  read and then kept.  A component reads the previous rank's components its
-  formula names and the rows Gamma^alpha_ij of the lower pairs (i, j) it
-  names.  `pointwise_norm` reads every component, and so every row.  The
-  pure-radial component (1, ..., 1) names only (1, ..., 1) of the rank below
-  and the row of (1, 1), which is empty because radial lines are geodesics;
-  reading it alone costs one radial partial per rank and that one row.
+- The degree <= d coefficients of a product depend only on the degree <= d
+  coefficients of its factors.  Each product is subtracted from a partial of
+  order d, so it gathers only those prefixes of its factors, bit-identical to
+  the full product cut to order d under graded coefficient order.  So the
+  Christoffel symbols are built to order k - 2, the most any product reads
+  (at rank 2), from metric jets of order k - 1, and not at all for k <= 1.
+- Components and Christoffel rows are computed each when first read, and
+  then kept.  A component reads the components of the rank below and the
+  rows Gamma^alpha_ij of the lower pairs (i, j) its formula names, so
+  `pointwise_norm` reads every row.  The pure-radial component (1, ..., 1)
+  names only (1, ..., 1) of the rank below and the row of (1, 1), which is
+  empty because radial lines are geodesics: reading it alone costs one
+  radial partial per rank and that one row.
 
 Coordinate indices are 1-based throughout; coordinate 1 is the radial one.
 """
@@ -48,7 +45,8 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, ProximityError, SingularMetricError
-from .jets import Jet, embed_univariate, jet_coordinate, jet_mul, jet_partial
+from .jets import (Jet, embed_univariate, jet_coordinate, jet_mul, jet_partial, mul_table,
+                   partial_table)
 from .manifold import (
     DiagonalMetric,
     ManifoldSpec,
@@ -129,18 +127,17 @@ def christoffel_at(metric: DiagonalMetric) -> ChristoffelTable:
 class CovTensor:
     """Rank-j covariant derivative of a radial function at one point.
 
-    Components are jets of order (depth - rank); rank 0 holds the jet of u
-    itself.  A component is computed the first time it is read, by the
-    recursion from the rank-(j-1) components it needs, and then kept.
+    Components are coefficient arrays of jets of order depth - rank; rank 0
+    holds u itself.  A component is computed when first read, from the
+    rank-(j-1) components it needs, and kept; `component` wraps it in a Jet.
     """
 
-    def __init__(self, rank: int, dim: int, base, prev: "CovTensor | None" = None,
-                 gamma: ChristoffelTable | None = None, value: Jet | None = None):
-        self.rank, self.dim, self.base = rank, dim, base
+    def __init__(self, rank: int, dim: int, order: int, base, prev: "CovTensor | None" = None,
+                 gamma: ChristoffelTable | None = None, value: np.ndarray | None = None):
+        self.rank, self.dim, self.order, self.base = rank, dim, order, base
         self._prev, self._gamma = prev, gamma
-        self._known = {} if value is None else {(): value}  # 1-based index -> jet
-        # index -> jet one order lower, as the next rank multiplies it; None if zero
-        self._factors = {}
+        self._known = {} if value is None else {(): value}  # 1-based index -> coefficients
+        self._factors = {}  # index -> coefficients as the next rank multiplies them; None if zero
 
     def component(self, idx: tuple = ()) -> Jet:
         idx = tuple(idx)
@@ -148,30 +145,33 @@ class CovTensor:
             raise DomainError(f"rank-{self.rank} tensor indexed with {len(idx)} indices")
         if not all(1 <= i <= self.dim for i in idx):
             raise DomainError(f"index {idx} outside 1..{self.dim}")
-        return self._entry(idx)
+        return Jet(self.dim, self.order, self._entry(idx), self.base)
 
-    def _entry(self, idx: tuple) -> Jet:
-        jet = self._known.get(idx)
-        if jet is None:
+    def _entry(self, idx: tuple) -> np.ndarray:
+        c = self._known.get(idx)
+        if c is None:
             first, rest = idx[0], idx[1:]
-            prev = self._prev
-            jet = jet_partial(prev._entry(rest), first)
-            # the sum keeps only degrees <= jet.order of each product, and
-            # those depend only on degrees <= jet.order of the factors, so the
-            # factors come truncated to that order; the product is the same
-            # to the bit, since its table pairs the same terms in the same order
+            prev, d = self._prev, self.order
+            src, scale = partial_table(self.dim, d + 1, first - 1)
+            c = prev._entry(rest)[..., src] * scale
             for pos, i in enumerate(rest):
                 for alpha, gjet in self._gamma.lowered(first, i):
                     term = prev._factor(rest[:pos] + (alpha,) + rest[pos + 1 :])
-                    if term is not None:
-                        jet = jet - jet_mul(gjet.truncated(jet.order), term)
-            self._known[idx] = jet
-        return jet
+                    if term is None:
+                        continue
+                    if d:  # jet_mul of both factors cut to order d
+                        t = mul_table(self.dim, d, d)
+                        prod = gjet.coeffs[..., t.ia] * term[..., t.ib]
+                        c = c - np.add.reduceat(prod, t.starts, axis=-1)
+                    else:  # order 0: each product is one term
+                        c = c - gjet.coeffs[..., :1] * term[..., :1]
+            self._known[idx] = c
+        return c
 
-    def _factor(self, idx: tuple) -> Jet | None:
+    def _factor(self, idx: tuple) -> np.ndarray | None:
         if idx not in self._factors:
-            jet = self._entry(idx)
-            self._factors[idx] = None if jet.is_zero() else jet.truncated(jet.order - 1)
+            c = self._entry(idx)
+            self._factors[idx] = c if c.any() else None
         return self._factors[idx]
 
 
@@ -186,17 +186,16 @@ def covariant_bundle(v, m: ManifoldSpec, r, k: int, angles=None):
     """
     if not 0 <= k <= MAX_RANK:
         raise DomainError(f"covariant derivative rank must be within 0..{MAX_RANK}")
-    ra = np.asarray(r, dtype=np.float64)
-    if np.any(ra < MIN_RADIUS):
+    if np.any(np.asarray(r, dtype=np.float64) < MIN_RADIUS):
         raise ProximityError(f"evaluation requires r >= {MIN_RADIUS}")
     point = default_point(m, r) if angles is None else (r,) + tuple(angles)
     metric = metric_at(m, point, order=max(k - 1, 0))
     u_jet = embed_univariate(v.eval_jet(r, k), m.dim, 1, metric.base)
 
-    tensors = [CovTensor(0, m.dim, metric.base, value=u_jet)]
+    tensors = [CovTensor(0, m.dim, k, metric.base, value=u_jet.coeffs)]
     gamma = christoffel_at(metric) if k >= 2 else None  # rank 1 is plain partials
     for rank in range(1, k + 1):
-        tensors.append(CovTensor(rank, m.dim, metric.base, tensors[-1], gamma))
+        tensors.append(CovTensor(rank, m.dim, k - rank, metric.base, tensors[-1], gamma))
     return metric, tensors
 
 
@@ -209,18 +208,18 @@ def pointwise_norm(t: CovTensor, metric: DiagonalMetric):
     if t.base is not metric.base and not metric.base.matches(t.base):
         raise DomainError("tensor and metric were built at different base points")
     if t.rank == 0:
-        return np.abs(t.component().value)
+        return np.abs(t._entry(())[..., 0])
     n = metric.dim
     inv = {i: metric.inverse_entry(i).value for i in range(1, n + 1)}
     total = 0.0
     for idx in product(range(1, n + 1), repeat=t.rank):
-        comp = t.component(idx)
-        if comp.is_zero():
+        comp = t._entry(idx)
+        if not comp.any():
             continue
         weight = inv[idx[0]]
         for i in idx[1:]:
             weight = weight * inv[i]
-        total = total + weight * comp.value**2
+        total = total + weight * comp[..., 0] ** 2
     return np.sqrt(total)
 
 

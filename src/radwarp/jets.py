@@ -106,7 +106,7 @@ class _MulTable:
 
 
 @lru_cache(maxsize=None)
-def _mul_table(num_vars: int, order_a: int, order_b: int) -> _MulTable:
+def mul_table(num_vars: int, order_a: int, order_b: int) -> _MulTable:
     d_out = min(order_a, order_b)
     ta = _table(num_vars, order_a)
     tb = _table(num_vars, order_b)
@@ -133,7 +133,7 @@ def _mul_table(num_vars: int, order_a: int, order_b: int) -> _MulTable:
 
 
 @lru_cache(maxsize=None)
-def _partial_table(num_vars: int, order: int, var0: int):
+def partial_table(num_vars: int, order: int, var0: int):
     tsrc = _table(num_vars, order)
     tdst = _table(num_vars, order - 1)
     src = np.empty(tdst.n_terms, dtype=np.intp)
@@ -360,7 +360,7 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     if a.num_vars != b.num_vars:
         raise DimensionError(f"cannot multiply jets in {a.num_vars} and {b.num_vars} variables")
     base = _combine_base(a.base, b.base)
-    table = _mul_table(a.num_vars, a.order, b.order)
+    table = mul_table(a.num_vars, a.order, b.order)
     prod = a.coeffs[..., table.ia] * b.coeffs[..., table.ib]
     coeffs = np.add.reduceat(prod, table.starts, axis=-1)
     return Jet(a.num_vars, min(a.order, b.order), coeffs, base)
@@ -372,7 +372,7 @@ def jet_partial(a: Jet, var_index: int) -> Jet:
         raise OrderExhaustedError("cannot differentiate a jet of order 0")
     if not 1 <= var_index <= a.num_vars:
         raise DimensionError(f"var_index {var_index} outside 1..{a.num_vars}")
-    src, scale = _partial_table(a.num_vars, a.order, var_index - 1)
+    src, scale = partial_table(a.num_vars, a.order, var_index - 1)
     return Jet(a.num_vars, a.order - 1, a.coeffs[..., src] * scale, a.base)
 
 

@@ -5,11 +5,13 @@ it can act as a trusted second route.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 
-from radwarp.jets import jet_from_derivatives
-from radwarp.manifold import WarpSpec, warp_eval
+from radwarp.geometry import christoffel_at
+from radwarp.jets import embed_univariate, jet_from_derivatives, jet_mul, jet_partial
+from radwarp.manifold import WarpSpec, default_point, metric_at, warp_eval
 
 
 class Poly:
@@ -63,3 +65,50 @@ def oracle_christoffel(w: WarpSpec, n: int, point) -> dict:
                 prod_sin *= math.sin(thetas[j]) ** 2
             table[(a, b, b)] = -math.sin(thetas[a]) * math.cos(thetas[a]) * prod_sin
     return table
+
+
+def oracle_covariant(v, m, r, k: int, angles=None):
+    """(metric, ranks) of grad^j u, j = 0..k, by the recursion run on Jets.
+
+    ranks[j] maps every rank-j index (in `product` order) to its Jet.  Each
+    component is the partial of the rank below, less the products
+    Gamma^alpha_{first i} * (component with alpha in slot i), taken over the
+    slots in order and alpha ascending, with zero components skipped and both
+    factors cut to the component's order: the same jet operations in the same
+    order as the array recursion of `geometry.CovTensor`, so the two agree
+    bit for bit.  The metric and Christoffel rows come from the package.
+    """
+    point = default_point(m, r) if angles is None else (r,) + tuple(angles)
+    metric = metric_at(m, point, order=max(k - 1, 0))
+    ranks = [{(): embed_univariate(v.eval_jet(r, k), m.dim, 1, metric.base)}]
+    gamma = christoffel_at(metric) if k >= 2 else None
+    for rank in range(1, k + 1):
+        prev, comps = ranks[-1], {}
+        for idx in product(range(1, m.dim + 1), repeat=rank):
+            first, rest = idx[0], idx[1:]
+            jet = jet_partial(prev[rest], first)
+            for pos, i in enumerate(rest):
+                for alpha, g in gamma.lowered(first, i):
+                    term = prev[rest[:pos] + (alpha,) + rest[pos + 1 :]]
+                    if not term.is_zero():
+                        jet = jet - jet_mul(g.truncated(jet.order), term.truncated(jet.order))
+            comps[idx] = jet
+        ranks.append(comps)
+    return metric, ranks
+
+
+def oracle_norm(comps: dict, metric):
+    """sqrt( sum g^{i1 i1} ... g^{ij ij} value^2 ) over the nonzero components,
+    summed in index order with the weight built left to right."""
+    if tuple(comps) == ((),):
+        return np.abs(comps[()].value)
+    inv = {i: metric.inverse_entry(i).value for i in range(1, metric.dim + 1)}
+    total = 0.0
+    for idx, jet in comps.items():
+        if jet.is_zero():
+            continue
+        weight = inv[idx[0]]
+        for i in idx[1:]:
+            weight = weight * inv[i]
+        total = total + weight * jet.value**2
+    return np.sqrt(total)

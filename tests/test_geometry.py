@@ -10,8 +10,8 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from oracles import Poly as _Poly, oracle_christoffel
+from hypothesis import example, given, settings, strategies as st
+from oracles import Poly as _Poly, oracle_christoffel, oracle_covariant, oracle_norm
 
 from radwarp.errors import DomainError, ProximityError
 from radwarp.funcspace import RadialFunction
@@ -171,36 +171,34 @@ class TestCovariantDerivatives:
 
     @staticmethod
     def _radial_read(monkeypatch):
-        """(metric, rank-4 tensor, jet_partial calls) of reading (1, 1, 1, 1)
-        of an N=5, rank-4 bundle; the calls list keeps recording."""
+        """(metric, rank-4 tensor, component lookups, metric partials) of
+        reading (1, 1, 1, 1) of an N=5, rank-4 bundle; both lists keep
+        recording.  Each component computed looks up one partial table,
+        (dim, order of the rank below, 0-based direction); the Christoffel
+        rows take their metric partials through `jet_partial`."""
         from radwarp import geometry
 
         m = ManifoldSpec(WarpSpec.hyperbolic(), 5)
-        calls = []
-        partial = geometry.jet_partial
-        monkeypatch.setattr(geometry, "jet_partial", lambda *a: calls.append(a) or partial(*a))
+        lookups, partials = [], []
+        table, partial = geometry.partial_table, geometry.jet_partial
+        monkeypatch.setattr(geometry, "partial_table", lambda *a: lookups.append(a) or table(*a))
+        monkeypatch.setattr(geometry, "jet_partial", lambda *a: partials.append(a) or partial(*a))
         metric, tensors = covariant_bundle(RadialFunction.gaussian(), m,
                                            np.array([0.5, 1.5]), 4)
         tensors[4].component((1, 1, 1, 1))
-        return metric, tensors[4], calls
-
-    @staticmethod
-    def _of_metric(metric, call) -> bool:
-        return any(call[0] is metric.entry(i) for i in range(1, metric.dim + 1))
+        return metric, tensors[4], lookups, partials
 
     def test_reading_the_radial_component_computes_nothing_else(self, monkeypatch):
-        # every component costs exactly one partial; Gamma^a_11 vanishes, so
-        # (1,...,1) at rank 4 needs only (1,...,1) at ranks 1..3, and of the
+        # Gamma^a_11 vanishes, so (1,...,1) at rank 4 needs only (1,...,1) at
+        # ranks 1..3: one radial partial each, rank 4 first; and of the
         # Christoffel symbols only the row of (1, 1), which takes partials of
         # g_11 alone
-        metric, tensor, calls = self._radial_read(monkeypatch)
-        of_components = [a for a in calls if not self._of_metric(metric, a)]
-        assert [a[0].order for a in of_components] == [4, 3, 2, 1]
-        assert all(a[1] == 1 for a in of_components)
-        assert all(a[0] is metric.entry(1) for a in calls if self._of_metric(metric, a))
-        made = len(calls)
+        metric, tensor, lookups, partials = self._radial_read(monkeypatch)
+        assert lookups == [(5, 1, 0), (5, 2, 0), (5, 3, 0), (5, 4, 0)]
+        assert all(a[0] is metric.entry(1) for a in partials)
+        made = len(lookups), len(partials)
         tensor.component((1, 1, 1, 1))
-        assert len(calls) == made
+        assert (len(lookups), len(partials)) == made
         with pytest.raises(DomainError):
             tensor.component((1, 1, 1, 6))
 
@@ -208,10 +206,29 @@ class TestCovariantDerivatives:
         # the row of (1, 1) is Gamma^1_11 = 1/2 g^11 d_1 g_11 and Gamma^a_11 =
         # -1/2 g^aa d_a g_11 (a > 1): it takes d_a g_11 for a = 1..5 in
         # ascending a, and no other row is built
-        metric, _, calls = self._radial_read(monkeypatch)
-        of_metric = [(a[0] is metric.entry(1), a[1]) for a in calls
-                     if self._of_metric(metric, a)]
-        assert of_metric == [(True, 1), (True, 2), (True, 3), (True, 4), (True, 5)]
+        metric, _, _, partials = self._radial_read(monkeypatch)
+        assert [(a[0] is metric.entry(1), a[1]) for a in partials] == [
+            (True, 1), (True, 2), (True, 3), (True, 4), (True, 5)]
+
+    def test_full_read_builds_no_jet_in_the_recursion(self, monkeypatch):
+        # the recursion runs on coefficient arrays: once the Christoffel rows
+        # exist, the norms of an N=5, k=4 bundle read all 780 components and
+        # construct no Jet
+        from radwarp.jets import Jet
+
+        m = ManifoldSpec(WarpSpec.euclidean(), 5)
+        v, r = RadialFunction.gaussian(), np.linspace(0.1, 3.0, 256)
+        metric, tensors = covariant_bundle(v, m, r, 4)
+        for i, j in product(range(1, 6), repeat=2):
+            tensors[4]._gamma.lowered(i, j)
+        built = []
+        post_init = Jet.__post_init__
+        monkeypatch.setattr(Jet, "__post_init__", lambda jet: built.append(jet) or post_init(jet))
+        norms = np.stack([pointwise_norm(t, metric) for t in tensors])
+        assert built == []
+        assert [len(t._known) for t in tensors] == [1, 5, 25, 125, 625]
+        monkeypatch.undo()
+        assert norms.tobytes() == norm_profiles(v, m, r, 4).tobytes()
 
 
 class TestPointwiseNorm:
@@ -326,6 +343,13 @@ def test_identity_and_inequality_fuzz_over_custom_warps(c3, c5, a, r, n):
 # (ranks 1..4) for gaussian(a=1) at r = 0.25, 1.1, 2.7: which components are
 # computed, in what order and at what jet order must not move a single bit
 PINNED_PROFILES = {
+    ("euclidean", 5): [
+        ["0x1.e0fabfbc702a4p-1", "0x1.315aa0aba1521p-2", "0x1.65bc855fb5068p-11"],
+        ["0x1.e0fabfbc702a4p-2", "0x1.4fe3b0bccb0d8p-1", "0x1.e2f1b40e012f3p-9"],
+        ["0x1.067f90ab88b27p+2", "0x1.767dd45291095p+0", "0x1.32e76adf54c2fp-6"],
+        ["0x1.0ea7c32131950p+2", "0x1.26f018a83df07p+2", "0x1.6cd5cd27f2f6ap-4"],
+        ["0x1.25c86ef6a92ecp+5", "0x1.d74f1f28d6b06p+3", "0x1.941b3cc47ca98p-2"],
+    ],
     ("hyperbolic", 5): [
         ["0x1.e0fabfbc702a4p-1", "0x1.315aa0aba1521p-2", "0x1.65bc855fb5068p-11"],
         ["0x1.e0fabfbc702a4p-2", "0x1.4fe3b0bccb0d8p-1", "0x1.e2f1b40e012f3p-9"],
@@ -340,8 +364,15 @@ PINNED_PROFILES = {
         ["0x1.01a45b2b98d47p+2", "0x1.1fc141f118a76p+1", "0x1.5d9017392e167p-4"],
         ["0x1.da07a4732d84ep+4", "0x1.199589f484bd4p+3", "0x1.661fe6b117caap-2"],
     ],
+    ("spherical", 6): [
+        ["0x1.e0fabfbc702a4p-1", "0x1.315aa0aba1521p-2", "0x1.65bc855fb5068p-11"],
+        ["0x1.e0fabfbc702a4p-2", "0x1.4fe3b0bccb0d8p-1", "0x1.e2f1b40e012f3p-9"],
+        ["0x1.1b7f695104c8bp+2", "0x1.2106821928eb3p+0", "0x1.a0ceced619fedp-6"],
+        ["0x1.23d40b4d3059cp+2", "0x1.bd16b2805bf16p+1", "0x1.e8fd802fdcf41p-4"],
+        ["0x1.554b6cff26ef9p+5", "0x1.7046a8b217fddp+3", "0x1.7a9a4164275b6p-1"],
+    ],
 }
-# the pure-radial components are v^(k)(r) for both warps, since Gamma^a_11 = 0
+# the pure-radial components are v^(k)(r) for every warp, since Gamma^a_11 = 0
 PINNED_RADIAL = [
     ["-0x1.e0fabfbc702a4p-2", "-0x1.4fe3b0bccb0d8p-1", "-0x1.e2f1b40e012f3p-9"],
     ["-0x1.a4db67c4e2250p+0", "0x1.b19a4a8d50989p-1", "0x1.2fa0f799df15ep-6"],
@@ -360,3 +391,42 @@ def test_rank4_values_are_pinned_bit_for_bit(kind, n):
     _, tensors = covariant_bundle(v, m, r, 4)
     radial = [[float(x).hex() for x in tensors[j].component((1,) * j).value] for j in range(1, 5)]
     assert radial == PINNED_RADIAL
+
+
+ORACLE_PROFILES = (RadialFunction.gaussian(0.7), RadialFunction.power_decay(1.5),
+                   _Poly(0.0, 0.0, 0.5))  # |x|^2 / 2: many components exactly zero
+ANGLES = (2.1, 0.5, 2.8, 0.7, 1.9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    w=st.sampled_from(ALL_MANIFOLD_WARPS),
+    n=st.integers(2, 6),
+    k=st.integers(0, 4),
+    size=st.sampled_from([None, 1, 15, 256]),
+    lo=st.floats(min_value=0.05, max_value=1.0),
+    v=st.sampled_from(ORACLE_PROFILES),
+    angled=st.booleans(),
+)
+@example(w=ALL_MANIFOLD_WARPS[0], n=5, k=4, size=256, lo=0.1, v=ORACLE_PROFILES[0], angled=False)
+@example(w=ALL_MANIFOLD_WARPS[1], n=2, k=0, size=None, lo=0.6, v=ORACLE_PROFILES[1], angled=True)
+@example(w=ALL_MANIFOLD_WARPS[2], n=6, k=4, size=15, lo=0.3, v=ORACLE_PROFILES[2], angled=True)
+@example(w=ALL_MANIFOLD_WARPS[3], n=3, k=1, size=1, lo=0.9, v=ORACLE_PROFILES[0], angled=False)
+@example(w=ALL_MANIFOLD_WARPS[4], n=4, k=2, size=256, lo=0.05, v=ORACLE_PROFILES[1], angled=True)
+@example(w=ALL_MANIFOLD_WARPS[1], n=6, k=3, size=None, lo=0.2, v=ORACLE_PROFILES[2], angled=False)
+def test_components_and_norms_equal_the_jet_recursion_bit_for_bit(w, n, k, size, lo, v, angled):
+    m = ManifoldSpec(w, n)
+    hi = min(3.0, 0.95 * w.radius)
+    r = lo if size is None else np.linspace(lo, hi, size)
+    angles = ANGLES[: n - 1] if angled else None
+    oracle_metric, ranks = oracle_covariant(v, m, r, k, angles)
+    _, tensors = covariant_bundle(v, m, r, k, angles)
+    for j, comps in enumerate(ranks):
+        for idx, want in comps.items():
+            got = tensors[j].component(idx)
+            assert (got.order, got.coeffs.shape) == (want.order, want.coeffs.shape), (j, idx)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes(), (j, idx)
+    profiles = norm_profiles(v, m, r, k, angles)
+    for j, comps in enumerate(ranks):
+        want = np.broadcast_to(oracle_norm(comps, oracle_metric), np.shape(r))
+        assert np.asarray(profiles[j]).tobytes() == np.asarray(want).tobytes(), j
