@@ -1,7 +1,8 @@
 """Radial test-function families and weighted Lebesgue/Sobolev norms.
 
 Each family carries closed-form derivative jets to order 4 at any point of
-its domain, so norm integrands and covariant-derivative inputs are exact.
+its domain, so norm integrands and covariant-derivative inputs are exact;
+they are computed on coefficient arrays, one Jet per `eval_jet` call.
 The decaying families also declare a decay envelope (see
 quadrature.DecayEnvelope); it is the only certificate for tail truncation,
 so a norm over an unbounded domain of a family without one is infinite.
@@ -29,10 +30,12 @@ from . import geometry
 from .errors import DomainError, InadmissibleParameterError
 from .jets import (
     Jet,
-    jet_compose_univariate,
-    jet_coordinate,
-    jet_from_derivatives,
+    compose_coeffs,
+    mul_coeffs,
+    mul_table,
     polynomial_derivatives,
+    shift_coeffs,
+    taylor_coeffs,
 )
 from .manifold import ManifoldSpec, WarpSpec, sphere_volume
 from .quadrature import DecayEnvelope, Integrand, integrate_weighted
@@ -114,38 +117,34 @@ class RadialFunction:
         ta = np.asarray(t, dtype=np.float64)
         if np.any(ta <= 0.0):
             raise DomainError("radial profiles are evaluated at t > 0")
-        if self.family == "gaussian":
-            return jet_compose_univariate("exp", _quadratic_jet(ta, order, 0.0, -self.param("a")))
-        if self.family == "power_decay":
-            inner = _quadratic_jet(ta, order, 1.0, 1.0)
-            return jet_compose_univariate("pow", inner, alpha=-self.param("a"))
-        if self.family == "log_profile":
-            inner = _quadratic_jet(ta, order, self.param("delta") ** 2, 1.0)
-            return math.log(self.param("r_ref")) - 0.5 * jet_compose_univariate("log", inner)
-        if self.family == "linear":
-            return jet_coordinate(1, order, 1, ta)
-        return self._bump_jet(ta, order)
+        return Jet(1, order, self._coeffs(ta, order))
 
-    def _bump_jet(self, ta: np.ndarray, order: int) -> Jet:
+    def _coeffs(self, ta: np.ndarray, order: int) -> np.ndarray:
+        if self.family == "gaussian":
+            return compose_coeffs("exp", _quadratic(ta, order, 0.0, -self.param("a")), 1)
+        if self.family == "power_decay":
+            return compose_coeffs("pow", _quadratic(ta, order, 1.0, 1.0), 1, -self.param("a"))
+        if self.family == "log_profile":
+            inner = _quadratic(ta, order, self.param("delta") ** 2, 1.0)
+            return shift_coeffs(-(compose_coeffs("log", inner, 1) * 0.5),
+                                math.log(self.param("r_ref")))
+        if self.family == "linear":
+            return taylor_coeffs(polynomial_derivatives([(1, 1.0)], ta, order))
         # smooth cutoff exp(1 - 1/(1 - (t/S)^2)) carried against the
         # polynomial factor; identically zero at and beyond the support
         s = self.param("support")
-        terms = list(enumerate(self.bump_coeffs()))
-        scalar = ta.ndim == 0
         tb = np.atleast_1d(ta)
         out = np.zeros(tb.shape + (order + 1,))
         inside = tb < s * (1.0 - 1e-8)
         if np.any(inside):
             ti = tb[inside]
             w_rows = [1.0 - (ti / s) ** 2, -2 * ti / s**2, np.full_like(ti, -2 / s**2)]
-            w_rows += [np.zeros_like(ti)] * max(0, order - 2)
-            w = jet_from_derivatives(np.stack(w_rows[: order + 1]))
-            cut = jet_compose_univariate("exp", 1.0 - jet_compose_univariate("recip", w))
-            poly_rows = polynomial_derivatives(terms, ti, order)
-            val = cut * jet_from_derivatives(np.stack(poly_rows))
-            out[inside] = val.coeffs
-        coeffs_arr = out[0] if scalar else out
-        return Jet(1, order, coeffs_arr)
+            w = taylor_coeffs((w_rows + [np.zeros_like(ti)] * order)[: order + 1])
+            cut = compose_coeffs("exp", shift_coeffs(-compose_coeffs("recip", w, 1), 1.0), 1)
+            terms = list(enumerate(self.bump_coeffs()))
+            poly = taylor_coeffs(polynomial_derivatives(terms, ti, order))
+            out[inside] = mul_coeffs(cut, poly, mul_table(1, order, order))
+        return out[0] if ta.ndim == 0 else out
 
     def values(self, t) -> np.ndarray:
         return np.asarray(self.eval_jet(t, 0).value, dtype=np.float64)
@@ -173,10 +172,10 @@ class RadialFunction:
         return None
 
 
-def _quadratic_jet(ta: np.ndarray, order: int, c0: float, c2: float) -> Jet:
-    """Jet of c0 + c2 t^2 at ta."""
+def _quadratic(ta: np.ndarray, order: int, c0: float, c2: float) -> np.ndarray:
+    """Coefficients of c0 + c2 t^2 at ta."""
     rows = [c0 + c2 * ta**2, 2 * c2 * ta, np.full_like(ta, 2 * c2)][: order + 1]
-    return jet_from_derivatives(np.stack(rows + [np.zeros_like(ta)] * max(0, order - 2)))
+    return taylor_coeffs(rows + [np.zeros_like(ta)] * max(0, order - 2))
 
 
 def default_families(radius: float) -> tuple[RadialFunction, ...]:

@@ -45,8 +45,8 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, ProximityError, SingularMetricError
-from .jets import (Jet, embed_univariate, jet_coordinate, jet_mul, jet_partial, mul_table,
-                   partial_table)
+from .jets import (Jet, embed_univariate, jet_coordinate, jet_mul, jet_partial, mul_coeffs,
+                   mul_table, partial_table)
 from .manifold import (
     DiagonalMetric,
     ManifoldSpec,
@@ -160,9 +160,7 @@ class CovTensor:
                     if term is None:
                         continue
                     if d:  # jet_mul of both factors cut to order d
-                        t = mul_table(self.dim, d, d)
-                        prod = gjet.coeffs[..., t.ia] * term[..., t.ib]
-                        c = c - np.add.reduceat(prod, t.starts, axis=-1)
+                        c = c - mul_coeffs(gjet.coeffs, term, mul_table(self.dim, d, d))
                     else:  # order 0: each product is one term
                         c = c - gjet.coeffs[..., :1] * term[..., :1]
             self._known[idx] = c

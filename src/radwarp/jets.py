@@ -17,7 +17,9 @@ vectorized: a jet "at r" where r is an array of shape (B,) simply has
 coefficients of shape (B, n_terms).
 
 Coefficients are raw Taylor coefficients.  Extraction helpers
-(:meth:`Jet.derivative`) multiply the factorials back.
+(:meth:`Jet.derivative`) multiply the factorials back.  Products, shifts and
+compositions run on bare coefficient arrays (`mul_coeffs`, `shift_coeffs`,
+`compose_coeffs`), which the Jet operations wrap: array chains build no Jets.
 
 Variable indices in the public API are 1-based, matching the coordinate
 convention used by the geometry layer (coordinate 1 is the radial one).
@@ -256,17 +258,17 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             return jet_add(self, other)
-        return self._shift(other, +1.0)
+        return Jet(self.num_vars, self.order, shift_coeffs(self.coeffs, other), self.base)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             return jet_add(self, -other)
-        return self._shift(other, -1.0)
+        return self + -np.asarray(other, dtype=np.float64)
 
     def __rsub__(self, other):
-        return (-self)._shift(other, +1.0)
+        return -self + other
 
     def __neg__(self):
         return Jet(self.num_vars, self.order, -self.coeffs, self.base)
@@ -279,34 +281,37 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def _shift(self, scalar, sign: float) -> "Jet":
-        """Add sign*scalar to the constant term, broadcasting batch shapes."""
-        s = np.asarray(scalar, dtype=np.float64)
-        shape = np.broadcast_shapes(self.coeffs.shape[:-1], s.shape) + self.coeffs.shape[-1:]
-        out = np.zeros(shape)
-        out += self.coeffs
-        out[..., 0] += sign * s
-        return Jet(self.num_vars, self.order, out, self.base)
-
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def jet_constant(num_vars: int, order: int, value, base: BasePoint | None = None) -> Jet:
+def constant_coeffs(value, terms: int) -> np.ndarray:
+    """Coefficients of the constant `value` (scalar or batch) in `terms` slots."""
     v = np.asarray(value, dtype=np.float64)
-    shape = v.shape + (n_terms(num_vars, order),)
-    c = np.zeros(shape)
+    c = np.zeros(v.shape + (terms,))
     c[..., 0] = v
-    return Jet(num_vars, order, c, base)
+    return c
+
+
+def shift_coeffs(coeffs: np.ndarray, s) -> np.ndarray:
+    """coeffs plus the constant s over broadcast batch shapes; -0.0 comes out +0.0."""
+    s = np.asarray(s, dtype=np.float64)
+    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], s.shape) + coeffs.shape[-1:])
+    out += coeffs
+    out[..., 0] += s
+    return out
+
+
+def jet_constant(num_vars: int, order: int, value, base: BasePoint | None = None) -> Jet:
+    return Jet(num_vars, order, constant_coeffs(value, n_terms(num_vars, order)), base)
 
 
 def jet_coordinate(num_vars: int, order: int, var_index: int, value, base: BasePoint | None = None) -> Jet:
     """Jet of the coordinate function x_{var_index} (1-based) at the given value."""
     if not 1 <= var_index <= num_vars:
         raise DimensionError(f"var_index {var_index} outside 1..{num_vars}")
-    c = jet_constant(num_vars, order, value, base)
-    coeffs = np.array(c.coeffs)
+    coeffs = constant_coeffs(value, n_terms(num_vars, order))
     if order >= 1:
         unit = tuple(1 if v == var_index - 1 else 0 for v in range(num_vars))
         coeffs[..., _table(num_vars, order).position[unit]] = 1.0
@@ -314,15 +319,16 @@ def jet_coordinate(num_vars: int, order: int, var_index: int, value, base: BaseP
 
 
 def jet_from_derivatives(derivs, base: BasePoint | None = None) -> Jet:
-    """Univariate jet from an array of derivative values [f, f', f'', ...].
+    """Univariate jet from derivative values [f, f', f'', ...]; see taylor_coeffs."""
+    c = taylor_coeffs(derivs)
+    return Jet(1, c.shape[-1] - 1, c, base)
 
-    `derivs` has shape (order+1,) or (order+1, B) for batched evaluation.
-    """
+
+def taylor_coeffs(derivs) -> np.ndarray:
+    """Univariate coefficients, coefficient axis last, from rows [f, f', f'', ...]."""
     d = np.asarray(derivs, dtype=np.float64)
-    order = d.shape[0] - 1
-    fac = np.array([math.factorial(m) for m in range(order + 1)])
-    coeffs = np.moveaxis(d, 0, -1) / fac
-    return Jet(1, order, coeffs, base)
+    fac = np.array([math.factorial(m) for m in range(d.shape[0])])
+    return np.moveaxis(d, 0, -1) / fac
 
 
 def embed_univariate(j: Jet, num_vars: int, var_index: int, base: BasePoint | None = None) -> Jet:
@@ -360,10 +366,13 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     if a.num_vars != b.num_vars:
         raise DimensionError(f"cannot multiply jets in {a.num_vars} and {b.num_vars} variables")
     base = _combine_base(a.base, b.base)
-    table = mul_table(a.num_vars, a.order, b.order)
-    prod = a.coeffs[..., table.ia] * b.coeffs[..., table.ib]
-    coeffs = np.add.reduceat(prod, table.starts, axis=-1)
+    coeffs = mul_coeffs(a.coeffs, b.coeffs, mul_table(a.num_vars, a.order, b.order))
     return Jet(a.num_vars, min(a.order, b.order), coeffs, base)
+
+
+def mul_coeffs(a: np.ndarray, b: np.ndarray, table: _MulTable) -> np.ndarray:
+    """Product of two coefficient arrays through a `mul_table` gather."""
+    return np.add.reduceat(a[..., table.ia] * b[..., table.ib], table.starts, axis=-1)
 
 
 def jet_partial(a: Jet, var_index: int) -> Jet:
@@ -446,18 +455,25 @@ def _series_coeffs(f: str, a: np.ndarray, order: int, alpha: float | None):
     raise DomainError(f"unknown composable function tag {f!r}")
 
 
-def jet_compose_univariate(f: str, inner: Jet, alpha: float | None = None) -> Jet:
-    """Jet of f(inner) via Horner evaluation of f's Taylor series about inner's value.
-
-    `f` is one of COMPOSABLE_FUNCTIONS; "pow" takes the exponent via `alpha`.
-    """
-    order = inner.order
-    c = _series_coeffs(f, inner.value, order, alpha)
-    # nilpotent part of the inner jet
-    w_coeffs = np.array(inner.coeffs)
-    w_coeffs[..., 0] = 0.0
-    w = Jet(inner.num_vars, order, w_coeffs, inner.base)
-    result = jet_constant(inner.num_vars, order, c[order], inner.base)
+def compose_coeffs(f: str, coeffs: np.ndarray, num_vars: int,
+                   alpha: float | None = None) -> np.ndarray:
+    """Coefficients of f(inner): Horner evaluation of f's Taylor series about
+    inner's value in powers of inner's nilpotent part, each step jet_mul's
+    product plus the next series coefficient as a full constant array (as
+    jet_add adds it).  `f` is in COMPOSABLE_FUNCTIONS; "pow" takes `alpha`."""
+    terms = coeffs.shape[-1]
+    order = next(d for d in range(MAX_ORDER + 1) if n_terms(num_vars, d) == terms)
+    c = _series_coeffs(f, coeffs[..., 0], order, alpha)
+    w = np.array(coeffs)
+    w[..., 0] = 0.0
+    table = mul_table(num_vars, order, order)
+    out = constant_coeffs(c[order], terms)
     for m in range(order - 1, -1, -1):
-        result = jet_mul(result, w) + jet_constant(inner.num_vars, order, c[m], inner.base)
-    return result
+        out = mul_coeffs(out, w, table) + constant_coeffs(c[m], terms)
+    return out
+
+
+def jet_compose_univariate(f: str, inner: Jet, alpha: float | None = None) -> Jet:
+    """Jet of f(inner); see compose_coeffs."""
+    coeffs = compose_coeffs(f, inner.coeffs, inner.num_vars, alpha)
+    return Jet(inner.num_vars, inner.order, coeffs, inner.base)

@@ -36,7 +36,6 @@ from .jets import (
 
 WARP_KINDS = ("euclidean", "hyperbolic", "spherical", "tanh_cap", "custom_odd_series")
 
-_PARITY_CHECK_ORDER = 6
 _POSITIVITY_GRID = 257
 
 
@@ -67,8 +66,10 @@ class WarpSpec:
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         elif self.coeffs:
             raise DomainError("series coefficients are only valid for custom_odd_series")
-        self._validate_origin_conditions()
-        self._validate_positivity()
+        hi = min(self.radius, 32.0)
+        grid = np.linspace(hi / _POSITIVITY_GRID, hi * (1 - 1e-9), _POSITIVITY_GRID)
+        if np.any(warp_value(self, grid) <= 0.0):
+            raise DomainError("warp must be positive on (0, R)")
 
     # -- constructors --------------------------------------------------------
 
@@ -91,24 +92,6 @@ class WarpSpec:
     @staticmethod
     def custom(coeffs, radius: float = math.inf) -> "WarpSpec":
         return WarpSpec("custom_odd_series", radius, tuple(coeffs))
-
-    # -- validation ----------------------------------------------------------
-
-    def _validate_origin_conditions(self):
-        d = _derivatives_table(self, np.array(0.0), _PARITY_CHECK_ORDER)
-        if abs(d[0]) > 1e-14:
-            raise DomainError("warp must vanish at the origin")
-        if abs(d[1] - 1.0) > 1e-12:
-            raise DomainError("warp must have unit first derivative at the origin")
-        for m in range(2, _PARITY_CHECK_ORDER + 1, 2):
-            if abs(d[m]) > 1e-10:
-                raise DomainError(f"warp has nonvanishing even derivative of order {m} at the origin")
-
-    def _validate_positivity(self):
-        hi = min(self.radius, 32.0)
-        grid = np.linspace(hi / _POSITIVITY_GRID, hi * (1 - 1e-9), _POSITIVITY_GRID)
-        if np.any(warp_value(self, grid) <= 0.0):
-            raise DomainError("warp must be positive on (0, R)")
 
 
 def _derivatives_table(w: WarpSpec, r: np.ndarray, order: int) -> list[np.ndarray]:
@@ -262,8 +245,9 @@ def metric_at(m: ManifoldSpec, point, order: int) -> DiagonalMetric:
             raise ChartSingularityError(f"sin(theta_{j}) vanishes: polar chart is singular")
     base = BasePoint(point)
 
-    phi = embed_univariate(warp_eval(m.warp, r, order), n, 1, base)
-    g = [jet_constant(n, order, np.ones_like(r), base), jet_mul(phi, phi)]
+    phi = warp_eval(m.warp, r, order)  # squared before the lift: the same bits as after it
+    g = [jet_constant(n, order, np.ones_like(r), base),
+         embed_univariate(jet_mul(phi, phi), n, 1, base)]
     for j in range(2, n):  # g_{j+1} = g_j sin(theta_j)^2
         theta_jet = jet_coordinate(1, order, 1, float(point[j - 1]))
         s = embed_univariate(jet_compose_univariate("sin", theta_jet), n, j, base)

@@ -10,7 +10,8 @@ from itertools import product
 import numpy as np
 
 from radwarp.geometry import christoffel_at
-from radwarp.jets import embed_univariate, jet_from_derivatives, jet_mul, jet_partial
+from radwarp.jets import (Jet, _series_coeffs, embed_univariate, jet_constant,
+                          jet_from_derivatives, jet_mul, jet_partial)
 from radwarp.manifold import WarpSpec, default_point, metric_at, warp_eval
 
 
@@ -31,6 +32,21 @@ class Poly:
                     acc = acc + c * fall * ta ** (deg - m)
             rows.append(acc)
         return jet_from_derivatives(np.stack(rows))
+
+
+def oracle_compose(f: str, inner: Jet, alpha=None) -> Jet:
+    """f(inner) by Horner's rule on Jet objects: one jet_mul by the nilpotent
+    part of inner and one Jet sum with the next series coefficient per step,
+    the operations `jets.compose_coeffs` runs on bare arrays."""
+    order = inner.order
+    c = _series_coeffs(f, inner.value, order, alpha)
+    w_coeffs = np.array(inner.coeffs)
+    w_coeffs[..., 0] = 0.0
+    w = Jet(inner.num_vars, order, w_coeffs, inner.base)
+    result = jet_constant(inner.num_vars, order, c[order], inner.base)
+    for m in range(order - 1, -1, -1):
+        result = jet_mul(result, w) + jet_constant(inner.num_vars, order, c[m], inner.base)
+    return result
 
 
 def oracle_christoffel(w: WarpSpec, n: int, point) -> dict:

@@ -85,6 +85,21 @@ class TestEvalJet:
         with pytest.raises(DomainError):
             RadialFunction.gaussian().eval_jet(1.0, 5)
 
+    @pytest.mark.parametrize("family", default_families(3.0) + (
+        RadialFunction.polynomial_bump((2.0, 0.0, -0.4), support=1.5),
+        RadialFunction.log_profile(1.0, 0.03),
+    ), ids=lambda f: f.label)
+    def test_jets_are_truncation_consistent(self, family):
+        # the order-i jet is the order-j jet cut to i + 1 coefficients, bit
+        # for bit, signs of zeros included: one jet of the top order serves
+        # every lower order
+        t = np.geomspace(1e-3, 6.0, 97)
+        for j in range(5):
+            top = family.eval_jet(t, j).coeffs
+            for i in range(j + 1):
+                low = family.eval_jet(t, i).coeffs
+                assert top[..., : i + 1].tobytes() == low.tobytes(), (i, j)
+
 
 class TestEnvelopes:
     @pytest.mark.parametrize("f", default_families(10.0), ids=lambda f: f.family)

@@ -16,6 +16,7 @@ from radwarp.errors import (
 from radwarp.jets import (
     Jet,
     BasePoint,
+    compose_coeffs,
     embed_univariate,
     jet_add,
     jet_compose_univariate,
@@ -25,6 +26,8 @@ from radwarp.jets import (
     jet_mul,
     jet_partial,
 )
+
+from oracles import oracle_compose
 
 
 def uni(coeffs, order=None):
@@ -335,3 +338,20 @@ def test_composition_of_truncation_is_truncated_composition(seed, num_vars, orde
     rhs = jet_compose_univariate(f, x, alpha).truncated(d)
     assert lhs.order == rhs.order == d
     assert lhs.coeffs.tobytes() == rhs.coeffs.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.sampled_from(jets.COMPOSABLE_FUNCTIONS), seed=st.integers(0, 2**32 - 1),
+       num_vars=st.integers(1, 6), order=st.integers(0, 4),
+       batch=st.sampled_from([(), (1,), (5,)]), alpha=st.sampled_from([-1.5, 0.5, 2.0, 3.7]))
+def test_array_composition_is_the_jet_object_horner(f, seed, num_vars, order, batch, alpha):
+    # the array route runs the Jet operations of the oracle, so values and
+    # the signs of zeros agree exactly
+    x = random_jet(seed, num_vars, order, batch, positive=f in ("log", "pow", "recip"))
+    alpha = alpha if f == "pow" else None
+    want = oracle_compose(f, x, alpha).coeffs
+    got = compose_coeffs(f, x.coeffs, num_vars, alpha)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    wrapped = jet_compose_univariate(f, x, alpha)
+    assert (wrapped.num_vars, wrapped.order) == (num_vars, order)
+    assert wrapped.coeffs.tobytes() == want.tobytes()

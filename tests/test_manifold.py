@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radwarp.errors import ChartSingularityError, DomainError
+from radwarp.jets import embed_univariate, jet_mul
 from radwarp.manifold import (
     ManifoldSpec,
     WarpSpec,
+    _derivatives_table,
     c_phi,
     default_point,
     metric_at,
@@ -82,6 +84,28 @@ class TestWarpEval:
         j = warp_eval(WarpSpec.hyperbolic(), r, 2)
         np.testing.assert_allclose(j.derivative(0), np.sinh(r))
         np.testing.assert_allclose(j.derivative(1), np.cosh(r))
+
+
+def assert_origin_conditions(w: WarpSpec):
+    # phi(0) = 0, phi'(0) = 1 and the even derivatives vanish through order 6
+    d = _derivatives_table(w, np.array(0.0), 6)
+    assert abs(d[0]) <= 1e-14
+    assert abs(d[1] - 1.0) <= 1e-12
+    for m in range(2, 7, 2):
+        assert abs(d[m]) <= 1e-10, m
+
+
+@pytest.mark.parametrize("w", ALL_WARPS, ids=lambda w: w.kind)
+def test_builtin_warps_meet_the_origin_conditions(w):
+    assert_origin_conditions(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tail=st.lists(st.floats(-0.2, 0.2), max_size=4))
+def test_custom_series_meets_the_origin_conditions(tail):
+    # odd powers with leading coefficient 1: the conditions hold by
+    # construction, so WarpSpec does not check them
+    assert_origin_conditions(WarpSpec.custom((1.0, *tail), radius=1.0))
 
 
 class TestWarpInfimum:
@@ -186,6 +210,20 @@ class TestMetric:
             phi2 = warp_value(w, 0.9) ** 2
             for i in range(2, 6):
                 assert g.entry(i).value == pytest.approx(phi2, rel=1e-14)
+
+    @pytest.mark.parametrize("w", ALL_WARPS + [WarpSpec.custom((1.0, -0.1, 0.02), 2.0)],
+                             ids=lambda w: w.kind)
+    def test_phi_squared_before_the_lift_is_the_lifted_square(self, w):
+        # metric_at squares the univariate warp jet and then lifts it; the
+        # dense product of the lifted jets gives the same bits: the sum of a
+        # mixed slot starts with phi(r) * 0.0 = +0.0 (phi > 0), so it stays +0.0
+        r = np.linspace(0.05, 1.9, 23)
+        for n in range(2, 7):
+            for order in range(4):
+                m = ManifoldSpec(w, n)
+                g = metric_at(m, default_point(m, r), order)
+                phi = embed_univariate(warp_eval(w, r, order), n, 1)
+                assert g.entry(2).coeffs.tobytes() == jet_mul(phi, phi).coeffs.tobytes()
 
     def test_chart_singularity(self):
         m = ManifoldSpec(WarpSpec.euclidean(), 4)
