@@ -34,12 +34,20 @@ The recursion computes only what its readers keep, and only when they read it:
   names only (1, ..., 1) of the rank below and the row of (1, 1), which is
   empty because radial lines are geodesics: reading it alone costs one
   radial partial per rank and that one row.
+- `norm_profiles` takes ranks 0 and 1 from v alone: |u| = |v| and, as g^11
+  = 1 and the angular partials of u vanish, |grad u|_g = sqrt(v'^2), the
+  dense norm to the bit.  So for k <= 1 it builds no metric at all.
+- The metric and the Christoffel table do not depend on v.  A `Frame`
+  holds them for one set of points and one rank, each built when first
+  read, and the bundles of several functions can share it, and with it
+  every Christoffel row any of them reads.
 
 Coordinate indices are 1-based throughout; coordinate 1 is the radial one.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -52,6 +60,7 @@ from .manifold import (
     ManifoldSpec,
     default_point,
     metric_at,
+    polar_radius,
     warp_eval,
 )
 
@@ -173,27 +182,62 @@ class CovTensor:
         return self._factors[idx]
 
 
-def covariant_bundle(v, m: ManifoldSpec, r, k: int, angles=None):
+def _point(m: ManifoldSpec, r, angles) -> tuple:
+    return default_point(m, r) if angles is None else (r,) + tuple(angles)
+
+
+class Frame:
+    """The metric and Christoffel table at polar points, for covariant
+    derivatives up to rank k.
+
+    Neither depends on the radial function, so the bundles of several
+    functions at one set of points share one frame, and with it each
+    Christoffel row any of them reads.  The rank and the point are checked
+    on construction; the metric and the table are built when first read.
+    """
+
+    def __init__(self, m: ManifoldSpec, r, k: int, angles=None):
+        if not 0 <= k <= MAX_RANK:
+            raise DomainError(f"covariant derivative rank must be within 0..{MAX_RANK}")
+        if np.any(np.asarray(r, dtype=np.float64) < MIN_RADIUS):
+            raise ProximityError(f"evaluation requires r >= {MIN_RADIUS}")
+        self.m, self.k, self.point = m, k, _point(m, r, angles)
+        polar_radius(m, self.point)
+
+    @cached_property
+    def metric(self) -> DiagonalMetric:
+        # order max(k - 1, 0): the recursion reads the Christoffel symbols
+        # only to order k - 2, at rank 2, and the norms read only values
+        return metric_at(self.m, self.point, order=max(self.k - 1, 0))
+
+    @cached_property
+    def gamma(self) -> ChristoffelTable | None:
+        return christoffel_at(self.metric) if self.k >= 2 else None  # rank 1 is plain partials
+
+    def check(self, m: ManifoldSpec, r, k: int, angles=None) -> "Frame":
+        """This frame, if it was built for (m, r, k, angles); else DomainError."""
+        point = _point(m, r, angles)
+        if not (m == self.m and k == self.k and len(point) == len(self.point)
+                and all(a is b or np.array_equal(a, b) for a, b in zip(point, self.point))):
+            raise DomainError("frame was built for another manifold, rank or point")
+        return self
+
+
+def covariant_bundle(v, m: ManifoldSpec, r, k: int, angles=None, frame: Frame | None = None):
     """Metric plus the covariant derivative tensors of ranks 0..k at (r, angles).
 
     `v` is any radial profile exposing eval_jet(t, order) -> univariate Jet.
     `r` may be an array; angles default to pi/2 (all nested sine factors 1).
-    The metric jets have order max(k - 1, 0): the recursion reads the
-    Christoffel symbols only to order k - 2, at rank 2, and the norms read
-    only metric values.
+    `frame`, when given, must be the Frame of (m, r, k, angles); it is built
+    here otherwise.
     """
-    if not 0 <= k <= MAX_RANK:
-        raise DomainError(f"covariant derivative rank must be within 0..{MAX_RANK}")
-    if np.any(np.asarray(r, dtype=np.float64) < MIN_RADIUS):
-        raise ProximityError(f"evaluation requires r >= {MIN_RADIUS}")
-    point = default_point(m, r) if angles is None else (r,) + tuple(angles)
-    metric = metric_at(m, point, order=max(k - 1, 0))
+    frame = Frame(m, r, k, angles) if frame is None else frame.check(m, r, k, angles)
+    metric = frame.metric
     u_jet = embed_univariate(v.eval_jet(r, k), m.dim, 1, metric.base)
 
     tensors = [CovTensor(0, m.dim, k, metric.base, value=u_jet.coeffs)]
-    gamma = christoffel_at(metric) if k >= 2 else None  # rank 1 is plain partials
     for rank in range(1, k + 1):
-        tensors.append(CovTensor(rank, m.dim, k - rank, metric.base, tensors[-1], gamma))
+        tensors.append(CovTensor(rank, m.dim, k - rank, metric.base, tensors[-1], frame.gamma))
     return metric, tensors
 
 
@@ -221,10 +265,26 @@ def pointwise_norm(t: CovTensor, metric: DiagonalMetric):
     return np.sqrt(total)
 
 
-def norm_profiles(v, m: ManifoldSpec, r, k: int, angles=None) -> np.ndarray:
-    """|grad^j u|_g for j = 0..k at radius r (batched); shape (k+1,) + r.shape."""
-    metric, tensors = covariant_bundle(v, m, r, k, angles)
-    rows = [np.broadcast_to(pointwise_norm(t, metric), np.shape(r)) for t in tensors]
+def norm_profiles(v, m: ManifoldSpec, r, k: int, angles=None,
+                  frame: Frame | None = None) -> np.ndarray:
+    """|grad^j u|_g for j = 0..k at radius r (batched); shape (k+1,) + r.shape.
+
+    Rows 0 and 1 read no metric: |u| = |v|, and since the angular partials
+    of u vanish and g^11 = 1, |grad u|_g = sqrt(v'^2), squared and rooted as
+    `pointwise_norm` does it, so a v' whose square underflows gives 0 alike.
+    So for k <= 1 only the point is checked, and only ranks >= 2 build the
+    covariant bundle.  `frame` is as for `covariant_bundle`.
+    """
+    frame = Frame(m, r, k, angles) if frame is None else frame.check(m, r, k, angles)
+    if k < 2:
+        coeffs = v.eval_jet(r, k).coeffs
+        radial, higher = [coeffs[..., j] for j in range(k + 1)], []
+    else:  # the bundle has evaluated v: its radial components of ranks 0, 1 are v, v'
+        metric, tensors = covariant_bundle(v, m, r, k, angles, frame)
+        radial = [tensors[j]._entry((1,) * j)[..., 0] for j in (0, 1)]
+        higher = [pointwise_norm(t, metric) for t in tensors[2:]]
+    rows = [np.abs(radial[0])] + [np.sqrt(d**2) for d in radial[1:]] + higher
+    rows = [np.broadcast_to(row, np.shape(r)) for row in rows]
     return np.stack(rows) if np.ndim(r) else np.array([float(x) for x in rows])
 
 

@@ -228,11 +228,12 @@ def default_point(m: ManifoldSpec, r) -> tuple:
     return (r,) + (math.pi / 2,) * (m.dim - 1)
 
 
-def metric_at(m: ManifoldSpec, point, order: int) -> DiagonalMetric:
-    """Diagonal metric jets g_ii and inverses at the given polar point.
+def polar_radius(m: ManifoldSpec, point) -> np.ndarray:
+    """The radial coordinate of a polar point, once the point is checked.
 
-    `point` is (r, theta_2, ..., theta_N); r may be an array.  Angles that
-    carry metric weight (theta_2 .. theta_{N-1}) must avoid sin = 0.
+    `point` is (r, theta_2, ..., theta_N); r may be an array and must lie in
+    (0, R).  Angles that carry metric weight (theta_2 .. theta_{N-1}) must
+    avoid sin = 0.
     """
     n = m.dim
     if len(point) != n:
@@ -243,6 +244,14 @@ def metric_at(m: ManifoldSpec, point, order: int) -> DiagonalMetric:
     for j in range(2, n):  # angles theta_2 .. theta_{N-1} appear in the metric
         if abs(math.sin(float(point[j - 1]))) < 1e-12:
             raise ChartSingularityError(f"sin(theta_{j}) vanishes: polar chart is singular")
+    return r
+
+
+def metric_at(m: ManifoldSpec, point, order: int) -> DiagonalMetric:
+    """Diagonal metric jets g_ii and inverses at the polar point `point`
+    (checked by `polar_radius`)."""
+    n = m.dim
+    r = polar_radius(m, point)
     base = BasePoint(point)
 
     phi = warp_eval(m.warp, r, order)  # squared before the lift: the same bits as after it

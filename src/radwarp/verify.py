@@ -161,6 +161,9 @@ class CheckSpec:
         if row.samples_grid:
             self.grid.resolve(w.radius)
         # the arithmetic each kind adds
+        if kind == "identity" and k < 1:
+            raise InadmissibleParameterError(
+                "identity compares derivatives of orders 1..k, so it needs k >= 1")
         if kind == "radial_lemma_power" and n <= k * p:
             raise InadmissibleParameterError(
                 f"power radial lemma needs N > kp (N={n}, k={k}, p={p})"
@@ -354,9 +357,10 @@ def check_identity(spec: CheckSpec) -> tuple[dict, dict, bool]:
     m = spec.manifold
     grid = spec.grid.resolve(m.warp.radius)
     orders = range(1, spec.k + 1)
+    frame = geometry.Frame(m, grid, spec.k)  # the families share its Christoffel rows
 
     def gap(f):
-        _, tensors = geometry.covariant_bundle(f, m, grid, spec.k)
+        _, tensors = geometry.covariant_bundle(f, m, grid, spec.k, frame=frame)
         vjet = f.eval_jet(grid, spec.k)
         gaps = []
         for order in orders:
@@ -373,9 +377,10 @@ def check_gradient_inequality(spec: CheckSpec) -> tuple[dict, dict, bool]:
     m = spec.manifold
     grid = spec.grid.resolve(m.warp.radius)
     orders = range(spec.k + 1)
+    frame = geometry.Frame(m, grid, spec.k)
 
     def margin(f):
-        profiles = geometry.norm_profiles(f, m, grid, spec.k)
+        profiles = geometry.norm_profiles(f, m, grid, spec.k, frame=frame)
         vjet = f.eval_jet(grid, spec.k)
         margins = [profiles[order] - np.abs(vjet.derivative(order)) for order in orders]
         return _grid_extreme(np.array(margins), grid, orders, largest=False)

@@ -1,5 +1,6 @@
 """Config parsing, the run command's exit codes and report schema, CSV dumps."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import radwarp
+from radwarp import cli
 from radwarp.cli import main
-from radwarp.config import build_check_specs, make_warp, parse_config
+from radwarp.config import DEFAULT_SUITE, build_check_specs, make_warp, parse_config
 from radwarp.errors import ConfigError
 
 SMALL_CONFIG = """\
@@ -207,6 +209,8 @@ class TestRunCommand:
         "check.1.families = 5",
         "check.1.families = true",
         "check.1.families = 1.5",
+        # identity compares derivatives of orders 1..k
+        "check.1.k = 0",
     ], ids=["grid_zero", "grid_one", "grid_lo_text", "grid_lo_above_hi", "k_text",
             "tol_text", "panel_budget_text", "unbounded_custom_warp_norm",
             "panel_budget_typo", "tail_cap_typo", "panel_budget_removed",
@@ -221,7 +225,7 @@ class TestRunCommand:
             "diagnostic_bare_word", "quad_tol_nan", "p_beyond_float", "R_bool", "R_infinity",
             "family_param_bool", "quad_tol_below_floor", "hardy_refined_tol_below_floor",
             "quad_tol_above_hardy_tol",
-            "k1_norm_k3", "families_int", "families_bool", "families_float"])
+            "k1_norm_k3", "families_int", "families_bool", "families_float", "identity_k0"])
     def test_invalid_fields_exit_2_without_report(self, tmp_path, capsys, lines):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(SMALL_CONFIG + lines + "\n")
@@ -606,3 +610,33 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("text", [DEFAULT_SUITE, "# Größe, Ω, 径向\n" + SMALL_CONFIG],
+                         ids=["default_suite", "non_ascii"])
+def test_config_digest_is_sha256(text):
+    assert cli.sha256(text.encode()).hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_run_without_mallopt(tmp_path, monkeypatch, capsys):
+    # the heap threshold is a glibc tuning: a C library without mallopt runs as before
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(SMALL_CONFIG)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_default_suite_run_loads_no_openssl(tmp_path):
+    # the report digest comes from CPython's own SHA-256, not from hashlib
+    src = str(Path(radwarp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out_path = tmp_path / "r.json"
+    code = ("import sys; from radwarp.cli import main; "
+            f"code = main(['run', '--default-suite', '--out', {str(out_path)!r}]); "
+            "print(code, '_hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "0 False"
+    digest = json.loads(out_path.read_text())["run_meta"]["config_sha256"]
+    assert digest == hashlib.sha256(DEFAULT_SUITE.encode()).hexdigest()

@@ -13,9 +13,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import Poly as _Poly, oracle_christoffel, oracle_covariant, oracle_norm
 
-from radwarp.errors import DomainError, ProximityError
-from radwarp.funcspace import RadialFunction
+from radwarp import geometry
+from radwarp.errors import ChartSingularityError, DomainError, ProximityError, RadwarpError
+from radwarp.funcspace import RadialFunction, default_families
 from radwarp.geometry import (
+    MIN_RADIUS,
+    Frame,
     asymptotic_leading_ratio,
     christoffel_at,
     covariant_bundle,
@@ -430,3 +433,146 @@ def test_components_and_norms_equal_the_jet_recursion_bit_for_bit(w, n, k, size,
     for j, comps in enumerate(ranks):
         want = np.broadcast_to(oracle_norm(comps, oracle_metric), np.shape(r))
         assert np.asarray(profiles[j]).tobytes() == np.asarray(want).tobytes(), j
+
+
+# r = 20 on an unbounded warp: gaussian(1) has v' = -40 exp(-400) = -7.7e-173
+# there, whose square underflows to 0 in the tensor norm and in the jet rows alike
+UNDERFLOW_R = 20.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=st.sampled_from(ALL_MANIFOLD_WARPS),
+    n=st.integers(2, 6),
+    k=st.integers(0, 4),
+    size=st.sampled_from([None, 1, 15, 256]),
+    lo=st.floats(min_value=0.01, max_value=1.0),
+    family=st.integers(0, 4),
+    angled=st.booleans(),
+)
+@example(w=ALL_MANIFOLD_WARPS[0], n=3, k=1, size=None, lo=UNDERFLOW_R, family=0, angled=False)
+@example(w=ALL_MANIFOLD_WARPS[1], n=5, k=4, size=None, lo=UNDERFLOW_R, family=0, angled=True)
+@example(w=ALL_MANIFOLD_WARPS[3], n=2, k=0, size=None, lo=UNDERFLOW_R, family=0, angled=False)
+@example(w=ALL_MANIFOLD_WARPS[1], n=4, k=2, size=256, lo=0.01, family=0, angled=False)
+@example(w=ALL_MANIFOLD_WARPS[2], n=6, k=1, size=15, lo=0.5, family=2, angled=True)
+@example(w=ALL_MANIFOLD_WARPS[4], n=2, k=3, size=1, lo=0.2, family=4, angled=False)
+def test_rank0_and_rank1_rows_equal_the_dense_norms_bit_for_bit(w, n, k, size, lo, family,
+                                                                angled):
+    # |u| = |v| and |grad u|_g = sqrt(v'^2) hold exactly: the rows computed
+    # from v's jet equal the norms of the dense tensors in every bit
+    m = ManifoldSpec(w, n)
+    v = default_families(w.radius)[family]
+    hi = min(25.0, 0.95 * w.radius)
+    r = min(lo, 0.9 * hi) if size is None else np.linspace(min(lo, 0.5 * hi), hi, size)
+    angles = ANGLES[: n - 1] if angled else None
+    metric, tensors = covariant_bundle(v, m, r, k, angles)
+    profiles = norm_profiles(v, m, r, k, angles)
+    for j in range(min(k, 1) + 1):
+        want = np.broadcast_to(pointwise_norm(tensors[j], metric), np.shape(r))
+        assert np.asarray(profiles[j]).tobytes() == np.asarray(want).tobytes(), j
+
+
+def test_underflowing_gradient_reads_zero():
+    m = ManifoldSpec(WarpSpec.hyperbolic(), 3)
+    v = RadialFunction.gaussian(1.0)
+    assert 0.0 < abs(float(v.eval_jet(UNDERFLOW_R, 1).derivative(1))) < 1e-170
+    for k in (1, 2):
+        assert norm_profiles(v, m, UNDERFLOW_R, k)[1] == 0.0
+
+
+class TestFrame:
+    M = ManifoldSpec(WarpSpec.hyperbolic(), 4)
+    R = np.linspace(0.2, 2.5, 15)
+    FAMILIES = (RadialFunction.gaussian(0.7), RadialFunction.power_decay(1.5),
+                RadialFunction.log_profile(10.0))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    @pytest.mark.parametrize("angles", [None, (2.1, 0.5, 2.8)])
+    def test_shared_frame_gives_the_fresh_tensors(self, k, angles):
+        frame = Frame(self.M, self.R, k, angles)
+        for v in self.FAMILIES:
+            shared_metric, shared = covariant_bundle(v, self.M, self.R, k, angles, frame=frame)
+            metric, fresh = covariant_bundle(v, self.M, self.R, k, angles)
+            assert shared_metric is frame.metric
+            for a, b in zip(shared, fresh):
+                for idx in product(range(1, 5), repeat=a.rank):
+                    assert a.component(idx).coeffs.tobytes() == b.component(idx).coeffs.tobytes()
+            assert (norm_profiles(v, self.M, self.R, k, angles, frame=frame).tobytes()
+                    == norm_profiles(v, self.M, self.R, k, angles).tobytes())
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_frame_of_another_point_or_rank_rejected(self, k):
+        v = RadialFunction.gaussian()
+        frame = Frame(self.M, self.R, k)
+        others = [
+            (self.M, self.R[:-1], k, None),
+            (self.M, self.R * 1.01, k, None),
+            (self.M, self.R, (k + 1) % 5, None),
+            (self.M, self.R, k, (0.7, 1.9, 0.3)),
+            (ManifoldSpec(WarpSpec.euclidean(), 4), self.R, k, None),
+        ]
+        for m, r, kk, angles in others:
+            with pytest.raises(DomainError, match="frame"):
+                covariant_bundle(v, m, r, kk, angles, frame=frame)
+            with pytest.raises(DomainError, match="frame"):
+                norm_profiles(v, m, r, kk, angles, frame=frame)
+        norm_profiles(v, self.M, self.R.copy(), k, frame=frame)  # equal points suffice
+
+    @pytest.mark.parametrize("r, k, angles", [
+        (MIN_RADIUS / 2, 1, None),
+        (np.array([0.5, MIN_RADIUS / 2]), 0, None),  # one batch point below
+        (math.pi, 1, None),                # at R
+        (4.0, 0, None),                    # past R
+        (1.0, -1, None),                   # no such rank
+        (1.0, 5, None),                    # past MAX_RANK
+        (1.0, 1, (0.5, 0.5)),              # too few angles
+        (1.0, 0, (0.5, 0.5, 0.5, 0.5)),    # too many
+        (1.0, 1, (0.0, 0.5, 0.5)),         # sin(theta_2) = 0
+        (np.array([0.5, 1.0]), 0, (0.5, math.pi, 0.5)),  # sin(theta_3) = 0
+    ])
+    def test_rank0_and_rank1_rows_raise_as_the_dense_route(self, r, k, angles):
+        # the jet rows build no metric, yet reject what metric_at rejects,
+        # with the exception classes the dense route raises
+        m = ManifoldSpec(WarpSpec.spherical(), 4)
+        v = RadialFunction.gaussian()
+
+        def raised(fn, *args):
+            with pytest.raises(RadwarpError) as info:
+                fn(*args)
+            return type(info.value)
+
+        dense = raised(covariant_bundle, v, m, r, k, angles)
+        assert dense in (DomainError, ProximityError, ChartSingularityError)
+        assert raised(norm_profiles, v, m, r, k, angles) is dense
+        assert raised(Frame, m, r, k, angles) is dense
+
+    def test_low_rank_rows_build_no_geometry(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(geometry, "metric_at", lambda *a, **kw: built.append(a))
+        monkeypatch.setattr(geometry, "covariant_bundle", lambda *a, **kw: built.append(a))
+        for k in (0, 1):
+            norm_profiles(RadialFunction.gaussian(), self.M, self.R, k)
+            norm_profiles(RadialFunction.gaussian(), self.M, self.R, k,
+                          frame=Frame(self.M, self.R, k))
+        assert built == []
+
+    # identity reads only the pure-radial components, so only the row of (1, 1);
+    # the rank-2 norms read the rows of all 10 unordered pairs of 1..4
+    @pytest.mark.parametrize("kind, k, n_rows", [("identity", 3, 1),
+                                                 ("gradient_inequality", 2, 10)])
+    def test_grid_check_builds_one_metric_and_each_christoffel_row_once(self, kind, k, n_rows,
+                                                                        monkeypatch):
+        from radwarp.geometry import ChristoffelTable
+        from radwarp.verify import CheckSpec, GridSpec, run_check
+
+        metrics, rows = [], []
+        metric_at_, row_ = geometry.metric_at, ChristoffelTable._row
+        monkeypatch.setattr(geometry, "metric_at",
+                            lambda *a, **kw: metrics.append(a) or metric_at_(*a, **kw))
+        monkeypatch.setattr(ChristoffelTable, "_row",
+                            lambda self, i, j: rows.append((i, j)) or row_(self, i, j))
+        spec = CheckSpec(kind=kind, manifold=self.M, k=k, grid=GridSpec(n=24))
+        assert len(spec.families) == 5
+        assert run_check(spec).verdict == "pass"
+        assert len(metrics) == 1
+        assert len(rows) == len(set(rows)) == n_rows

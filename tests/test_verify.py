@@ -391,6 +391,12 @@ class TestValidation:
         with pytest.raises(InadmissibleParameterError, match="outside the range"):
             spec(kind, w, 3, quad_tol=2e-3, **fields)
 
+    def test_identity_needs_a_derivative_order(self):
+        # at k = 0 no order is compared, and the check used to pass vacuously
+        with pytest.raises(InadmissibleParameterError, match="k >= 1"):
+            spec("identity", WarpSpec.hyperbolic(), 3, k=0)
+        spec("identity", WarpSpec.hyperbolic(), 3, k=1)
+
     def test_quadrature_tolerance_of_a_normless_kind_unbounded_above(self):
         spec("identity", WarpSpec.hyperbolic(), 3, quad_tol=1.0)
 
