@@ -16,7 +16,6 @@ only fields that vary between identical runs.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import datetime
 import json
 import sys
@@ -46,8 +45,6 @@ from .config import (
 from .errors import ConfigError, RadwarpError
 from .manifold import warp_value
 from .verify import decay_ratio_profile, radial_lemma_ratio_profile, run_suite
-
-_M_TRIM_THRESHOLD = -1  # mallopt parameter, glibc <malloc.h>
 
 # the check kind each dumped curve belongs to; a lemma_ratio dump is a
 # radial_lemma_log check when N = kp and p > 1, else a radial_lemma_power one
@@ -179,26 +176,7 @@ def _cmd_dump(args) -> int:
     return 0
 
 
-def _keep_freed_heap():
-    """Let the C library keep up to 64 MB of freed heap top instead of
-    returning it at once (glibc's default threshold is 128 kB).
-
-    A rank-4 bundle on N = 5 and 256 points frees and reallocates
-    temporaries of about 0.6 MB per jet product.  At the default threshold
-    whether those pages go back to the system, to fault in again at the
-    next product, depends on what else happens to sit at the heap top: on
-    x86-64 Linux (glibc 2.36), a `rank4_sweep` run took 12,900 minor page
-    faults with nothing there and 2,100 with this threshold.  Does nothing
-    where the C library has no `mallopt`.
-    """
-    try:
-        ctypes.CDLL(None).mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    except (OSError, AttributeError):
-        pass
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":

@@ -38,9 +38,11 @@ The recursion computes only what its readers keep, and only when they read it:
   = 1 and the angular partials of u vanish, |grad u|_g = sqrt(v'^2), the
   dense norm to the bit.  So for k <= 1 it builds no metric at all.
 - The metric and the Christoffel table do not depend on v.  A `Frame`
-  holds them for one set of points and one rank, each built when first
-  read, and the bundles of several functions can share it, and with it
-  every Christoffel row any of them reads.
+  carries one set of points and one rank and holds both, each built when
+  first read; the bundles and norm profiles of several functions taken
+  through one frame (`Frame.bundle`, `Frame.norm_profiles`) share them, and
+  with them every Christoffel row any of them reads.  Called directly,
+  `covariant_bundle` and `norm_profiles` build a frame per call.
 
 Coordinate indices are 1-based throughout; coordinate 1 is the radial one.
 """
@@ -182,18 +184,15 @@ class CovTensor:
         return self._factors[idx]
 
 
-def _point(m: ManifoldSpec, r, angles) -> tuple:
-    return default_point(m, r) if angles is None else (r,) + tuple(angles)
-
-
 class Frame:
-    """The metric and Christoffel table at polar points, for covariant
-    derivatives up to rank k.
+    """Polar points and a rank k, with the metric and Christoffel table there.
 
-    Neither depends on the radial function, so the bundles of several
-    functions at one set of points share one frame, and with it each
-    Christoffel row any of them reads.  The rank and the point are checked
-    on construction; the metric and the table are built when first read.
+    Neither depends on the radial function, so the bundles and norm profiles
+    of several functions taken through one frame (`bundle`, `norm_profiles`)
+    share its metric and each Christoffel row any of them reads.  `r` may be
+    an array; angles default to pi/2 (all nested sine factors 1).  The rank
+    and the point are checked on construction; the metric and the table are
+    built when first read.
     """
 
     def __init__(self, m: ManifoldSpec, r, k: int, angles=None):
@@ -201,7 +200,8 @@ class Frame:
             raise DomainError(f"covariant derivative rank must be within 0..{MAX_RANK}")
         if np.any(np.asarray(r, dtype=np.float64) < MIN_RADIUS):
             raise ProximityError(f"evaluation requires r >= {MIN_RADIUS}")
-        self.m, self.k, self.point = m, k, _point(m, r, angles)
+        self.m, self.r, self.k, self.angles = m, r, k, angles
+        self.point = default_point(m, r) if angles is None else (r,) + tuple(angles)
         polar_radius(m, self.point)
 
     @cached_property
@@ -214,24 +214,24 @@ class Frame:
     def gamma(self) -> ChristoffelTable | None:
         return christoffel_at(self.metric) if self.k >= 2 else None  # rank 1 is plain partials
 
-    def check(self, m: ManifoldSpec, r, k: int, angles=None) -> "Frame":
-        """This frame, if it was built for (m, r, k, angles); else DomainError."""
-        point = _point(m, r, angles)
-        if not (m == self.m and k == self.k and len(point) == len(self.point)
-                and all(a is b or np.array_equal(a, b) for a, b in zip(point, self.point))):
-            raise DomainError("frame was built for another manifold, rank or point")
-        return self
+    def bundle(self, v):
+        """`covariant_bundle` of v at this frame's points and rank."""
+        return covariant_bundle(v, self.m, self.r, self.k, self.angles, _frame=self)
+
+    def norm_profiles(self, v) -> np.ndarray:
+        """`norm_profiles` of v at this frame's points and rank."""
+        return norm_profiles(v, self.m, self.r, self.k, self.angles, _frame=self)
 
 
-def covariant_bundle(v, m: ManifoldSpec, r, k: int, angles=None, frame: Frame | None = None):
+def covariant_bundle(v, m: ManifoldSpec, r, k: int, angles=None, _frame: Frame | None = None):
     """Metric plus the covariant derivative tensors of ranks 0..k at (r, angles).
 
     `v` is any radial profile exposing eval_jet(t, order) -> univariate Jet.
     `r` may be an array; angles default to pi/2 (all nested sine factors 1).
-    `frame`, when given, must be the Frame of (m, r, k, angles); it is built
-    here otherwise.
+    `_frame` is the `Frame` of exactly these arguments; only `Frame.bundle`
+    passes it, and a new one is built otherwise.
     """
-    frame = Frame(m, r, k, angles) if frame is None else frame.check(m, r, k, angles)
+    frame = Frame(m, r, k, angles) if _frame is None else _frame
     metric = frame.metric
     u_jet = embed_univariate(v.eval_jet(r, k), m.dim, 1, metric.base)
 
@@ -266,21 +266,22 @@ def pointwise_norm(t: CovTensor, metric: DiagonalMetric):
 
 
 def norm_profiles(v, m: ManifoldSpec, r, k: int, angles=None,
-                  frame: Frame | None = None) -> np.ndarray:
+                  _frame: Frame | None = None) -> np.ndarray:
     """|grad^j u|_g for j = 0..k at radius r (batched); shape (k+1,) + r.shape.
 
     Rows 0 and 1 read no metric: |u| = |v|, and since the angular partials
     of u vanish and g^11 = 1, |grad u|_g = sqrt(v'^2), squared and rooted as
     `pointwise_norm` does it, so a v' whose square underflows gives 0 alike.
     So for k <= 1 only the point is checked, and only ranks >= 2 build the
-    covariant bundle.  `frame` is as for `covariant_bundle`.
+    covariant bundle.  `_frame` is as for `covariant_bundle`; only
+    `Frame.norm_profiles` passes it.
     """
-    frame = Frame(m, r, k, angles) if frame is None else frame.check(m, r, k, angles)
+    frame = Frame(m, r, k, angles) if _frame is None else _frame
     if k < 2:
         coeffs = v.eval_jet(r, k).coeffs
         radial, higher = [coeffs[..., j] for j in range(k + 1)], []
     else:  # the bundle has evaluated v: its radial components of ranks 0, 1 are v, v'
-        metric, tensors = covariant_bundle(v, m, r, k, angles, frame)
+        metric, tensors = frame.bundle(v)
         radial = [tensors[j]._entry((1,) * j)[..., 0] for j in (0, 1)]
         higher = [pointwise_norm(t, metric) for t in tensors[2:]]
     rows = [np.abs(radial[0])] + [np.sqrt(d**2) for d in radial[1:]] + higher

@@ -371,8 +371,22 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 
 
 def mul_coeffs(a: np.ndarray, b: np.ndarray, table: _MulTable) -> np.ndarray:
-    """Product of two coefficient arrays through a `mul_table` gather."""
-    return np.add.reduceat(a[..., table.ia] * b[..., table.ib], table.starts, axis=-1)
+    """Product of two coefficient arrays through a `mul_table` gather.
+
+    The pairwise products overwrite the gathered copy of the factor with the
+    larger batch where the other broadcasts into it, so a product allocates
+    two batch x pairs arrays, not three (about 0.6 MB each for an order-3
+    product at N = 5 on 256 points).
+    """
+    prod, other = a[..., table.ia], b[..., table.ib]
+    if prod.ndim < other.ndim:
+        prod, other = other, prod  # a product is the same in either order
+    if other.shape == prod.shape or other.ndim == 1:
+        prod *= other
+    else:
+        prod = prod * other
+    del other
+    return np.add.reduceat(prod, table.starts, axis=-1)
 
 
 def jet_partial(a: Jet, var_index: int) -> Jet:

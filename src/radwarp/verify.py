@@ -360,7 +360,7 @@ def check_identity(spec: CheckSpec) -> tuple[dict, dict, bool]:
     frame = geometry.Frame(m, grid, spec.k)  # the families share its Christoffel rows
 
     def gap(f):
-        _, tensors = geometry.covariant_bundle(f, m, grid, spec.k, frame=frame)
+        _, tensors = frame.bundle(f)
         vjet = f.eval_jet(grid, spec.k)
         gaps = []
         for order in orders:
@@ -380,7 +380,7 @@ def check_gradient_inequality(spec: CheckSpec) -> tuple[dict, dict, bool]:
     frame = geometry.Frame(m, grid, spec.k)
 
     def margin(f):
-        profiles = geometry.norm_profiles(f, m, grid, spec.k, frame=frame)
+        profiles = frame.norm_profiles(f)
         vjet = f.eval_jet(grid, spec.k)
         margins = [profiles[order] - np.abs(vjet.derivative(order)) for order in orders]
         return _grid_extreme(np.array(margins), grid, orders, largest=False)

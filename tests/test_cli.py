@@ -618,14 +618,6 @@ def test_config_digest_is_sha256(text):
     assert cli.sha256(text.encode()).hexdigest() == hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_run_without_mallopt(tmp_path, monkeypatch, capsys):
-    # the heap threshold is a glibc tuning: a C library without mallopt runs as before
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
-    cfg_path = tmp_path / "c.cfg"
-    cfg_path.write_text(SMALL_CONFIG)
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 0
-
-
 def test_default_suite_run_loads_no_openssl(tmp_path):
     # the report digest comes from CPython's own SHA-256, not from hashlib
     src = str(Path(radwarp.__file__).resolve().parents[1])

@@ -491,32 +491,14 @@ class TestFrame:
     def test_shared_frame_gives_the_fresh_tensors(self, k, angles):
         frame = Frame(self.M, self.R, k, angles)
         for v in self.FAMILIES:
-            shared_metric, shared = covariant_bundle(v, self.M, self.R, k, angles, frame=frame)
+            shared_metric, shared = frame.bundle(v)
             metric, fresh = covariant_bundle(v, self.M, self.R, k, angles)
             assert shared_metric is frame.metric
             for a, b in zip(shared, fresh):
                 for idx in product(range(1, 5), repeat=a.rank):
                     assert a.component(idx).coeffs.tobytes() == b.component(idx).coeffs.tobytes()
-            assert (norm_profiles(v, self.M, self.R, k, angles, frame=frame).tobytes()
+            assert (frame.norm_profiles(v).tobytes()
                     == norm_profiles(v, self.M, self.R, k, angles).tobytes())
-
-    @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_frame_of_another_point_or_rank_rejected(self, k):
-        v = RadialFunction.gaussian()
-        frame = Frame(self.M, self.R, k)
-        others = [
-            (self.M, self.R[:-1], k, None),
-            (self.M, self.R * 1.01, k, None),
-            (self.M, self.R, (k + 1) % 5, None),
-            (self.M, self.R, k, (0.7, 1.9, 0.3)),
-            (ManifoldSpec(WarpSpec.euclidean(), 4), self.R, k, None),
-        ]
-        for m, r, kk, angles in others:
-            with pytest.raises(DomainError, match="frame"):
-                covariant_bundle(v, m, r, kk, angles, frame=frame)
-            with pytest.raises(DomainError, match="frame"):
-                norm_profiles(v, m, r, kk, angles, frame=frame)
-        norm_profiles(v, self.M, self.R.copy(), k, frame=frame)  # equal points suffice
 
     @pytest.mark.parametrize("r, k, angles", [
         (MIN_RADIUS / 2, 1, None),
@@ -552,8 +534,7 @@ class TestFrame:
         monkeypatch.setattr(geometry, "covariant_bundle", lambda *a, **kw: built.append(a))
         for k in (0, 1):
             norm_profiles(RadialFunction.gaussian(), self.M, self.R, k)
-            norm_profiles(RadialFunction.gaussian(), self.M, self.R, k,
-                          frame=Frame(self.M, self.R, k))
+            Frame(self.M, self.R, k).norm_profiles(RadialFunction.gaussian())
         assert built == []
 
     # identity reads only the pure-radial components, so only the row of (1, 1);
@@ -565,14 +546,20 @@ class TestFrame:
         from radwarp.geometry import ChristoffelTable
         from radwarp.verify import CheckSpec, GridSpec, run_check
 
-        metrics, rows = [], []
+        metrics, rows, bundles = [], [], []
         metric_at_, row_ = geometry.metric_at, ChristoffelTable._row
+        bundle_ = geometry.covariant_bundle
         monkeypatch.setattr(geometry, "metric_at",
                             lambda *a, **kw: metrics.append(a) or metric_at_(*a, **kw))
         monkeypatch.setattr(ChristoffelTable, "_row",
                             lambda self, i, j: rows.append((i, j)) or row_(self, i, j))
+        # each family's bundle still passes through the module function,
+        # where the benchmark tracer times it
+        monkeypatch.setattr(geometry, "covariant_bundle",
+                            lambda *a, **kw: bundles.append(a) or bundle_(*a, **kw))
         spec = CheckSpec(kind=kind, manifold=self.M, k=k, grid=GridSpec(n=24))
         assert len(spec.families) == 5
         assert run_check(spec).verdict == "pass"
         assert len(metrics) == 1
         assert len(rows) == len(set(rows)) == n_rows
+        assert len(bundles) == 5

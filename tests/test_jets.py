@@ -326,6 +326,23 @@ def test_product_of_truncations_is_truncated_product(seed, num_vars, order, cut,
     assert lhs.coeffs.tobytes() == rhs.coeffs.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_vars=st.integers(1, 5), order=st.integers(0, 4),
+       shapes=st.sampled_from([((), ()), ((7,), (7,)), ((7,), ()), ((), (7,)),
+                               ((2, 3), (3,)), ((1,), (4,)), ((4, 1), (1, 3))]))
+def test_mul_coeffs_is_the_gathered_product(seed, num_vars, order, shapes):
+    # the in-place product gives the bits of the plain gather, whichever
+    # factor carries the batch, and leaves both factors untouched
+    a = random_jet(seed, num_vars, order, shapes[0]).coeffs
+    b = random_jet(seed + 1, num_vars, order, shapes[1]).coeffs
+    table = jets.mul_table(num_vars, order, order)
+    a0, b0 = a.copy(), b.copy()
+    want = np.add.reduceat(a[..., table.ia] * b[..., table.ib], table.starts, axis=-1)
+    got = jets.mul_coeffs(a, b, table)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(f=st.sampled_from(jets.COMPOSABLE_FUNCTIONS),
        alpha=st.sampled_from([-1.5, 0.5, 2.0, 3.7]), **truncation_cases)
