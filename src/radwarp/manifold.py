@@ -7,16 +7,17 @@ theta_N) is then
 
     g_11 = 1,    g_ii = phi(r)^2 * prod_{2 <= j < i} sin(theta_j)^2   (i >= 2),
 
-the standard nested-sine realization of the round sphere factor.  The module
-provides exact derivative jets of phi for the built-in profiles, the warp
-monotonicity constant (infimum of phi(t)/phi(r) over r <= t), unit-sphere
-volumes, and the metric assembled as jets ready for Christoffel symbols.
+the standard nested-sine realization of the round sphere factor.  WARP_TABLE
+holds all the program reads about each warp kind, exact: derivatives of phi,
+positivity, the monotonicity constant c_phi and tail growth bounds.  The
+module also provides unit-sphere volumes and the metric jets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -34,10 +35,6 @@ from .jets import (
     tanh_series,
 )
 
-WARP_KINDS = ("euclidean", "hyperbolic", "spherical", "tanh_cap", "custom_odd_series")
-
-_POSITIVITY_GRID = 257
-
 
 @dataclass(frozen=True)
 class WarpSpec:
@@ -52,24 +49,19 @@ class WarpSpec:
     coeffs: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        if self.kind not in WARP_KINDS:
+        row = WARP_TABLE.get(self.kind)
+        if row is None:
             raise DomainError(f"unknown warp kind {self.kind!r}; expected one of {WARP_KINDS}")
         if not (self.radius > 0):
             raise DomainError("warp radius must be positive")
-        if self.kind == "spherical" and self.radius > math.pi:
-            raise DomainError("spherical warp needs radius <= pi to stay positive")
-        if self.kind == "custom_odd_series":
-            if not self.coeffs:
-                raise DomainError("custom warp requires at least one odd-series coefficient")
-            if self.coeffs[0] != 1.0:
-                raise DomainError("custom warp must have leading coefficient 1 (unit slope at 0)")
+        if row.series:
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+            if not (self.coeffs and self.coeffs[0] == 1.0 and all(map(math.isfinite, self.coeffs))):
+                raise DomainError("custom warp needs finite coefficients, the first 1 (unit slope)")
         elif self.coeffs:
             raise DomainError("series coefficients are only valid for custom_odd_series")
-        hi = min(self.radius, 32.0)
-        grid = np.linspace(hi / _POSITIVITY_GRID, hi * (1 - 1e-9), _POSITIVITY_GRID)
-        if np.any(warp_value(self, grid) <= 0.0):
-            raise DomainError("warp must be positive on (0, R)")
+        if not row.positive(self):
+            raise DomainError(f"{self.kind} warp must be positive on (0, {self.radius})")
 
     # -- constructors --------------------------------------------------------
 
@@ -94,27 +86,87 @@ class WarpSpec:
         return WarpSpec("custom_odd_series", radius, tuple(coeffs))
 
 
-def _derivatives_table(w: WarpSpec, r: np.ndarray, order: int) -> list[np.ndarray]:
-    """Values [phi(r), phi'(r), ..., phi^(order)(r)] from closed forms."""
-    r = np.asarray(r, dtype=np.float64)
-    if w.kind == "euclidean":
-        out = [r, np.ones_like(r)]
-        out.extend(np.zeros_like(r) for _ in range(order - 1))
-        return out[: order + 1]
-    if w.kind == "hyperbolic":
-        return [np.sinh(r) if m % 2 == 0 else np.cosh(r) for m in range(order + 1)]
-    if w.kind == "spherical":
-        return [np.sin(r + m * math.pi / 2) for m in range(order + 1)]
-    if w.kind == "tanh_cap":
-        y = tanh_series(r, order)
-        return [y[m] * math.factorial(m) for m in range(order + 1)]
-    terms = [(2 * j + 1, c) for j, c in enumerate(w.coeffs)]
-    return polynomial_derivatives(terms, r, order)
+def _odd_series_positive(w: WarpSpec) -> bool:
+    """phi(t) = t P(t^2), P(s) = sum_m coeffs[m] s^m, P(0) = 1, is positive on
+    (0, R) exactly when P has no root in (0, R^2).  Floats are dyadic
+    rationals: times a common denominator P has integer coefficients, and
+    R^2 = u / v.  Sturm's theorem counts the roots exactly, in integers, from
+    the signs at 0 and at R^2, once any root at R^2 itself is divided out."""
+    ratios = [c.as_integer_ratio() for c in w.coeffs]
+    den = max(d for _, d in ratios)
+    p = [n * (den // d) for n, d in ratios]
+    while p[-1] == 0:
+        p.pop()
+    a, b = w.radius.as_integer_ratio() if math.isfinite(w.radius) else (1, 0)
+    u, v = a * a, b * b  # (1, 0) stands for R = inf
+
+    def at_end(q):  # v^deg q(u / v), or the leading coefficient of q for R = inf
+        return sum(c * u**k * v ** (len(q) - 1 - k) for k, c in enumerate(q))
+
+    while at_end(p) == 0:  # v s - u divides p exactly, as gcd(u, v) = 1
+        q = [0] * len(p)
+        for k in range(len(p) - 1, 0, -1):
+            q[k - 1] = (p[k] + u * q[k]) // v
+        p = q[:-1]
+    # the Sturm sequence P, P', -rem(P, P'), ..., each up to a positive factor
+    seq = [p, [k * c for k, c in enumerate(p)][1:]]
+    while seq[-1]:
+        r, d = seq[-2], seq[-1]
+        while len(r) >= len(d):  # r <- |lc(d)| r - sign(lc(d)) lc(r) s^shift d
+            lead, shift = (r[-1] if d[-1] > 0 else -r[-1]), len(r) - len(d)
+            r = [abs(d[-1]) * x - (lead * d[i - shift] if i >= shift else 0) for i, x in enumerate(r)]
+            while r and r[-1] == 0:
+                r.pop()
+        g = math.gcd(*r)
+        seq.append([-x // g for x in r])
+    seq.pop()
+    signs = [[x > 0 for x in ends if x] for ends in ([q[0] for q in seq], map(at_end, seq))]
+    changes = [sum(x != y for x, y in zip(s, s[1:])) for s in signs]
+    return changes[0] == changes[1]
+
+
+@dataclass(frozen=True)
+class WarpKind:
+    """One warp kind: `derivatives(w, r, order)` is [phi(r), ..., phi^(order)(r)]
+    in closed form, `positive(w)` decides phi > 0 on (0, R), `series` marks the
+    kind built from WarpSpec.coeffs, `c_phi(w)` is inf phi(t)/phi(r) over 0 < r
+    <= t < R (None where no check reads it), and `growth` is (coef, power,
+    rate) of an upper and a lower bound coef t^power exp(-rate t) of phi on
+    t >= 1 (growth is a negative rate; None where none is certified)."""
+
+    derivatives: Callable[[WarpSpec, np.ndarray, int], list[np.ndarray]]
+    positive: Callable[[WarpSpec], bool] = lambda w: True
+    c_phi: Callable[[WarpSpec], float] | None = lambda w: 1.0
+    growth: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None
+    series: bool = False
+
+
+WARP_TABLE = {
+    "euclidean": WarpKind(
+        lambda w, r, order: [r, np.ones_like(r), *map(np.zeros_like, [r] * (order - 1))][: order + 1],
+        growth=((1.0, 1.0, 0.0), (1.0, 1.0, 0.0))),
+    "hyperbolic": WarpKind(
+        lambda w, r, order: [np.sinh(r) if m % 2 == 0 else np.cosh(r) for m in range(order + 1)],
+        growth=((0.5, 0.0, -1.0), (0.5 * (1 - math.exp(-2.0)), 0.0, -1.0))),
+    # sin rises to 1 at pi/2, then falls to sin R; R = pi is the whole sphere
+    "spherical": WarpKind(
+        lambda w, r, order: [np.sin(r + m * math.pi / 2) for m in range(order + 1)],
+        lambda w: w.radius <= math.pi,
+        lambda w: math.sin(max(w.radius, math.pi / 2)) if w.radius < math.pi else 0.0),
+    "tanh_cap": WarpKind(
+        lambda w, r, order: [y * math.factorial(m) for m, y in enumerate(tanh_series(r, order))],
+        growth=((1.0, 0.0, 0.0), (math.tanh(1.0), 0.0, 0.0))),
+    "custom_odd_series": WarpKind(
+        lambda w, r, order: polynomial_derivatives(
+            [(2 * j + 1, c) for j, c in enumerate(w.coeffs)], r, order),
+        _odd_series_positive, None, series=True),
+}
+WARP_KINDS = tuple(WARP_TABLE)
 
 
 def warp_value(w: WarpSpec, r) -> np.ndarray:
     """phi(r), vectorized, without jet overhead."""
-    return _derivatives_table(w, np.asarray(r, dtype=np.float64), 0)[0]
+    return WARP_TABLE[w.kind].derivatives(w, np.asarray(r, dtype=np.float64), 0)[0]
 
 
 def warp_eval(w: WarpSpec, r, order: int, base: BasePoint | None = None) -> Jet:
@@ -128,53 +180,23 @@ def warp_eval(w: WarpSpec, r, order: int, base: BasePoint | None = None) -> Jet:
     ra = np.asarray(r, dtype=np.float64)
     if np.any(ra <= 0.0) or np.any(ra >= w.radius):
         raise DomainError(f"radial coordinate outside (0, {w.radius})")
-    derivs = np.stack(_derivatives_table(w, ra, order))
+    derivs = np.stack(WARP_TABLE[w.kind].derivatives(w, ra, order))
     return jet_from_derivatives(derivs, base)
 
 
-# ---------------------------------------------------------------------------
-# warp monotonicity constant
+def c_phi(w: WarpSpec) -> float:
+    """The warp monotonicity constant of the warp's row (none for a custom warp)."""
+    if WARP_TABLE[w.kind].c_phi is None:
+        raise DomainError(f"no warp monotonicity constant is derived for {w.kind} warps")
+    return WARP_TABLE[w.kind].c_phi(w)
 
 
-def _tail_cutoff(w: WarpSpec) -> float:
-    """Cutoff T for the pair grid on an unbounded domain.
-
-    Extending past T cannot lower the infimum once phi is nondecreasing on
-    the sampled tail [T, 2T]: any later point either sets a new running
-    maximum (ratio 1) or is bounded below by the ratio already seen at T.
-    """
-    if math.isfinite(w.radius):
-        return w.radius
-    t = 8.0
-    while t < 2.0**16:
-        sample = warp_value(w, np.linspace(t, 2 * t, 65))
-        if np.all(np.diff(sample) >= -1e-13 * np.abs(sample[:-1])):
-            return t
-        t *= 2.0
-    return t
-
-
-def c_phi(w: WarpSpec, grid_size: int = 1024) -> float:
-    """Lower grid estimate of the warp monotonicity constant.
-
-    Equals the infimum of phi(t)/phi(r) over all grid pairs r <= t: the
-    minimum over t of phi(t) divided by the running maximum of phi up to t.
-    Returns exactly 1.0 when the sampled profile is nondecreasing.
-    """
-    if grid_size < 64:
-        raise DomainError("c_phi grid must have at least 64 points")
-    cutoff = _tail_cutoff(w)
-    hi = cutoff * (1.0 - 1.0 / grid_size) if math.isfinite(w.radius) else cutoff
-    grid = np.geomspace(hi * 1e-6, hi, grid_size)
-    phi = warp_value(w, grid)
-    if np.any(phi <= 0.0):
-        raise DomainError("warp is not positive over the infimum grid")
-    diffs = np.diff(phi)
-    if np.all(diffs >= -1e-13 * np.maximum(np.abs(phi[:-1]), 1e-300)):
-        return 1.0
-    running_max = np.maximum.accumulate(phi)
-    value = float(np.min(phi / running_max))
-    return value if value >= 1e-300 else 0.0
+def warp_growth_bounds(w: WarpSpec) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """The (upper, lower) tail bounds of phi in the warp's row, on R = inf only."""
+    bounds = None if math.isfinite(w.radius) else WARP_TABLE[w.kind].growth
+    if bounds is None:
+        raise DomainError(f"no certified tail growth bound for a {w.kind} warp on R = {w.radius}")
+    return bounds
 
 
 # ---------------------------------------------------------------------------

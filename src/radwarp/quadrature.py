@@ -6,9 +6,9 @@ weight behaves like t^theta_w; the geometric grading equidistributes the
 error without Jacobi-weighted rules.  Unbounded domains are truncated at a
 point T whose tail contribution is bounded through a declared decay envelope
 (coef * t^power * exp(-rate t - quad_rate t^2)) times the envelope of the
-warp weight (from warp_growth_bounds); the tail bound is one elementary
-formula, and it is folded into the reported error estimate, so truncation
-stays certified.
+warp weight (from its row in manifold.WARP_TABLE); the tail bound is one
+elementary formula, and it is folded into the reported error estimate, so
+truncation stays certified.
 
 Integrands are evaluated strictly inside (0, R); the endpoints are never
 touched.  All panel schedules and summation orders are fixed, so results are
@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .manifold import WarpSpec, warp_value
+from .manifold import WarpSpec, warp_growth_bounds, warp_value
 
 # Gauss-Kronrod 15(7) nodes on [-1, 1] and the matching weights.  Gauss
 # weights are zero on the Kronrod-only nodes.
@@ -188,30 +188,13 @@ def _weighted(f: Integrand, w: WarpSpec) -> Callable[[np.ndarray], np.ndarray]:
     ) ** f.weight_exponent
 
 
-def warp_growth_bounds(w: WarpSpec) -> tuple[DecayEnvelope, DecayEnvelope]:
-    """(upper, lower) bounds for phi on the tail of an unbounded domain.
-
-    Exponential growth is a negative rate.
-    """
-    if math.isfinite(w.radius):
-        raise DomainError("growth bounds are only defined for unbounded warps")
-    if w.kind == "euclidean":
-        return DecayEnvelope(1.0, 1.0), DecayEnvelope(1.0, 1.0)
-    if w.kind == "hyperbolic":
-        return (DecayEnvelope(0.5, 0.0, -1.0),
-                DecayEnvelope(0.5 * (1 - math.exp(-2.0)), 0.0, -1.0))
-    if w.kind == "tanh_cap":
-        return DecayEnvelope(1.0), DecayEnvelope(math.tanh(1.0))
-    raise DomainError("no certified tail growth bound for custom warps on unbounded domains")
-
-
 def _warp_power_envelope(w: WarpSpec, theta_w: float) -> DecayEnvelope:
     """Envelope of phi(t)^theta_w on the tail of an unbounded domain."""
     if theta_w == 0.0:
         return DecayEnvelope(1.0, 0.0, 0.0, 1.0)
     upper, lower = warp_growth_bounds(w)
-    b = upper if theta_w > 0 else lower
-    return DecayEnvelope(b.coef**theta_w, b.power * theta_w, b.rate * theta_w, b.valid_from)
+    coef, power, rate = upper if theta_w > 0 else lower
+    return DecayEnvelope(coef**theta_w, power * theta_w, rate * theta_w)
 
 
 def _gk_segments(fn, bounds) -> list[tuple[float, float, float | None]]:

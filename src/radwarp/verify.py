@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
-from .errors import DomainError, InadmissibleParameterError
+from .errors import InadmissibleParameterError
 from .funcspace import (
     RadialFunction,
     critical_q,
@@ -38,6 +38,7 @@ from .funcspace import (
     weighted_integral,
 )
 from .manifold import (
+    WARP_TABLE,
     ManifoldSpec,
     WarpSpec,
     c_phi,
@@ -49,7 +50,6 @@ from .quadrature import (
     Integrand,
     divergence_probe,
     integrate_weighted,
-    warp_growth_bounds,
 )
 
 _TINY = 1e-300
@@ -149,15 +149,8 @@ class CheckSpec:
             raise InadmissibleParameterError(
                 f"{kind} requires the warp to stay positive near the outer edge"
             )
-        if not bounded and row.tail:
-            try:
-                warp_growth_bounds(w)
-            except DomainError as exc:
-                raise InadmissibleParameterError(f"{kind}: {exc}") from exc
-        if not bounded and row.c_phi and c_phi(w) <= 0.0:
-            raise InadmissibleParameterError(
-                f"{kind} requires a positive warp monotonicity constant"
-            )
+        if not bounded and row.tail and WARP_TABLE[w.kind].growth is None:
+            raise InadmissibleParameterError(f"{kind}: no certified tail growth bound for {w.kind}")
         if row.samples_grid:
             self.grid.resolve(w.radius)
         # the arithmetic each kind adds
@@ -649,9 +642,9 @@ class CheckKind:
     for a kind that samples spec.grid); the report's params list only what
     the kind reads.  `domain` is "bounded", "unbounded" or None for either.
     On a bounded domain `edge` asks the warp to stay positive near the outer
-    edge; on R = inf `tail` asks for a certified warp tail growth bound and
-    `c_phi` for a positive warp monotonicity constant.  `families`, when
-    set, are the families the kind evaluates; they replace spec.families.
+    edge; on R = inf `tail` asks for a certified warp tail growth bound,
+    which only warps with c_phi = 1 have.  `families`, when set, are the
+    families the kind evaluates; they replace spec.families.
     `refine` divides quad_tol for the tighter family walk of a refined
     constant (_refined), so quad_tol must be at least MIN_TOL * refine.
     """
@@ -662,7 +655,6 @@ class CheckKind:
     domain: str | None = None
     edge: bool = False
     tail: bool = False
-    c_phi: bool = False
     families: tuple[RadialFunction, ...] = ()
     refine: float = 1.0
 
@@ -685,12 +677,12 @@ CHECK_TABLE = {
     "radial_lemma_power": _RADIAL_LEMMA,
     "radial_lemma_log": _RADIAL_LEMMA,
     "decay_lemma": CheckKind(check_decay_lemma, 1e-6, _GRID_FIELDS | _NORM_FIELDS, "unbounded",
-                             tail=True, c_phi=True),
+                             tail=True),
     "hardy": CheckKind(check_hardy, 0.01, _NORM_FIELDS | {"j"}, "bounded", edge=True,
                        refine=16.0),
     "embedding_ratio": CheckKind(check_embedding_ratio, 0.01,
                                  _NORM_FIELDS | {"q", "theta", "variant", "diagnostic"},
-                                 edge=True, tail=True, c_phi=True, refine=16.0),
+                                 edge=True, tail=True, refine=16.0),
     # accepts families, as generated configs give one to every check
     "counterexample": CheckKind(check_counterexample, 0.02, _NORM_FIELDS, "bounded",
                                 families=(_LINEAR,)),

@@ -211,6 +211,8 @@ class TestRunCommand:
         "check.1.families = 1.5",
         # identity compares derivatives of orders 1..k
         "check.1.k = 0",
+        # phi(t) = t - 1e-8 t^3 vanishes near t = 1e4
+        'manifold.warp = [1.0, -1e-8]\nmanifold.R = "inf"',
     ], ids=["grid_zero", "grid_one", "grid_lo_text", "grid_lo_above_hi", "k_text",
             "tol_text", "panel_budget_text", "unbounded_custom_warp_norm",
             "panel_budget_typo", "tail_cap_typo", "panel_budget_removed",
@@ -225,7 +227,8 @@ class TestRunCommand:
             "diagnostic_bare_word", "quad_tol_nan", "p_beyond_float", "R_bool", "R_infinity",
             "family_param_bool", "quad_tol_below_floor", "hardy_refined_tol_below_floor",
             "quad_tol_above_hardy_tol",
-            "k1_norm_k3", "families_int", "families_bool", "families_float", "identity_k0"])
+            "k1_norm_k3", "families_int", "families_bool", "families_float", "identity_k0",
+            "custom_warp_vanishes_on_tail"])
     def test_invalid_fields_exit_2_without_report(self, tmp_path, capsys, lines):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(SMALL_CONFIG + lines + "\n")

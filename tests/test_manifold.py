@@ -1,17 +1,18 @@
-"""Warping profiles, the monotonicity constant, sphere volumes, metric jets."""
+"""Warping profiles, their positivity rule, the monotonicity constant, sphere
+volumes, metric jets."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from radwarp.errors import ChartSingularityError, DomainError
 from radwarp.jets import embed_univariate, jet_mul
 from radwarp.manifold import (
+    WARP_TABLE,
     ManifoldSpec,
     WarpSpec,
-    _derivatives_table,
     c_phi,
     default_point,
     metric_at,
@@ -66,6 +67,8 @@ class TestWarpEval:
             WarpSpec.custom((2.0,), radius=1.0)
         with pytest.raises(DomainError):
             WarpSpec("custom_odd_series", 1.0, ())
+        with pytest.raises(DomainError):
+            WarpSpec.custom((1.0, math.nan), radius=1.0)
 
     @pytest.mark.parametrize("w", ALL_WARPS, ids=lambda w: w.kind)
     def test_jets_match_finite_differences(self, w):
@@ -88,7 +91,7 @@ class TestWarpEval:
 
 def assert_origin_conditions(w: WarpSpec):
     # phi(0) = 0, phi'(0) = 1 and the even derivatives vanish through order 6
-    d = _derivatives_table(w, np.array(0.0), 6)
+    d = WARP_TABLE[w.kind].derivatives(w, np.array(0.0), 6)
     assert abs(d[0]) <= 1e-14
     assert abs(d[1] - 1.0) <= 1e-12
     for m in range(2, 7, 2):
@@ -108,6 +111,62 @@ def test_custom_series_meets_the_origin_conditions(tail):
     assert_origin_conditions(WarpSpec.custom((1.0, *tail), radius=1.0))
 
 
+class TestWarpPositivity:
+    def test_spherical_ends_at_pi(self):
+        WarpSpec.spherical(math.pi)
+        with pytest.raises(DomainError):
+            WarpSpec.spherical(3.2)
+
+    def test_series_vanishing_on_the_tail(self):
+        # phi(t) = t - t^3 / 4 is positive on (0, 2) and vanishes at 2
+        WarpSpec.custom((1.0, -0.25), radius=2.0)
+        with pytest.raises(DomainError):
+            WarpSpec.custom((1.0, -0.25), radius=math.nextafter(2.0, 3.0))
+        with pytest.raises(DomainError):
+            WarpSpec.custom((1.0, -0.25))
+        # the float nearest -1e-8 is slightly below it: its root lies under 1e8
+        with pytest.raises(DomainError):
+            WarpSpec.custom((1.0, -1e-8), radius=1e4)
+
+    def test_touching_double_root(self):
+        # P(s) = (1 - s)^2: phi(t) = t (1 - t^2)^2 touches 0 at t = 1
+        WarpSpec.custom((1.0, -2.0, 1.0), radius=1.0)
+        with pytest.raises(DomainError):
+            WarpSpec.custom((1.0, -2.0, 1.0), radius=2.0)
+
+    def test_trailing_zero_coefficients(self):
+        WarpSpec.custom((1.0, 0.0, 0.0))
+        with pytest.raises(DomainError):
+            WarpSpec.custom((1.0, 0.5, -0.25, 0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    roots=st.lists(st.floats(-3.0, 3.0).filter(lambda x: abs(x) >= 0.1), max_size=4),
+    a=st.floats(-2.0, 2.0),
+    d=st.floats(0.3, 2.0),
+    radius=st.sampled_from([0.5, 1.0, 1.5, math.inf]),
+)
+def test_series_is_positive_exactly_when_p_has_no_root_inside(roots, a, d, radius):
+    # P(s) = prod (s - rho_i) * ((s - a)^2 + d^2), scaled to P(0) = 1; phi(t) =
+    # t P(t^2) is positive on (0, R) exactly when no rho_i lies in (0, R^2).
+    # The coefficients are rounded, which moves a simple root by far less
+    # than the 0.1 that roots keep from 0, R^2 and each other, but may split
+    # a multiple one off the axis (see test_touching_double_root).
+    end = radius**2
+    assume(all(abs(rho - end) >= 0.1 for rho in roots))
+    assume(all(abs(x - y) >= 0.1 for i, x in enumerate(roots) for y in roots[:i]))
+    poly = np.poly1d([1.0, -2.0 * a, a * a + d * d])
+    for rho in roots:
+        poly = poly * np.poly1d([1.0, -rho])
+    coeffs = poly.coeffs[::-1] / poly.coeffs[-1]
+    if any(0.0 < rho < end for rho in roots):
+        with pytest.raises(DomainError):
+            WarpSpec.custom(coeffs, radius)
+    else:
+        WarpSpec.custom(coeffs, radius)
+
+
 class TestWarpInfimum:
     def test_hyperbolic_is_one(self):
         assert c_phi(WarpSpec.hyperbolic()) == 1.0
@@ -119,32 +178,32 @@ class TestWarpInfimum:
         assert c_phi(WarpSpec.tanh_cap()) == 1.0
 
     def test_spherical_decays_with_grid(self):
-        est = c_phi(WarpSpec.spherical(), grid_size=4096)
-        assert 0.0 < est <= 1e-3
+        # sin rises to 1 at pi/2, then falls to sin R; the whole sphere gives 0
+        assert c_phi(WarpSpec.spherical()) == 0.0
+        assert c_phi(WarpSpec.spherical(2.0)) == math.sin(2.0)
+        assert c_phi(WarpSpec.spherical(math.pi / 2)) == 1.0
 
-    def test_matches_pairwise_bruteforce(self):
-        # oracle: direct minimum over all grid pairs r <= t
-        w = WarpSpec.spherical()
-        est = c_phi(w, grid_size=128)
-        grid = np.geomspace(math.pi * (1 - 1 / 128) * 1e-6, math.pi * (1 - 1 / 128), 128)
-        phi = warp_value(w, grid)
-        brute = min(
-            phi[t] / phi[r] for t in range(len(grid)) for r in range(t + 1)
-        )
-        assert est == pytest.approx(brute, rel=1e-14)
+    @pytest.mark.parametrize("radius", [1.0, 2.0, 2.5, math.pi], ids=["1.0", "2.0", "2.5", "pi"])
+    def test_lower_bound_contract(self, radius):
+        # over all pairs r <= t of a grid whose t reaches R (1 - 1e-9)
+        w = WarpSpec.spherical(radius)
+        phi = warp_value(w, np.linspace(1e-4, radius * (1 - 1e-9), 401))
+        ratios = phi[:, None] / phi[None, :]
+        assert c_phi(w) <= np.min(ratios[np.tril_indices(phi.size)])
 
-    def test_lower_bound_contract(self):
-        w = WarpSpec.spherical()
-        val = c_phi(w, grid_size=512)
-        grid = np.linspace(1e-4, math.pi - 1e-4, 401)
-        phi = warp_value(w, grid)
-        for t in range(0, 401, 37):
-            for r in range(0, t + 1, 29):
-                assert val <= phi[t] / phi[r] + 1e-12
-
-    def test_grid_too_small(self):
+    def test_custom_is_not_derived(self):
         with pytest.raises(DomainError):
-            c_phi(WarpSpec.euclidean(), grid_size=8)
+            c_phi(WarpSpec.custom((1.0, 0.1), radius=1.0))
+
+
+def test_warps_with_growth_bounds_have_unit_c_phi():
+    # decay_lemma reads c_phi on R = inf only, where its tail hypothesis has
+    # already required the warp's growth bounds; so its report shows 1.0
+    kinds = [kind for kind, row in WARP_TABLE.items() if row.growth is not None]
+    assert kinds == ["euclidean", "hyperbolic", "tanh_cap"]
+    for kind in kinds:
+        assert c_phi(WarpSpec(kind)) == 1.0
+        assert c_phi(WarpSpec(kind, 3.0)) == 1.0
 
 
 class TestSphereVolume:
