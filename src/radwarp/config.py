@@ -61,13 +61,6 @@ def as_float(value, name: str) -> float:
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
-def as_bool(value, name: str) -> bool:
-    """JSON true or false."""
-    if isinstance(value, bool):
-        return value
-    raise ConfigError(f"{name} must be true or false, got {value!r}")
-
-
 def as_text(value, name: str) -> str:
     """A quoted string or a bare word."""
     if isinstance(value, str):
@@ -78,7 +71,7 @@ def as_text(value, name: str) -> str:
 # how each check field given in a config is read (CheckSpec checks the
 # variant name); a field left out keeps the CheckSpec or GridSpec default
 _CHECK_VALUES = {"k": as_int, "p": as_float, "q": as_float, "theta": as_float, "j": as_int,
-                 "tol": as_float, "variant": lambda value, name: value, "diagnostic": as_bool,
+                 "tol": as_float, "variant": lambda value, name: value,
                  "grid": as_int, "grid_lo": as_float, "grid_hi": as_float}
 _GRID_ATTRS = {"grid": "n", "grid_lo": "lo", "grid_hi": "hi"}
 

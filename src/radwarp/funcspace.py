@@ -6,6 +6,9 @@ they are computed on coefficient arrays, one Jet per `eval_jet` call.
 The decaying families also declare a decay envelope (see
 quadrature.DecayEnvelope); it is the only certificate for tail truncation,
 so a norm over an unbounded domain of a family without one is infinite.
+It bounds every |v^(j)|, j <= 4, and so the manifold profiles of orders 0
+and 1 (|u| = |v|, |grad u|_g = |v'|); none is derived for a manifold profile
+of order >= 2, so such a norm over an unbounded domain is infinite too.
 
 Norm conventions
 ----------------
@@ -240,12 +243,13 @@ def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
     if isinstance(space, ManifoldSpec):
         w, min_t = space.warp, geometry.MIN_RADIUS
         evaluator = lambda t: geometry.norm_profiles(v, space, t, j)[j] ** p
-        envelope = _profile_envelope(v, space, j, p) if math.isinf(w.radius) else None
     else:
         w, min_t = space, 0.0
         evaluator = lambda t: np.abs(v.derivative_values(t, j)) ** p
-        base = v.decay_envelope()
-        envelope = base.power_scaled(p) if base is not None else None
+    # v's envelope bounds rows 0 and 1 of norm_profiles, |v| and sqrt(v'^2);
+    # a manifold profile of order >= 2 has none
+    base = v.decay_envelope() if j <= 1 or not isinstance(space, ManifoldSpec) else None
+    envelope = base.power_scaled(p) if base is not None else None
     if math.isinf(w.radius) and envelope is None:
         return math.inf  # no certified tail: infinite-norm signal
     stores = _STORES.get()
@@ -282,36 +286,15 @@ def sobolev_norm_1d(v: RadialFunction, k: int, p: float, n: int, w: WarpSpec,
     return total ** (1.0 / p) if math.isfinite(total) else math.inf
 
 
-def _profile_envelope(v: RadialFunction, m: ManifoldSpec, j: int,
-                      p: float) -> DecayEnvelope | None:
-    """Envelope for |grad^j u|_g^p via a tail-validated geometry margin.
-
-    The covariant components mix v^(i), i <= j, with bounded warp ratio
-    factors on the tail; the margin is measured on a sample grid and
-    inflated, then checked against the family envelope shape.
-    """
-    base = v.decay_envelope()
-    if base is None:
-        return None
-    if base.coef == 0.0:
-        return base  # compact support survives differentiation
-    t0 = max(base.valid_from, 1.0)
-    grid = np.geomspace(t0, 4.0 * t0, 33)
-    profile = geometry.norm_profiles(v, m, grid, j)[j]
-    env_vals = base(grid)
-    margin = float(np.max(profile / env_vals)) if np.all(env_vals > 0) else math.inf
-    if not math.isfinite(margin):
-        return None
-    return base.scaled(4.0 * max(margin, 1.0)).power_scaled(p)
-
-
 def _manifold_norm_term(v: RadialFunction, j: int, p: float, m: ManifoldSpec,
                         tol: float) -> float:
     """( omega_{N-1} int |grad^j u|_g^p phi^(N-1) dr )^(1/p); inf on divergence.
 
     The pointwise tensor norms come from the covariant recursion at the
     default evaluation angles; angle independence is a separately tested
-    property, so the sphere integral collapses to the radial line.
+    property, so the sphere integral collapses to the radial line.  On an
+    unbounded domain the tail of order j <= 1 is certified by v's own
+    envelope, and a term of order j >= 2 is inf (see weighted_integral).
     """
     integral = weighted_integral(v, j, p, m.dim - 1.0, m, tol)
     if not math.isfinite(integral):

@@ -113,13 +113,6 @@ class DecayEnvelope:
         if not self.quad_rate >= 0.0:
             raise DomainError("decay envelope needs a nonnegative quadratic rate")
 
-    def __call__(self, t) -> np.ndarray:
-        """The bound at t, vectorized."""
-        return self.coef * t**self.power * np.exp(-self.rate * t - self.quad_rate * t**2)
-
-    def scaled(self, c: float) -> "DecayEnvelope":
-        return DecayEnvelope(self.coef * c, self.power, self.rate, self.valid_from, self.quad_rate)
-
     def power_scaled(self, q: float) -> "DecayEnvelope":
         if q < 0:
             raise DomainError("cannot raise a decay envelope to a negative power")

@@ -110,7 +110,6 @@ class CheckSpec:
     tol: float | None = None
     quad_tol: float = 1e-10
     variant: str = "manifold"
-    diagnostic: bool = False
 
     def __post_init__(self):
         if self.kind not in CHECK_KINDS:
@@ -202,8 +201,11 @@ class CheckSpec:
             raise InadmissibleParameterError(
                 f"interval embedding needs theta >= N-kp-1 = {n - k * p - 1}"
             )
-        if self.diagnostic:
-            return  # out-of-range probing mode: deliberately unchecked
+        if self.variant == "manifold" and k >= 2 and math.isinf(w.radius):
+            raise InadmissibleParameterError(
+                "manifold embedding with k >= 2 needs a bounded domain: no tail of a "
+                "covariant derivative of order >= 2 is certified"
+            )
         q_lo = 1.0 if math.isfinite(w.radius) else p
         if n > k * p:
             q_hi = critical_q(n, k, p, self.theta, self.variant)
@@ -559,7 +561,7 @@ def check_embedding_ratio(spec: CheckSpec) -> tuple[dict, dict, bool]:
         "refinement_change": change,
         "skipped_families": skipped,
     }
-    if math.isinf(w.radius) and not spec.diagnostic and n > spec.k * spec.p:
+    if math.isinf(w.radius) and n > spec.k * spec.p:
         q_star = critical_q(n, spec.k, spec.p, spec.theta, spec.variant)
         measured["constant_at_q_lower"] = _family_walk(spec, ratio, spec.p, spec.quad_tol)[0]
         measured["constant_at_q_critical"] = _family_walk(spec, ratio, q_star, spec.quad_tol)[0]
@@ -681,7 +683,7 @@ CHECK_TABLE = {
     "hardy": CheckKind(check_hardy, 0.01, _NORM_FIELDS | {"j"}, "bounded", edge=True,
                        refine=16.0),
     "embedding_ratio": CheckKind(check_embedding_ratio, 0.01,
-                                 _NORM_FIELDS | {"q", "theta", "variant", "diagnostic"},
+                                 _NORM_FIELDS | {"q", "theta", "variant"},
                                  edge=True, tail=True, refine=16.0),
     # accepts families, as generated configs give one to every check
     "counterexample": CheckKind(check_counterexample, 0.02, _NORM_FIELDS, "bounded",

@@ -185,13 +185,11 @@ class TestRunCommand:
         'manifold.warp = ["x"]\nmanifold.R = 1.0',
         "manifold.warp = [1.0, true]\nmanifold.R = 1.0",
         "manifold.warp = [1.0, NaN]\nmanifold.R = 1.0",
-        # real fields take finite numbers only, flags take true or false only
+        # real fields take finite numbers only
         "check.3.p = true",
         'check.3.p = "2"',
         HARDY + "check.4.p = NaN",
         "check.1.tol = true",
-        EMBEDDING_Q50 + 'check.4.diagnostic = "false"',
-        EMBEDDING_Q50 + "check.4.diagnostic = no",
         "quadrature.tol = NaN",
         "check.3.p = 1" + "0" * 400,
         "manifold.R = true",
@@ -213,6 +211,8 @@ class TestRunCommand:
         "check.1.k = 0",
         # phi(t) = t - 1e-8 t^3 vanishes near t = 1e4
         'manifold.warp = [1.0, -1e-8]\nmanifold.R = "inf"',
+        # no switch takes q out of its admissible range
+        EMBEDDING_Q50 + "check.4.diagnostic = true",
     ], ids=["grid_zero", "grid_one", "grid_lo_text", "grid_lo_above_hi", "k_text",
             "tol_text", "panel_budget_text", "unbounded_custom_warp_norm",
             "panel_budget_typo", "tail_cap_typo", "panel_budget_removed",
@@ -223,12 +223,12 @@ class TestRunCommand:
             "N_fraction", "N_text",
             "k_fraction", "k_bool", "grid_fraction", "check_N_fraction",
             "custom_warp_text_coeff", "custom_warp_bool_coeff", "custom_warp_nan_coeff",
-            "p_bool", "p_text", "hardy_p_nan", "tol_bool", "diagnostic_text",
-            "diagnostic_bare_word", "quad_tol_nan", "p_beyond_float", "R_bool", "R_infinity",
+            "p_bool", "p_text", "hardy_p_nan", "tol_bool", "quad_tol_nan", "p_beyond_float",
+            "R_bool", "R_infinity",
             "family_param_bool", "quad_tol_below_floor", "hardy_refined_tol_below_floor",
             "quad_tol_above_hardy_tol",
             "k1_norm_k3", "families_int", "families_bool", "families_float", "identity_k0",
-            "custom_warp_vanishes_on_tail"])
+            "custom_warp_vanishes_on_tail", "diagnostic"])
     def test_invalid_fields_exit_2_without_report(self, tmp_path, capsys, lines):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(SMALL_CONFIG + lines + "\n")
@@ -236,6 +236,34 @@ class TestRunCommand:
         assert main(["run", str(cfg_path), "--out", str(out_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_steep_gaussian_norm_equality_passes(self, tmp_path, capsys):
+        # exp(-16a) underflows at t = 4 for a >= 47; the tail of the gradient
+        # norm is bounded by the family's own envelope
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text('manifold.warp = "hyperbolic"\nmanifold.R = "inf"\nmanifold.N = 3\n'
+                            'family.1.kind = "gaussian"\nfamily.1.a = 50\n'
+                            'check.1.kind = "k1_norm_equality"\n')
+        out_path = tmp_path / "r.json"
+        assert main(["run", str(cfg_path), "--out", str(out_path)]) == 0
+        (entry,) = json.loads(out_path.read_text())["checks"]
+        assert entry["verdict"] == "pass"
+        assert entry["worst_case"]["lhs"] == entry["worst_case"]["rhs"] == 0.9177375420543473
+
+    @pytest.mark.parametrize("radius,code", [('"inf"', 2), ("2.0", 0)],
+                             ids=["unbounded", "bounded"])
+    def test_manifold_embedding_of_order_two_needs_a_bounded_domain(self, tmp_path, capsys,
+                                                                    radius, code):
+        # no tail of a manifold norm of order >= 2 is certified
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f'manifold.warp = "hyperbolic"\nmanifold.R = {radius}\n'
+                            'manifold.N = 5\ncheck.1.kind = "embedding_ratio"\n'
+                            'check.1.k = 2\ncheck.1.p = 2\ncheck.1.q = 4\n')
+        out_path = tmp_path / "r.json"
+        assert main(["run", str(cfg_path), "--out", str(out_path)]) == code
+        assert out_path.exists() == (code == 0)
+        if code == 2:
+            assert "needs a bounded domain" in capsys.readouterr().err
 
     def test_quadrature_looser_than_a_verdict_exit_2(self, tmp_path, capsys):
         # every kind that takes norms decides its verdict on integrals; at

@@ -8,15 +8,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 from scipy.special import erf
 
+from radwarp import funcspace
 from radwarp.errors import DomainError, InadmissibleParameterError
 from radwarp.funcspace import (
+    FAMILY_KINDS,
     RadialFunction,
     critical_q,
     default_families,
+    gradient_norm_manifold,
     lq_theta_norm_1d,
     sobolev_norm_1d,
     sobolev_norm_manifold,
     sobolev_seminorms_1d,
+    weighted_integral,
 )
 from radwarp.manifold import ManifoldSpec, WarpSpec, sphere_volume
 
@@ -101,17 +105,36 @@ class TestEvalJet:
                 assert top[..., : i + 1].tobytes() == low.tobytes(), (i, j)
 
 
+# families of each kind with random parameters
+FAMILIES = {
+    "gaussian": st.floats(0.01, 60.0).map(RadialFunction.gaussian),
+    "power_decay": st.floats(0.05, 10.0).map(RadialFunction.power_decay),
+    "polynomial_bump": st.builds(RadialFunction.polynomial_bump,
+                                 st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+                                 st.floats(0.05, 10.0)),
+    "log_profile": st.builds(RadialFunction.log_profile, st.floats(0.1, 100.0),
+                             st.floats(1e-3, 1.0)),
+    "linear": st.just(RadialFunction.linear()),
+}
+
+
 class TestEnvelopes:
-    @pytest.mark.parametrize("f", default_families(10.0), ids=lambda f: f.family)
-    def test_envelope_dominates_derivatives(self, f):
+    # the envelope is the only tail certificate of every norm on an unbounded
+    # domain, the manifold norms of order <= 1 included
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_envelope_dominates_derivatives(self, kind, data):
+        f = data.draw(FAMILIES[kind])
         env = f.decay_envelope()
-        if env is None:
+        if kind in ("linear", "log_profile"):
+            assert env is None
             return
-        grid = np.geomspace(max(env.valid_from, 1.0), 40.0, 120)
+        grid = np.geomspace(env.valid_from, 2.0**20, 241)
         bound = env.coef * grid**env.power * np.exp(-env.rate * grid - env.quad_rate * grid**2)
         for j in range(5):
             vals = np.abs(f.derivative_values(grid, j))
-            assert np.all(vals <= bound + 1e-300), f"order {j} escapes the envelope"
+            assert np.all(vals <= bound), f"order {j} escapes the envelope"
 
     def test_admissibility_flags(self):
         # only the decaying families carry a tail certificate
@@ -243,6 +266,59 @@ class TestSobolevNorms:
             a = sobolev_norm_1d(f, k, p, n, w)
             b = sobolev_norm_1d(f, k, p, n, WarpSpec.euclidean(2.0))
             assert lo - 1e-9 <= a / b <= hi + 1e-9
+
+
+class TestManifoldTails:
+    """On an unbounded domain a manifold norm of order <= 1 takes its tail
+    bound from the family's envelope; one of order >= 2 has none."""
+
+    UNBOUNDED = ManifoldSpec(WarpSpec.euclidean(), 3)
+
+    @pytest.mark.parametrize("a", [47.0, 50.0])
+    @pytest.mark.parametrize("w,n", [(WarpSpec.euclidean(), 2), (WarpSpec.hyperbolic(), 3)],
+                             ids=["euclidean_N2", "hyperbolic_N3"])
+    def test_steep_gaussian_gradient_norm_is_the_interval_seminorm(self, w, n, a):
+        # exp(-a t^2) underflows at t = 4 for a >= 47, where no ratio to the
+        # envelope can be sampled
+        f, p = RadialFunction.gaussian(a), 2.0
+        seminorm = weighted_integral(f, 1, p, n - 1.0, w, 1e-10)
+        value = gradient_norm_manifold(f, p, ManifoldSpec(w, n))
+        assert math.isfinite(value)
+        assert value == (sphere_volume(n) * seminorm) ** (1 / p)
+        if w.kind == "euclidean":
+            # int |grad u|^2 over R^2 is pi for every a
+            assert value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+
+    @staticmethod
+    def _recording(monkeypatch):
+        integrands = []
+        integrate = funcspace.integrate_weighted
+
+        def recording(f, *args, **kwargs):
+            integrands.append(f)
+            return integrate(f, *args, **kwargs)
+
+        monkeypatch.setattr(funcspace, "integrate_weighted", recording)
+        return integrands
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("f", [RadialFunction.gaussian(2.0), RadialFunction.power_decay(3.0),
+                                   RadialFunction.polynomial_bump((1.0, 0.5), support=2.0)],
+                             ids=lambda f: f.family)
+    def test_low_orders_take_the_family_envelope(self, monkeypatch, f, j):
+        integrands = self._recording(monkeypatch)
+        assert math.isfinite(weighted_integral(f, j, 1.5, 2.0, self.UNBOUNDED, 1e-10))
+        assert [g.envelope for g in integrands] == [f.decay_envelope().power_scaled(1.5)]
+
+    def test_second_order_tail_is_uncertified(self, monkeypatch):
+        integrands = self._recording(monkeypatch)
+        f = RadialFunction.gaussian(1.0)
+        assert math.isinf(weighted_integral(f, 2, 2.0, 2.0, self.UNBOUNDED, 1e-10))
+        assert integrands == []
+        assert math.isinf(sobolev_norm_manifold(f, 2, 2.0, self.UNBOUNDED))
+        assert len(integrands) == 2  # orders 0 and 1 only
+        assert math.isfinite(sobolev_norm_manifold(f, 2, 2.0,
+                                                   ManifoldSpec(WarpSpec.hyperbolic(2.0), 3)))
 
 
 class TestNormRequest:

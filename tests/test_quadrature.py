@@ -132,10 +132,11 @@ class TestInvariants:
     def test_tail_doubling_within_error(self):
         # forcing a later truncation point changes the value by less than
         # the reported error estimate
-        base_env = DecayEnvelope(1.0, 0.0, 2.0, 1.0)
-        f1 = Integrand(lambda t: np.exp(-2.0 * t), 1.0, envelope=base_env)
+        f1 = Integrand(lambda t: np.exp(-2.0 * t), 1.0,
+                       envelope=DecayEnvelope(1.0, 0.0, 2.0, 1.0))
         # scaling the envelope coefficient up pushes the certified cut deeper
-        f2 = Integrand(lambda t: np.exp(-2.0 * t), 1.0, envelope=base_env.scaled(4096.0))
+        f2 = Integrand(lambda t: np.exp(-2.0 * t), 1.0,
+                       envelope=DecayEnvelope(4096.0, 0.0, 2.0, 1.0))
         w = WarpSpec.hyperbolic()
         r1 = integrate_weighted(f1, w)
         r2 = integrate_weighted(f2, w)
@@ -186,7 +187,8 @@ class TestEnvelopeAlgebra:
         # sees the whole bulk on a finite interval
         split = max(t, power / rate) + 50.0 / rate
         opts = dict(epsabs=0.0, epsrel=1e-11, limit=200)
-        exact = env(t) * (quad(ratio, t, split, **opts)[0] + quad(ratio, split, math.inf, **opts)[0])
+        at_t = coef * t**power * math.exp(-rate * t - quad_rate * t**2)
+        exact = at_t * (quad(ratio, t, split, **opts)[0] + quad(ratio, split, math.inf, **opts)[0])
         bound = env.tail_integral(t)
         assert bound >= exact * (1.0 - 1e-9)
         x = rate * t

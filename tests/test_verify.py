@@ -233,13 +233,6 @@ class TestEmbedding:
         with pytest.raises(InadmissibleParameterError):
             spec("embedding_ratio", WarpSpec.euclidean(1.0), 3, k=1, p=2.0, q=7.0)
 
-    def test_diagnostic_mode_allows_out_of_range(self):
-        s = spec(
-            "embedding_ratio", WarpSpec.euclidean(1.0), 3, k=1, p=2.0, q=7.0,
-            diagnostic=True, families=[RadialFunction.gaussian(1.0)],
-        )
-        assert s.diagnostic
-
     def test_interval_theta_floor(self):
         with pytest.raises(InadmissibleParameterError):
             spec("embedding_ratio", WarpSpec.tanh_cap(2.0), 5, k=1, p=2.0, q=2.0,
