@@ -114,12 +114,12 @@ class RadialFunction:
     # -- evaluation ----------------------------------------------------------
 
     def eval_jet(self, t, order: int) -> Jet:
-        """Univariate jet of v at t (t > 0, scalar or array), order <= 4."""
+        """Univariate jet of v at t (finite t > 0, scalar or array), order <= 4."""
         if order > MAX_JET_ORDER:
             raise DomainError(f"family jets are available up to order {MAX_JET_ORDER}")
         ta = np.asarray(t, dtype=np.float64)
-        if np.any(ta <= 0.0):
-            raise DomainError("radial profiles are evaluated at t > 0")
+        if not np.all((ta > 0.0) & (ta < np.inf)):  # a NaN fails both
+            raise DomainError("radial profiles are evaluated at finite t > 0")
         return Jet(1, order, self._coeffs(ta, order))
 
     def _coeffs(self, ta: np.ndarray, order: int) -> np.ndarray:

@@ -12,12 +12,13 @@ the tensor recursion
                            - sum_l sum_a Gamma^a_{i1 il} (T^j)_{...a...}
 
 on exact jets, so the components are exact up to rounding; rank-j components
-of a depth-k computation hold jets of order k - j.  They are kept as raw
-coefficient arrays, combined with the gather tables `jets.partial_table` and
-`jets.mul_table` in the operations and order of `jet_partial`, `jet_mul` and
-jet subtraction, so no Jet is built per component; `CovTensor.component`
-wraps one in a Jet for outside readers.  A product of order 0, as at rank k,
-is one elementwise multiply: the sum over a one-term segment is that term.
+of a depth-k computation hold jets of order k - j.  A rank is one array of
+raw coefficients, one row per component in `product` order, combined with
+the gather tables `jets.partial_table` and `jets.mul_table` in the
+operations and order of `jet_partial`, `jet_mul` and jet subtraction, so no
+Jet is built per component; `CovTensor.component` wraps one in a Jet for
+outside readers.  A product of order 0, as at rank k, is one elementwise
+multiply: the sum over a one-term segment is that term.
 
 The recursion computes only what its readers keep, and only when they read it:
 
@@ -27,13 +28,34 @@ The recursion computes only what its readers keep, and only when they read it:
   the full product cut to order d under graded coefficient order.  So the
   Christoffel symbols are built to order k - 2, the most any product reads
   (at rank 2), from metric jets of order k - 1, and not at all for k <= 1.
-- Components and Christoffel rows are computed each when first read, and
-  then kept.  A component reads the components of the rank below and the
-  rows Gamma^alpha_ij of the lower pairs (i, j) its formula names, so
-  `pointwise_norm` reads every row.  The pure-radial component (1, ..., 1)
-  names only (1, ..., 1) of the rank below and the row of (1, 1), which is
-  empty because radial lines are geodesics: reading it alone costs one
-  radial partial per rank and that one row.
+- A rank is computed in passes, each over a set of components: all N^j for
+  `pointwise_norm`, the dependency closure of one index for
+  `CovTensor.component`.  A pass first fills what its components read of
+  the rank below (their rests, and each rest with alpha put in one place),
+  then takes one partial gather per distinct first index, then, for each
+  index position and each entry of the Christoffel row (alpha ascending),
+  one product over every component whose row has that entry and whose
+  factor is nonzero, subtracted from those components alone.  So each
+  component sees the operations of the per-component jet recursion in the
+  same order, and the numpy calls are per rank, not per component.
+  Which rows a pass reads and writes is worked out on Python ints
+  (`_plan`), so the numpy calls only move and combine coefficients: integer
+  array arithmetic would fault in numpy loops that nothing else in a run
+  uses, about 0.25 MB of resident code.  For a whole rank the plan depends
+  only on N, the rank and the Christoffel rows, so it is kept
+  (`_full_plan`).  Components and Christoffel rows are computed once and
+  kept.  The pure-radial component (1, ..., 1) reads only (1, ..., 1) of
+  the rank below and the row of (1, 1), which is empty because radial lines
+  are geodesics: reading it alone costs one radial partial per rank and
+  that one row.
+- A gather takes at most as many components as keep it within the largest
+  gather of the per-component recursion (`_chunk`), and `norm_profiles`
+  frees each rank once the rank above it is complete, so a bundle's
+  transient arrays stay as small as that recursion's.
+- `pointwise_norm` adds the weighted squares in `product` order, each
+  weight built left to right, as a sequential fold (`np.add.accumulate`
+  from 0.0): a pairwise sum (`np.sum`) would group the terms differently
+  and move the last bits of the norms.
 - `norm_profiles` takes ranks 0 and 1 from v alone: |u| = |v| and, as g^11
   = 1 and the angular partials of u vanish, |grad u|_g = sqrt(v'^2), the
   dense norm to the bit.  So for k <= 1 it builds no metric at all.
@@ -49,14 +71,14 @@ Coordinate indices are 1-based throughout; coordinate 1 is the radial one.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
 
 from .errors import DomainError, ProximityError, SingularMetricError
-from .jets import (Jet, embed_univariate, jet_coordinate, jet_mul, jet_partial, mul_coeffs,
-                   mul_table, partial_table)
+from .jets import (Jet, embed_univariate, jet_coordinate, jet_mul, jet_partial, mul_table,
+                   n_terms, partial_table)
 from .manifold import (
     DiagonalMetric,
     ManifoldSpec,
@@ -73,25 +95,46 @@ MAX_RANK = 4
 class ChristoffelTable:
     """Jet-valued Christoffel symbols of a diagonal metric at one point.
 
-    `lowered(i, j)` lists the nonzero (alpha, jet) pairs of Gamma^alpha_ij in
-    ascending alpha, the access pattern of the covariant recursion; the row
-    of a lower pair is computed the first time it is read, and then kept.
-    `entry` reads through it and returns None for a vanishing symbol.
+    The nonzero symbols are the slots of one stacked array `coeffs`, of shape
+    (slots,) + batch + (terms,), so the covariant recursion gathers its
+    factors from it directly.  `row(i, j)` lists the (alpha, slot) pairs of
+    Gamma^alpha_ij, alpha ascending; a row is computed when first read, and
+    kept.  `lowered(i, j)` gives a row as (alpha, jet) pairs over views of
+    its slots; `entry` reads through it and returns None for a vanishing
+    symbol.
     """
 
     def __init__(self, metric: DiagonalMetric):
+        n = metric.dim
         self._metric = metric
         self._partials = {}  # (i, v) -> d_v g_ii, read once so far
-        self._rows = {}  # (i, j) -> ((alpha, jet), ...)
+        self._rows = {}  # (i, j) -> ((alpha, slot), ...)
+        batch = np.broadcast_shapes(*(g.coeffs.shape[:-1] for g in metric.g + metric.g_inv))
+        # g_ii of a warped product depends on x_1 .. x_{i-1} only, so at most
+        # n (n - 1) symbols are nonzero; one more slot takes a vanishing one
+        # while it is tested, and a denser metric doubles the stack
+        self.coeffs = np.empty((n * n - n + 1,) + batch + (n_terms(n, metric.order - 1),))
+        self._slots = 0
 
     def entry(self, k: int, i: int, j: int) -> Jet | None:
         return next((jet for alpha, jet in self.lowered(i, j) if alpha == k), None)
 
     def lowered(self, i: int, j: int) -> tuple:
+        m = self._metric
+        return tuple((alpha, Jet(m.dim, m.order - 1, self.coeffs[slot], m.base))
+                     for alpha, slot in self.row(i, j))
+
+    def row(self, i: int, j: int) -> tuple:
+        """The (alpha, slot) pairs of the nonzero Gamma^alpha_ij, alpha ascending."""
         row = self._rows.get((i, j))
         if row is None:  # torsion-free: (j, i) holds the same row, exactly
             row = self._rows[(i, j)] = self._rows[(j, i)] = self._row(min(i, j), max(i, j))
         return row
+
+    def table(self) -> tuple:
+        """Every row, in `product` order of the lower pair (i, j)."""
+        n = self._metric.dim
+        return tuple(self.row(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
 
     def _dg(self, i: int, v: int) -> Jet:
         """d_v g_ii.  Only the rows of (i, i) and of {i, v} read it, one
@@ -104,21 +147,24 @@ class ChristoffelTable:
         return jet
 
     def _row(self, i: int, j: int) -> tuple:
-        g_inv, half = self._metric.inverse_entry, 0.5
-        row = []
+        g_inv, row = self._metric.inverse_entry, []
         for k in range(1, self._metric.dim + 1):
             if i == j == k:
-                jet = half * jet_mul(g_inv(k), self._dg(i, i))
+                half, jet = 0.5, jet_mul(g_inv(k), self._dg(i, i))
             elif i == j:
-                jet = (-half) * jet_mul(g_inv(k), self._dg(i, k))
+                half, jet = -0.5, jet_mul(g_inv(k), self._dg(i, k))
             elif k == i:
-                jet = half * jet_mul(g_inv(i), self._dg(i, j))
+                half, jet = 0.5, jet_mul(g_inv(i), self._dg(i, j))
             elif k == j:
-                jet = half * jet_mul(g_inv(j), self._dg(j, i))
+                half, jet = 0.5, jet_mul(g_inv(j), self._dg(j, i))
             else:
                 continue
-            if not jet.is_zero():
-                row.append((k, jet))
+            if self._slots == len(self.coeffs):
+                self.coeffs = np.concatenate([self.coeffs, np.empty_like(self.coeffs)])
+            # the jet's scalar product, written into the next free slot
+            if np.multiply(jet.coeffs, half, out=self.coeffs[self._slots]).any():
+                row.append((k, self._slots))
+                self._slots += 1
         return tuple(row)
 
 
@@ -135,53 +181,157 @@ def christoffel_at(metric: DiagonalMetric) -> ChristoffelTable:
     return ChristoffelTable(metric)
 
 
+def _chunk(dim: int, depth: int, per_component: int) -> int:
+    """Components per array operation of a depth-`depth` bundle, taking
+    `per_component` numbers per point from each.  No such gather outgrows the
+    largest of the recursion run one component at a time: the partial of u
+    at rank 1, or a product at rank 2, of two order depth - 2 factors."""
+    low = max(depth - 2, 0)
+    largest = max(n_terms(dim, depth - 1), len(mul_table(dim, low, low).ia))
+    return max(1, largest // per_component)
+
+
+def _plan(n: int, j: int, comps, row) -> tuple:
+    """What a pass over the rank-j components `comps` (ascending rows)
+    reads and does, worked out on Python ints: the mask of the rows of the
+    rank below it reads; per distinct first index f (0-based), the rows here
+    and the rows of their rests below; and per index position and entry of
+    the Christoffel row, in the order applied, the rows here, the factor
+    rows below and the Christoffel slots of its products.  `row(i, l)` gives
+    the row of the lower pair (i, l)."""
+    block = n ** (j - 1)
+    groups, products = {}, {}
+    for c in comps:
+        first, rest = divmod(c, block)
+        group = groups.setdefault(first, ([], []))
+        group[0].append(c)
+        group[1].append(rest)
+        for s in range(j - 1):
+            weight = n ** (j - 2 - s)
+            digit = rest // weight % n
+            for pos, (alpha, slot) in enumerate(row(first + 1, digit + 1)):
+                lists = products.setdefault((s, pos), ([], [], []))
+                lists[0].append(c)
+                lists[1].append(rest + (alpha - 1 - digit) * weight)
+                lists[2].append(slot)
+    reads = np.zeros(block, dtype=bool)
+    for lists in [*groups.values(), *products.values()]:
+        reads[lists[1]] = True
+    return (_frozen(reads, bool), [(f, _frozen(g[0]), _frozen(g[1]))
+                                   for f, g in sorted(groups.items())],
+            [tuple(map(_frozen, products[key])) for key in sorted(products)])
+
+
+def _frozen(values, dtype=np.intp) -> np.ndarray:
+    """`values` as a read-only array: the caches hand one array to every caller."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=64)
+def _full_plan(n: int, j: int, table: tuple) -> tuple:
+    """`_plan` of all n^j components for the Christoffel rows `table`
+    (`ChristoffelTable.table`); it depends on nothing else, so it is kept."""
+    return _plan(n, j, range(n**j), lambda i, l: table[(i - 1) * n + l - 1])
+
+
+@lru_cache(maxsize=None)
+def _digits(n: int, j: int) -> np.ndarray:
+    """The 0-based indices (j, n^j) of every rank-j row, in `product` order."""
+    return _frozen(np.array(list(product(range(n), repeat=j))).reshape(n**j, j).T)
+
+
 class CovTensor:
     """Rank-j covariant derivative of a radial function at one point.
 
-    Components are coefficient arrays of jets of order depth - rank; rank 0
-    holds u itself.  A component is computed when first read, from the
-    rank-(j-1) components it needs, and kept; `component` wraps it in a Jet.
+    The component of the 1-based index (i1, ..., ij) is row sum_s (i_s - 1)
+    dim^(j-s) (`product` order) of one array `coeffs`, of shape (dim^j,) +
+    batch + (terms,): coefficients of jets of order depth - rank; rank 0
+    holds u itself.  `_fill` computes a set of rows in one pass, each row
+    once, and they are kept; `component` wraps one in a Jet.
     """
 
     def __init__(self, rank: int, dim: int, order: int, base, prev: "CovTensor | None" = None,
                  gamma: ChristoffelTable | None = None, value: np.ndarray | None = None):
         self.rank, self.dim, self.order, self.base = rank, dim, order, base
         self._prev, self._gamma = prev, gamma
-        self._known = {} if value is None else {(): value}  # 1-based index -> coefficients
-        self._factors = {}  # index -> coefficients as the next rank multiplies them; None if zero
+        if value is None:
+            self.coeffs = None  # allocated by the first pass, once the rank below is filled
+            self._done = np.zeros(dim**rank, dtype=bool)
+            self._nonzero = np.zeros(dim**rank, dtype=bool)  # read only where done
+        else:
+            self.coeffs, self._done, self._nonzero = value[None], np.ones(1, dtype=bool), None
 
     def component(self, idx: tuple = ()) -> Jet:
+        return Jet(self.dim, self.order, self._entry(idx), self.base)
+
+    def _entry(self, idx: tuple) -> np.ndarray:
+        """The coefficients of one component, computed with what it reads."""
         idx = tuple(idx)
         if len(idx) != self.rank:
             raise DomainError(f"rank-{self.rank} tensor indexed with {len(idx)} indices")
         if not all(1 <= i <= self.dim for i in idx):
             raise DomainError(f"index {idx} outside 1..{self.dim}")
-        return Jet(self.dim, self.order, self._entry(idx), self.base)
+        row = sum((i - 1) * self.dim ** (self.rank - 1 - s) for s, i in enumerate(idx))
+        if not self._done[row]:
+            want = np.zeros(self._done.size, dtype=bool)
+            want[row] = True
+            self._fill(want)
+        return self.coeffs[row]
 
-    def _entry(self, idx: tuple) -> np.ndarray:
-        c = self._known.get(idx)
-        if c is None:
-            first, rest = idx[0], idx[1:]
-            prev, d = self._prev, self.order
-            src, scale = partial_table(self.dim, d + 1, first - 1)
-            c = prev._entry(rest)[..., src] * scale
-            for pos, i in enumerate(rest):
-                for alpha, gjet in self._gamma.lowered(first, i):
-                    term = prev._factor(rest[:pos] + (alpha,) + rest[pos + 1 :])
-                    if term is None:
-                        continue
-                    if d:  # jet_mul of both factors cut to order d
-                        c = c - mul_coeffs(gjet.coeffs, term, mul_table(self.dim, d, d))
-                    else:  # order 0: each product is one term
-                        c = c - gjet.coeffs[..., :1] * term[..., :1]
-            self._known[idx] = c
-        return c
+    def _fill(self, want: np.ndarray) -> None:
+        """Compute the rows where the mask `want` holds and that are not done.
 
-    def _factor(self, idx: tuple) -> np.ndarray | None:
-        if idx not in self._factors:
-            c = self._entry(idx)
-            self._factors[idx] = c if c.any() else None
-        return self._factors[idx]
+        Each is the partial of its rest in its first index, less the products
+        Gamma^alpha_{first i} * (rest with alpha in i's place), places in
+        order and alpha ascending, nonzero factors only: the operations of the
+        per-component jet recursion in its order (see the module docstring).
+        """
+        comps = np.flatnonzero(want & ~self._done)
+        if not comps.size:
+            return
+        n, j, d, prev = self.dim, self.rank, self.order, self._prev
+        block, full = n ** (j - 1), comps.size == self._done.size
+        if full:
+            plan = _full_plan(n, j, self._gamma.table() if j > 1 else ())
+        else:
+            plan = _plan(n, j, comps.tolist(), self._gamma.row if j > 1 else None)
+        reads, partials, products = plan
+        prev._fill(reads)
+
+        if self.coeffs is None:
+            self.coeffs = np.empty((n**j,) + prev.coeffs.shape[1:-1] + (n_terms(n, d),))
+        out = self.coeffs
+        for f, rows, rests in partials:
+            src, scale = partial_table(n, d + 1, f)
+            if full:  # every rest in order, so the rank below whole, gathered in place
+                # (mode "raise" would gather into a buffer and copy it over)
+                dst = np.take(prev.coeffs, src, axis=-1, out=out[f * block : (f + 1) * block],
+                              mode="clip")
+                dst *= scale
+            else:
+                out[rows] = prev.coeffs[rests][..., src] * scale
+        if products:
+            gamma, terms, table = self._gamma.coeffs, n_terms(n, d), mul_table(n, d, d)
+            step = _chunk(n, j + d, len(table.ia))
+        for rows, factor, slot in products:
+            keep = prev._nonzero[factor]
+            if not keep.all():
+                rows, factor, slot = rows[keep], factor[keep], slot[keep]
+            for lo in range(0, rows.size, step):
+                part = slice(lo, lo + step)
+                prod = gamma[slot[part], ..., :terms]
+                if d:  # jet_mul of both factors cut to order d
+                    prod = prod[..., table.ia]
+                    prod *= prev.coeffs[factor[part], ..., :terms][..., table.ib]
+                    prod = np.add.reduceat(prod, table.starts, axis=-1)
+                else:  # order 0: each product is one term
+                    prod *= prev.coeffs[factor[part], ..., :terms]
+                out[rows[part]] -= prod
+        done = slice(None) if full else comps
+        self._nonzero[done] = out[done].reshape(comps.size, -1).any(axis=1)
+        self._done[done] = True
 
 
 class Frame:
@@ -245,23 +395,33 @@ def pointwise_norm(t: CovTensor, metric: DiagonalMetric):
     """Tensor norm sqrt( sum g^{i1 i1} ... g^{ij ij} (component)^2 ).
 
     Valid because the metric is diagonal; returns a scalar or a batch array
-    matching the base point.
+    matching the base point.  The sum runs over the nonzero components in
+    `product` order, each weight built left to right, and is one sequential
+    fold (`np.add.accumulate`, from 0.0) taken a block of components at a
+    time: the additions of a loop over components, where a pairwise sum
+    would group them otherwise and move the last bits.
     """
     if t.base is not metric.base and not metric.base.matches(t.base):
         raise DomainError("tensor and metric were built at different base points")
     if t.rank == 0:
         return np.abs(t._entry(())[..., 0])
-    n = metric.dim
-    inv = {i: metric.inverse_entry(i).value for i in range(1, n + 1)}
+    n, j = metric.dim, t.rank
+    t._fill(np.ones(n**j, dtype=bool))
+    batch = t.coeffs.shape[1:-1]
+    inv = np.stack([metric.inverse_entry(i).value for i in range(1, n + 1)])  # all of r's shape
+    comps, step, digits = np.flatnonzero(t._nonzero), _chunk(n, j + t.order, 1), _digits(n, j)
     total = 0.0
-    for idx in product(range(1, n + 1), repeat=t.rank):
-        comp = t._entry(idx)
-        if not comp.any():
-            continue
-        weight = inv[idx[0]]
-        for i in idx[1:]:
-            weight = weight * inv[i]
-        total = total + weight * comp[..., 0] ** 2
+    for lo in range(0, comps.size, step):
+        part = comps[lo : lo + step]
+        weight = inv[digits[0][part]]
+        for s in range(1, j):
+            weight *= inv[digits[s][part]]
+        fold = np.empty((part.size + 1,) + batch)
+        fold[0] = total
+        square = t.coeffs[part, ..., 0]
+        np.multiply(weight, np.square(square, out=square), out=fold[1:])
+        del weight, square
+        total = np.add.accumulate(fold, axis=0, out=fold)[-1]
     return np.sqrt(total)
 
 
@@ -282,8 +442,11 @@ def norm_profiles(v, m: ManifoldSpec, r, k: int, angles=None,
         radial, higher = [coeffs[..., j] for j in range(k + 1)], []
     else:  # the bundle has evaluated v: its radial components of ranks 0, 1 are v, v'
         metric, tensors = frame.bundle(v)
-        radial = [tensors[j]._entry((1,) * j)[..., 0] for j in (0, 1)]
-        higher = [pointwise_norm(t, metric) for t in tensors[2:]]
+        higher = [pointwise_norm(tensors[2], metric)]  # fills ranks 1 and 2 whole
+        radial = [tensors[j]._entry((1,) * j)[..., 0].copy() for j in (0, 1)]
+        for j in range(3, k + 1):  # rank j reads rank j - 1 alone: free the two below it
+            tensors[j - 3].coeffs = tensors[j - 2].coeffs = None
+            higher.append(pointwise_norm(tensors[j], metric))
     rows = [np.abs(radial[0])] + [np.sqrt(d**2) for d in radial[1:]] + higher
     rows = [np.broadcast_to(row, np.shape(r)) for row in rows]
     return np.stack(rows) if np.ndim(r) else np.array([float(x) for x in rows])

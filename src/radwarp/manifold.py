@@ -178,7 +178,7 @@ def warp_eval(w: WarpSpec, r, order: int, base: BasePoint | None = None) -> Jet:
     if order > 6:
         raise DomainError("warp jets are supported up to order 6")
     ra = np.asarray(r, dtype=np.float64)
-    if np.any(ra <= 0.0) or np.any(ra >= w.radius):
+    if not np.all((ra > 0.0) & (ra < w.radius)):  # a NaN fails both
         raise DomainError(f"radial coordinate outside (0, {w.radius})")
     derivs = np.stack(WARP_TABLE[w.kind].derivatives(w, ra, order))
     return jet_from_derivatives(derivs, base)
@@ -261,8 +261,10 @@ def polar_radius(m: ManifoldSpec, point) -> np.ndarray:
     if len(point) != n:
         raise DomainError(f"point needs {n} coordinates, got {len(point)}")
     r = np.asarray(point[0], dtype=np.float64)
-    if np.any(r <= 0.0) or np.any(r >= m.warp.radius):
+    if not np.all((r > 0.0) & (r < m.warp.radius)):  # a NaN fails both
         raise DomainError(f"radial coordinate outside (0, {m.warp.radius})")
+    if not all(np.all(np.isfinite(a)) for a in point[1:]):
+        raise DomainError("angular coordinates must be finite")
     for j in range(2, n):  # angles theta_2 .. theta_{N-1} appear in the metric
         if abs(math.sin(float(point[j - 1]))) < 1e-12:
             raise ChartSingularityError(f"sin(theta_{j}) vanishes: polar chart is singular")

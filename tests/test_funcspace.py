@@ -89,6 +89,15 @@ class TestEvalJet:
         with pytest.raises(DomainError):
             RadialFunction.gaussian().eval_jet(1.0, 5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([0.5, math.nan, 2.0])],
+                             ids=["nan", "inf", "nan_in_batch"])
+    def test_non_finite_points_are_rejected(self, t):
+        # a NaN fails every comparison, so a check written as "t <= 0" let it
+        # through; each family then returned NaN coefficients
+        for f in default_families(3.0):
+            with pytest.raises(DomainError):
+                f.eval_jet(t, 2)
+
     @pytest.mark.parametrize("family", default_families(3.0) + (
         RadialFunction.polynomial_bump((2.0, 0.0, -0.4), support=1.5),
         RadialFunction.log_profile(1.0, 0.03),

@@ -86,6 +86,33 @@ class TestChristoffel:
             got = float(entry.value) if entry is not None else 0.0
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-13), (k, i, j)
 
+    def test_a_dense_diagonal_metric_grows_the_stack(self):
+        # every g_ii here depends on every coordinate, so all 2 n^2 - n symbols
+        # are nonzero: more than the n (n - 1) of a warped product, which the
+        # stacked array holds at first
+        from radwarp.jets import BasePoint, jet_compose_univariate, jet_coordinate
+        from radwarp.manifold import DiagonalMetric
+
+        n, point = 3, (0.7, 1.1, 0.4)
+        base = BasePoint(point)
+        x = [jet_coordinate(n, 2, v, point[v - 1], base) for v in range(1, n + 1)]
+        g = tuple(x[0] * (0.5 + i) + x[1] * (0.25 * i) + x[2] * (1.0 + 0.1 * i) + 2.0
+                  for i in range(1, n + 1))
+        g_inv = tuple(jet_compose_univariate("recip", e.truncated(1)) for e in g)
+        gamma = christoffel_at(DiagonalMetric(n, 2, g, g_inv, base))
+
+        def d(a, c):  # d_c g_aa
+            return float(g[a - 1].derivative(tuple(int(v == c - 1) for v in range(n))))
+
+        for k, i, j in product(range(1, n + 1), repeat=3):
+            want = 0.5 * float(g_inv[k - 1].value) * ((j == k) * d(j, i) + (i == k) * d(i, j)
+                                                       - (i == j) * d(i, k))
+            entry = gamma.entry(k, i, j)  # None where the symbol vanishes
+            got = 0.0 if entry is None else float(entry.value)
+            assert got == pytest.approx(want, rel=1e-13), (k, i, j)
+        assert sum(len(gamma.row(i, j)) for i in range(1, n + 1) for j in range(i, n + 1)) == 15
+        assert len(gamma.coeffs) > n * n - n + 1
+
     def test_torsion_free_symmetry(self):
         m = ManifoldSpec(WarpSpec.spherical(), 4)
         gamma = christoffel_at(metric_at(m, (1.2, 0.8, 1.9, 0.3), order=3))
@@ -193,11 +220,11 @@ class TestCovariantDerivatives:
 
     def test_reading_the_radial_component_computes_nothing_else(self, monkeypatch):
         # Gamma^a_11 vanishes, so (1,...,1) at rank 4 needs only (1,...,1) at
-        # ranks 1..3: one radial partial each, rank 4 first; and of the
-        # Christoffel symbols only the row of (1, 1), which takes partials of
-        # g_11 alone
+        # ranks 1..3: one radial partial each, in passes that run bottom-up,
+        # rank 1 first; and of the Christoffel symbols only the row of (1, 1),
+        # which takes partials of g_11 alone
         metric, tensor, lookups, partials = self._radial_read(monkeypatch)
-        assert lookups == [(5, 1, 0), (5, 2, 0), (5, 3, 0), (5, 4, 0)]
+        assert lookups == [(5, 4, 0), (5, 3, 0), (5, 2, 0), (5, 1, 0)]
         assert all(a[0] is metric.entry(1) for a in partials)
         made = len(lookups), len(partials)
         tensor.component((1, 1, 1, 1))
@@ -214,22 +241,24 @@ class TestCovariantDerivatives:
             (True, 1), (True, 2), (True, 3), (True, 4), (True, 5)]
 
     def test_full_read_builds_no_jet_in_the_recursion(self, monkeypatch):
-        # the recursion runs on coefficient arrays: once the Christoffel rows
-        # exist, the norms of an N=5, k=4 bundle read all 780 components and
-        # construct no Jet
+        # the recursion runs on coefficient arrays, one array per rank: once
+        # the Christoffel rows exist, the norms of an N=5, k=4 bundle compute
+        # all 780 components, each once, and construct no Jet
         from radwarp.jets import Jet
 
         m = ManifoldSpec(WarpSpec.euclidean(), 5)
         v, r = RadialFunction.gaussian(), np.linspace(0.1, 3.0, 256)
         metric, tensors = covariant_bundle(v, m, r, 4)
         for i, j in product(range(1, 6), repeat=2):
-            tensors[4]._gamma.lowered(i, j)
+            tensors[4]._gamma.row(i, j)
         built = []
         post_init = Jet.__post_init__
         monkeypatch.setattr(Jet, "__post_init__", lambda jet: built.append(jet) or post_init(jet))
         norms = np.stack([pointwise_norm(t, metric) for t in tensors])
         assert built == []
-        assert [len(t._known) for t in tensors] == [1, 5, 25, 125, 625]
+        assert [int(t._done.sum()) for t in tensors] == [1, 5, 25, 125, 625]
+        assert [t.coeffs.shape for t in tensors] == [(5**j, 256, math.comb(9 - j, 4 - j))
+                                                      for j in range(5)]
         monkeypatch.undo()
         assert norms.tobytes() == norm_profiles(v, m, r, 4).tobytes()
 
@@ -410,23 +439,45 @@ ANGLES = (2.1, 0.5, 2.8, 0.7, 1.9)
     lo=st.floats(min_value=0.05, max_value=1.0),
     v=st.sampled_from(ORACLE_PROFILES),
     angled=st.booleans(),
+    picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=8),
 )
-@example(w=ALL_MANIFOLD_WARPS[0], n=5, k=4, size=256, lo=0.1, v=ORACLE_PROFILES[0], angled=False)
-@example(w=ALL_MANIFOLD_WARPS[1], n=2, k=0, size=None, lo=0.6, v=ORACLE_PROFILES[1], angled=True)
-@example(w=ALL_MANIFOLD_WARPS[2], n=6, k=4, size=15, lo=0.3, v=ORACLE_PROFILES[2], angled=True)
-@example(w=ALL_MANIFOLD_WARPS[3], n=3, k=1, size=1, lo=0.9, v=ORACLE_PROFILES[0], angled=False)
-@example(w=ALL_MANIFOLD_WARPS[4], n=4, k=2, size=256, lo=0.05, v=ORACLE_PROFILES[1], angled=True)
-@example(w=ALL_MANIFOLD_WARPS[1], n=6, k=3, size=None, lo=0.2, v=ORACLE_PROFILES[2], angled=False)
-def test_components_and_norms_equal_the_jet_recursion_bit_for_bit(w, n, k, size, lo, v, angled):
+@example(w=ALL_MANIFOLD_WARPS[0], n=5, k=4, size=256, lo=0.1, v=ORACLE_PROFILES[0], angled=False,
+         picks=[])
+@example(w=ALL_MANIFOLD_WARPS[1], n=2, k=0, size=None, lo=0.6, v=ORACLE_PROFILES[1], angled=True,
+         picks=[])
+@example(w=ALL_MANIFOLD_WARPS[2], n=6, k=4, size=15, lo=0.3, v=ORACLE_PROFILES[2], angled=True,
+         picks=[])
+@example(w=ALL_MANIFOLD_WARPS[3], n=3, k=1, size=1, lo=0.9, v=ORACLE_PROFILES[0], angled=False,
+         picks=[])
+@example(w=ALL_MANIFOLD_WARPS[4], n=4, k=2, size=256, lo=0.05, v=ORACLE_PROFILES[1], angled=True,
+         picks=[])
+@example(w=ALL_MANIFOLD_WARPS[1], n=6, k=3, size=None, lo=0.2, v=ORACLE_PROFILES[2], angled=False,
+         picks=[])
+# ranks 2..4 of an N=5 bundle half read, one pure-radial component among them
+@example(w=ALL_MANIFOLD_WARPS[1], n=5, k=4, size=15, lo=0.2, v=ORACLE_PROFILES[0], angled=True,
+         picks=[4 + 5 * 0, 3 + 5 * 7, 2 + 5 * 13, 4 + 5 * 624, 3 + 5 * 60])
+def test_components_and_norms_equal_the_jet_recursion_bit_for_bit(w, n, k, size, lo, v, angled,
+                                                                   picks):
     m = ManifoldSpec(w, n)
     hi = min(3.0, 0.95 * w.radius)
     r = lo if size is None else np.linspace(lo, hi, size)
     angles = ANGLES[: n - 1] if angled else None
     oracle_metric, ranks = oracle_covariant(v, m, r, k, angles)
-    _, tensors = covariant_bundle(v, m, r, k, angles)
+    # components read one by one first (a pick p reads rank p mod (k + 1)),
+    # so the norms below find ranks partly computed
+    metric, tensors = covariant_bundle(v, m, r, k, angles)
+    for p in picks:
+        j = p % (k + 1)
+        idx = list(ranks[j])[p // (k + 1) % n**j]
+        assert tensors[j].component(idx).coeffs.tobytes() == ranks[j][idx].coeffs.tobytes()
+    for j, comps in enumerate(ranks):
+        want = oracle_norm(comps, oracle_metric)
+        got = pointwise_norm(tensors[j], metric)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), j
+    _, fresh = covariant_bundle(v, m, r, k, angles)  # read one component at a time
     for j, comps in enumerate(ranks):
         for idx, want in comps.items():
-            got = tensors[j].component(idx)
+            got = fresh[j].component(idx)
             assert (got.order, got.coeffs.shape) == (want.order, want.coeffs.shape), (j, idx)
             assert got.coeffs.tobytes() == want.coeffs.tobytes(), (j, idx)
     profiles = norm_profiles(v, m, r, k, angles)
@@ -511,6 +562,12 @@ class TestFrame:
         (1.0, 0, (0.5, 0.5, 0.5, 0.5)),    # too many
         (1.0, 1, (0.0, 0.5, 0.5)),         # sin(theta_2) = 0
         (np.array([0.5, 1.0]), 0, (0.5, math.pi, 0.5)),  # sin(theta_3) = 0
+        # a non-finite point is outside the domain, wherever it sits
+        (math.nan, 2, None),
+        (np.array([0.5, math.nan]), 1, None),
+        (1.0, 2, (math.nan, 0.5, 0.5)),    # theta_2 weighs g_33 and g_44
+        (1.0, 0, (math.inf, 0.5, 0.5)),
+        (1.0, 1, (0.5, 0.5, math.nan)),    # theta_4 weighs nothing
     ])
     def test_rank0_and_rank1_rows_raise_as_the_dense_route(self, r, k, angles):
         # the jet rows build no metric, yet reject what metric_at rejects,
@@ -527,6 +584,8 @@ class TestFrame:
         assert dense in (DomainError, ProximityError, ChartSingularityError)
         assert raised(norm_profiles, v, m, r, k, angles) is dense
         assert raised(Frame, m, r, k, angles) is dense
+        if not np.all(np.isfinite(np.append(r, angles or ()))):
+            assert dense is DomainError
 
     def test_low_rank_rows_build_no_geometry(self, monkeypatch):
         built = []

@@ -295,6 +295,19 @@ class TestMetric:
         g = metric_at(m, (1.0, math.pi / 2, 0.0), order=1)
         assert g.entry(3).value == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("point", [(math.nan, 1.0, 0.5), (np.array([1.0, math.nan]), 1.0, 0.5),
+                                       (1.0, math.nan, 0.5), (1.0, math.inf, 0.5),
+                                       (1.0, 1.0, math.nan)],
+                             ids=["r_nan", "r_nan_in_batch", "angle_nan", "angle_inf",
+                                  "last_angle_nan"])
+    def test_non_finite_points_are_rejected(self, point):
+        m = ManifoldSpec(WarpSpec.hyperbolic(), 3)
+        with pytest.raises(DomainError):
+            metric_at(m, point, order=1)
+        if not np.all(np.isfinite(point[0])):
+            with pytest.raises(DomainError):
+                warp_eval(m.warp, point[0], 1)
+
     def test_dimension_validation(self):
         with pytest.raises(DomainError):
             ManifoldSpec(WarpSpec.euclidean(), 1)

@@ -1,4 +1,5 @@
-"""Every interval_norms benchmark unit still reproduces its reference, bit for bit.
+"""Every interval_norms and rank4_sweep benchmark unit still reproduces its
+reference, bit for bit.
 
 The benchmark grades each run against perfbench/reference; a change that
 moves a measured constant by one ulp would otherwise show only there, as a
@@ -10,6 +11,8 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from radwarp.cli import main
 
@@ -25,15 +28,17 @@ def _load_workloads():
     return module
 
 
-def test_interval_norms_units_match_the_reference(tmp_path):
+# rank4_sweep runs the covariant recursion at N = 2..5, k = 4 on 256 points
+@pytest.mark.parametrize("workload", ["interval_norms", "rank4_sweep"])
+def test_interval_norms_units_match_the_reference(workload, tmp_path):
     workloads = _load_workloads()
-    units = workloads.all_units("interval_norms")
+    units = workloads.all_units(workload)
     cfg_path = tmp_path / "all_units.cfg"
-    cfg_path.write_text(workloads.config_text("interval_norms", "all", units), encoding="utf-8")
+    cfg_path.write_text(workloads.config_text(workload, "all", units), encoding="utf-8")
     out_path = tmp_path / "report.json"
     assert main(["run", str(cfg_path), "--out", str(out_path)]) == 0
     checks = json.loads(out_path.read_text(encoding="utf-8"))["checks"]
-    reference = json.loads((PERFBENCH / "reference" / "interval_norms.json")
+    reference = json.loads((PERFBENCH / "reference" / f"{workload}.json")
                            .read_text(encoding="utf-8"))["units"]
     assert len(checks) == len(units) == len(reference)
     drifted = []
