@@ -1,8 +1,11 @@
 """Radial test-function families and weighted Lebesgue/Sobolev norms.
 
 Each family carries closed-form derivative jets to order 4 at any point of
-its domain, so norm integrands and covariant-derivative inputs are exact;
-they are computed on coefficient arrays, one Jet per `eval_jet` call.
+its domain, so norm integrands and covariant-derivative inputs are exact.
+A family computes its Taylor-coefficient rows, one array per degree, in
+straight-line numpy (jets.compose_rows for the outer series); `values` and
+`derivative_values` read one row and build no Jet, and `eval_jet` stacks
+the rows into one Jet.
 The decaying families also declare a decay envelope (see
 quadrature.DecayEnvelope); it is the only certificate for tail truncation,
 so a norm over an unbounded domain of a family without one is infinite.
@@ -31,15 +34,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, InadmissibleParameterError
-from .jets import (
-    Jet,
-    compose_coeffs,
-    mul_coeffs,
-    mul_table,
-    polynomial_derivatives,
-    shift_coeffs,
-    taylor_coeffs,
-)
+from .jets import Jet, compose_rows, mul_rows, polynomial_derivatives
 from .manifold import ManifoldSpec, WarpSpec, sphere_volume
 from .quadrature import DecayEnvelope, Integrand, integrate_weighted
 
@@ -58,9 +53,10 @@ class RadialFunction:
     def __post_init__(self):
         if self.family not in FAMILY_KINDS:
             raise DomainError(f"unknown family {self.family!r}; expected one of {FAMILY_KINDS}")
-        object.__setattr__(
-            self, "params", tuple((k, float(v)) for k, v in self.params)
-        )
+        params = tuple((k, float(v)) for k, v in self.params)
+        if not all(math.isfinite(v) for _, v in params):
+            raise DomainError(f"{self.family} parameters must be finite, got {params}")
+        object.__setattr__(self, "params", params)
 
     # -- constructors --------------------------------------------------------
 
@@ -115,45 +111,64 @@ class RadialFunction:
 
     def eval_jet(self, t, order: int) -> Jet:
         """Univariate jet of v at t (finite t > 0, scalar or array), order <= 4."""
-        if order > MAX_JET_ORDER:
-            raise DomainError(f"family jets are available up to order {MAX_JET_ORDER}")
-        ta = np.asarray(t, dtype=np.float64)
-        if not np.all((ta > 0.0) & (ta < np.inf)):  # a NaN fails both
-            raise DomainError("radial profiles are evaluated at finite t > 0")
-        return Jet(1, order, self._coeffs(ta, order))
-
-    def _coeffs(self, ta: np.ndarray, order: int) -> np.ndarray:
-        if self.family == "gaussian":
-            return compose_coeffs("exp", _quadratic(ta, order, 0.0, -self.param("a")), 1)
-        if self.family == "power_decay":
-            return compose_coeffs("pow", _quadratic(ta, order, 1.0, 1.0), 1, -self.param("a"))
-        if self.family == "log_profile":
-            inner = _quadratic(ta, order, self.param("delta") ** 2, 1.0)
-            return shift_coeffs(-(compose_coeffs("log", inner, 1) * 0.5),
-                                math.log(self.param("r_ref")))
-        if self.family == "linear":
-            return taylor_coeffs(polynomial_derivatives([(1, 1.0)], ta, order))
-        # smooth cutoff exp(1 - 1/(1 - (t/S)^2)) carried against the
-        # polynomial factor; identically zero at and beyond the support
-        s = self.param("support")
-        tb = np.atleast_1d(ta)
-        out = np.zeros(tb.shape + (order + 1,))
-        inside = tb < s * (1.0 - 1e-8)
-        if np.any(inside):
-            ti = tb[inside]
-            w_rows = [1.0 - (ti / s) ** 2, -2 * ti / s**2, np.full_like(ti, -2 / s**2)]
-            w = taylor_coeffs((w_rows + [np.zeros_like(ti)] * order)[: order + 1])
-            cut = compose_coeffs("exp", shift_coeffs(-compose_coeffs("recip", w, 1), 1.0), 1)
-            terms = list(enumerate(self.bump_coeffs()))
-            poly = taylor_coeffs(polynomial_derivatives(terms, ti, order))
-            out[inside] = mul_coeffs(cut, poly, mul_table(1, order, order))
-        return out[0] if ta.ndim == 0 else out
+        coeffs = np.stack(self._rows(t, order), axis=-1)
+        return Jet(1, order, coeffs.reshape(np.shape(t) + (order + 1,)))
 
     def values(self, t) -> np.ndarray:
-        return np.asarray(self.eval_jet(t, 0).value, dtype=np.float64)
+        return self.derivative_values(t, 0)
 
     def derivative_values(self, t, j: int) -> np.ndarray:
-        return np.asarray(self.eval_jet(t, j).derivative(j), dtype=np.float64)
+        """v^(j) at t: the degree-j coefficient times j!, as Jet.derivative forms it."""
+        row = self._rows(t, j)[j]
+        return (row * float(math.factorial(j))).reshape(np.shape(t))
+
+    def _rows(self, t, order: int) -> list[np.ndarray]:
+        """Taylor-coefficient rows 0..order of v at t, one array each.
+
+        A 0-d t is computed as a batch of one: numpy's scalar `**` can differ
+        from its array loop in the last bit.
+        """
+        if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+                or not 0 <= order <= MAX_JET_ORDER):
+            raise DomainError(f"family jets have an integer order in 0..{MAX_JET_ORDER}, "
+                              f"got {order!r}")
+        tb = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        if not ((tb > 0.0) & (tb < np.inf)).all():  # a NaN fails both
+            raise DomainError("radial profiles are evaluated at finite t > 0")
+        order = int(order)
+        if self.family == "gaussian":
+            return compose_rows("exp", _quadratic(tb, order, 0.0, -self.param("a")))
+        if self.family == "power_decay":
+            return compose_rows("pow", _quadratic(tb, order, 1.0, 1.0), -self.param("a"))
+        if self.family == "log_profile":
+            rows = compose_rows("log", _quadratic(tb, order, self.param("delta") ** 2, 1.0))
+            rows = [0.0 - row * 0.5 for row in rows]
+            rows[0] = rows[0] + math.log(self.param("r_ref"))
+            return rows
+        if self.family == "linear":
+            return [tb, np.ones_like(tb)][: order + 1] + [
+                np.zeros_like(tb) for _ in range(order - 1)]
+        # identically zero at and beyond the support
+        inside = tb < self.param("support") * (1.0 - 1e-8)
+        if inside.all():
+            return self._bump_rows(tb, order)
+        rows = [np.zeros_like(tb) for _ in range(order + 1)]
+        if inside.any():
+            for row, part in zip(rows, self._bump_rows(tb[inside], order)):
+                row[inside] = part
+        return rows
+
+    def _bump_rows(self, t: np.ndarray, order: int) -> list[np.ndarray]:
+        """Rows of the polynomial factor times the smooth cutoff
+        exp(1 - 1/(1 - (t/S)^2)), at points t inside the support S."""
+        s = self.param("support")
+        w = [1.0 - (t / s) ** 2, -2 * t / s**2, (-2 / s**2) / 2][: order + 1]
+        recip = compose_rows("recip", w + [None] * (order - 2))
+        cut = compose_rows("exp", [(0.0 - recip[0]) + 1.0] + [0.0 - r for r in recip[1:]])
+        terms = list(enumerate(self.bump_coeffs()))
+        poly = [d / math.factorial(m)
+                for m, d in enumerate(polynomial_derivatives(terms, t, order))]
+        return mul_rows(cut, poly)
 
     # -- decay ----------------------------------------------------------------
 
@@ -175,10 +190,11 @@ class RadialFunction:
         return None
 
 
-def _quadratic(ta: np.ndarray, order: int, c0: float, c2: float) -> np.ndarray:
-    """Coefficients of c0 + c2 t^2 at ta."""
-    rows = [c0 + c2 * ta**2, 2 * c2 * ta, np.full_like(ta, 2 * c2)][: order + 1]
-    return taylor_coeffs(rows + [np.zeros_like(ta)] * max(0, order - 2))
+def _quadratic(t: np.ndarray, order: int, c0: float, c2: float) -> list:
+    """Rows of c0 + c2 t^2 at t; row 2 is a constant, and rows 3 and 4 are
+    None, exact zeros for compose_rows."""
+    rows = [c0 + c2 * t**2, 2 * c2 * t, (2 * c2) / 2][: order + 1]
+    return rows + [None] * (order - 2)
 
 
 def default_families(radius: float) -> tuple[RadialFunction, ...]:

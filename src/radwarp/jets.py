@@ -17,9 +17,11 @@ vectorized: a jet "at r" where r is an array of shape (B,) simply has
 coefficients of shape (B, n_terms).
 
 Coefficients are raw Taylor coefficients.  Extraction helpers
-(:meth:`Jet.derivative`) multiply the factorials back.  Products, shifts and
-compositions run on bare coefficient arrays (`mul_coeffs`, `shift_coeffs`,
-`compose_coeffs`), which the Jet operations wrap: array chains build no Jets.
+(:meth:`Jet.derivative`) multiply the factorials back.  Products and
+compositions run on bare coefficient arrays (`mul_coeffs`, `compose_coeffs`),
+which the Jet operations wrap: array chains build no Jets.  Univariate
+chains can also run on a list of coefficient rows, one 1-d array per degree
+(`mul_rows`, `compose_rows`), with the bits of the array route.
 
 Variable indices in the public API are 1-based, matching the coordinate
 convention used by the geometry layer (coordinate 1 is the radial one).
@@ -244,42 +246,11 @@ class Jet:
             fac *= math.factorial(a)
         return self.coefficient(alpha) * fac
 
-    def is_zero(self) -> bool:
-        return not np.any(self.coeffs)
-
     def truncated(self, order: int) -> "Jet":
         if order >= self.order:
             return self
         keep = n_terms(self.num_vars, order)
         return Jet(self.num_vars, order, self.coeffs[..., :keep], self.base)
-
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return jet_add(self, other)
-        return Jet(self.num_vars, self.order, shift_coeffs(self.coeffs, other), self.base)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return jet_add(self, -other)
-        return self + -np.asarray(other, dtype=np.float64)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __neg__(self):
-        return Jet(self.num_vars, self.order, -self.coeffs, self.base)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return jet_mul(self, other)
-        s = np.asarray(other, dtype=np.float64)[..., None]
-        return Jet(self.num_vars, self.order, self.coeffs * s, self.base)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +263,6 @@ def constant_coeffs(value, terms: int) -> np.ndarray:
     c = np.zeros(v.shape + (terms,))
     c[..., 0] = v
     return c
-
-
-def shift_coeffs(coeffs: np.ndarray, s) -> np.ndarray:
-    """coeffs plus the constant s over broadcast batch shapes; -0.0 comes out +0.0."""
-    s = np.asarray(s, dtype=np.float64)
-    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], s.shape) + coeffs.shape[-1:])
-    out += coeffs
-    out[..., 0] += s
-    return out
 
 
 def jet_constant(num_vars: int, order: int, value, base: BasePoint | None = None) -> Jet:
@@ -351,15 +313,6 @@ def embed_univariate(j: Jet, num_vars: int, var_index: int, base: BasePoint | No
 
 # ---------------------------------------------------------------------------
 # arithmetic
-
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    if a.num_vars != b.num_vars:
-        raise DimensionError(f"cannot add jets in {a.num_vars} and {b.num_vars} variables")
-    base = _combine_base(a.base, b.base)
-    order = min(a.order, b.order)
-    keep = n_terms(a.num_vars, order)
-    return Jet(a.num_vars, order, a.coeffs[..., :keep] + b.coeffs[..., :keep], base)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
@@ -473,8 +426,8 @@ def compose_coeffs(f: str, coeffs: np.ndarray, num_vars: int,
                    alpha: float | None = None) -> np.ndarray:
     """Coefficients of f(inner): Horner evaluation of f's Taylor series about
     inner's value in powers of inner's nilpotent part, each step jet_mul's
-    product plus the next series coefficient as a full constant array (as
-    jet_add adds it).  `f` is in COMPOSABLE_FUNCTIONS; "pow" takes `alpha`."""
+    product plus the next series coefficient as a full constant array.  `f`
+    is in COMPOSABLE_FUNCTIONS; "pow" takes `alpha`."""
     terms = coeffs.shape[-1]
     order = next(d for d in range(MAX_ORDER + 1) if n_terms(num_vars, d) == terms)
     c = _series_coeffs(f, coeffs[..., 0], order, alpha)
@@ -491,3 +444,49 @@ def jet_compose_univariate(f: str, inner: Jet, alpha: float | None = None) -> Je
     """Jet of f(inner); see compose_coeffs."""
     coeffs = compose_coeffs(f, inner.coeffs, inner.num_vars, alpha)
     return Jet(inner.num_vars, inner.order, coeffs, inner.base)
+
+
+def _row_sum(a: list, b: list, k: int):
+    """Coefficient k of the product of univariate rows a and b, summed as
+    `mul_coeffs` sums it: a_0 b_k + ((a_1 b_(k-1) + a_2 b_(k-2)) + ...), the
+    grouping of np.add.reduceat on a short segment.  A row given as None is
+    exactly zero and its terms are left out, which can change only the sign
+    of a zero result; None when no term is left."""
+    tail = None
+    for i in range(1, k + 1):
+        if a[i] is not None and b[k - i] is not None:
+            term = a[i] * b[k - i]
+            tail = term if tail is None else tail + term
+    if a[0] is None or b[k] is None:
+        return tail
+    head = a[0] * b[k]
+    return head if tail is None else head + tail
+
+
+def mul_rows(a: list, b: list) -> list:
+    """Rows of the product of two univariate row lists of equal length:
+    `mul_coeffs` with `mul_table(1, d, d)`, bit for bit."""
+    return [_row_sum(a, b, k) for k in range(len(a))]
+
+
+def compose_rows(f: str, rows: list, alpha: float | None = None) -> list:
+    """Rows of f(inner) from the inner's univariate rows [w_0, ..., w_d]:
+    arrays over the batch (a constant row may be a float), or None for a row
+    that is exactly zero.  `compose_coeffs` with num_vars = 1, bit for bit,
+    on d + 1 arrays of the batch size.
+
+    Each Horner step forms the product with the nilpotent part row by row as
+    `mul_rows` does, then adds c_m to row 0 and 0.0 to every other row, as
+    the constant array does.  Terms with an exactly zero factor (w_0, None
+    rows, accumulator rows not reached yet) are left out: with a finite
+    other factor they could change only the sign of a zero, and the added
+    0.0 makes every zero of a row >= 1 +0.0 either way.  Row 0 keeps its
+    product with w_0 = 0.0, whose sign reaches a zero c_m."""
+    order = len(rows) - 1
+    c = _series_coeffs(f, rows[0], order, alpha)
+    w = [None] + list(rows[1:])
+    out = [c[order]] + [None] * order
+    for m in range(order - 1, -1, -1):
+        prods = [_row_sum(out, w, k) for k in range(1, order + 1)]
+        out = [out[0] * 0.0 + c[m]] + [None if p is None else p + 0.0 for p in prods]
+    return [np.zeros_like(out[0]) if row is None else row for row in out]

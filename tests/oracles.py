@@ -1,4 +1,4 @@
-"""Closed-form oracles shared by the geometry and acceptance test modules.
+"""Closed-form oracles and jet helpers shared by the test modules.
 
 Everything here is written down independently of the package internals so
 it can act as a trusted second route.
@@ -9,10 +9,74 @@ from itertools import product
 
 import numpy as np
 
+from radwarp.errors import DimensionError
 from radwarp.geometry import christoffel_at
-from radwarp.jets import (Jet, _series_coeffs, embed_univariate, jet_constant,
-                          jet_from_derivatives, jet_mul, jet_partial)
+from radwarp.jets import (Jet, _combine_base, _series_coeffs, compose_coeffs, embed_univariate,
+                          jet_constant, jet_from_derivatives, jet_mul, jet_partial, mul_coeffs,
+                          mul_table, n_terms, polynomial_derivatives, taylor_coeffs)
 from radwarp.manifold import WarpSpec, default_point, metric_at, warp_eval
+
+
+def jet_add(a: Jet, b: Jet) -> Jet:
+    """a + b, cut to the lower of the two orders."""
+    if a.num_vars != b.num_vars:
+        raise DimensionError(f"cannot add jets in {a.num_vars} and {b.num_vars} variables")
+    base = _combine_base(a.base, b.base)
+    order = min(a.order, b.order)
+    keep = n_terms(a.num_vars, order)
+    return Jet(a.num_vars, order, a.coeffs[..., :keep] + b.coeffs[..., :keep], base)
+
+
+def jet_scale(a: Jet, s) -> Jet:
+    """s * a for a scalar (or batch) s."""
+    return Jet(a.num_vars, a.order, a.coeffs * np.asarray(s, dtype=np.float64)[..., None], a.base)
+
+
+def jet_shift(a: Jet, s) -> Jet:
+    """a + s for a constant s."""
+    return Jet(a.num_vars, a.order, _shift_coeffs(a.coeffs, s), a.base)
+
+
+def _shift_coeffs(coeffs: np.ndarray, s) -> np.ndarray:
+    """coeffs plus the constant s over broadcast batch shapes; -0.0 comes out +0.0."""
+    s = np.asarray(s, dtype=np.float64)
+    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], s.shape) + coeffs.shape[-1:])
+    out += coeffs
+    out[..., 0] += s
+    return out
+
+
+def oracle_family_coeffs(v, t, order: int) -> np.ndarray:
+    """Coefficients of a RadialFunction's jet at t, coefficient axis last, by
+    the chain of coefficient-array operations (`compose_coeffs`, constant
+    shifts, `taylor_coeffs`, `mul_coeffs`) whose bits the family rows keep."""
+    ta = np.asarray(t, dtype=np.float64)
+
+    def quadratic(c0, c2):  # c0 + c2 t^2
+        rows = [c0 + c2 * ta**2, 2 * c2 * ta, np.full_like(ta, 2 * c2)][: order + 1]
+        return taylor_coeffs(rows + [np.zeros_like(ta)] * max(0, order - 2))
+
+    if v.family == "gaussian":
+        return compose_coeffs("exp", quadratic(0.0, -v.param("a")), 1)
+    if v.family == "power_decay":
+        return compose_coeffs("pow", quadratic(1.0, 1.0), 1, -v.param("a"))
+    if v.family == "log_profile":
+        inner = quadratic(v.param("delta") ** 2, 1.0)
+        return _shift_coeffs(-(compose_coeffs("log", inner, 1) * 0.5), math.log(v.param("r_ref")))
+    if v.family == "linear":
+        return taylor_coeffs(polynomial_derivatives([(1, 1.0)], ta, order))
+    s = v.param("support")
+    tb = np.atleast_1d(ta)
+    out = np.zeros(tb.shape + (order + 1,))
+    inside = tb < s * (1.0 - 1e-8)
+    if np.any(inside):
+        ti = tb[inside]
+        w_rows = [1.0 - (ti / s) ** 2, -2 * ti / s**2, np.full_like(ti, -2 / s**2)]
+        w = taylor_coeffs((w_rows + [np.zeros_like(ti)] * order)[: order + 1])
+        cut = compose_coeffs("exp", _shift_coeffs(-compose_coeffs("recip", w, 1), 1.0), 1)
+        poly = taylor_coeffs(polynomial_derivatives(list(enumerate(v.bump_coeffs())), ti, order))
+        out[inside] = mul_coeffs(cut, poly, mul_table(1, order, order))
+    return out[0] if ta.ndim == 0 else out
 
 
 class Poly:
@@ -45,7 +109,7 @@ def oracle_compose(f: str, inner: Jet, alpha=None) -> Jet:
     w = Jet(inner.num_vars, order, w_coeffs, inner.base)
     result = jet_constant(inner.num_vars, order, c[order], inner.base)
     for m in range(order - 1, -1, -1):
-        result = jet_mul(result, w) + jet_constant(inner.num_vars, order, c[m], inner.base)
+        result = jet_add(jet_mul(result, w), jet_constant(inner.num_vars, order, c[m], inner.base))
     return result
 
 
@@ -106,8 +170,9 @@ def oracle_covariant(v, m, r, k: int, angles=None):
             for pos, i in enumerate(rest):
                 for alpha, g in gamma.lowered(first, i):
                     term = prev[rest[:pos] + (alpha,) + rest[pos + 1 :]]
-                    if not term.is_zero():
-                        jet = jet - jet_mul(g.truncated(jet.order), term.truncated(jet.order))
+                    if np.any(term.coeffs):
+                        jet = jet_add(jet, jet_scale(jet_mul(g.truncated(jet.order),
+                                                             term.truncated(jet.order)), -1.0))
             comps[idx] = jet
         ranks.append(comps)
     return metric, ranks
@@ -121,7 +186,7 @@ def oracle_norm(comps: dict, metric):
     inv = {i: metric.inverse_entry(i).value for i in range(1, metric.dim + 1)}
     total = 0.0
     for idx, jet in comps.items():
-        if jet.is_zero():
+        if not np.any(jet.coeffs):
             continue
         weight = inv[idx[0]]
         for i in idx[1:]:

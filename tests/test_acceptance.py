@@ -324,7 +324,8 @@ def test_criterion_14_determinism(tmp_path):
     # the checks must also match the saved default-suite baseline exactly, so
     # a change that shifts every number alike cannot pass
     golden = json.loads(GOLDEN_CHECKS.read_text())
-    matches_golden = p1["checks"] == golden
+    matches_golden = (json.dumps(p1["checks"], sort_keys=True)  # text, so -0.0 != 0.0
+                      == json.dumps(golden, sort_keys=True))
     ok = (code1 == 0 and code2 == 0 and identical and matches_golden
           and len(p1["checks"]) >= 10)
     _verdict(14, "byte-identical reports modulo volatile fields", ok,

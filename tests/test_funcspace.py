@@ -24,6 +24,8 @@ from radwarp.funcspace import (
 )
 from radwarp.manifold import ManifoldSpec, WarpSpec, sphere_volume
 
+from oracles import oracle_family_coeffs
+
 
 class TestEvalJet:
     def test_linear(self):
@@ -125,6 +127,64 @@ FAMILIES = {
                              st.floats(1e-3, 1.0)),
     "linear": st.just(RadialFunction.linear()),
 }
+
+
+class TestRows:
+    # the family rows keep every bit of the coefficient-array chain they
+    # replace (tests/oracles.py), signs of zeros included
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(FAMILY_KINDS), order=st.integers(0, 4),
+           ts=st.lists(st.floats(1e-9, 40.0), min_size=1, max_size=6))
+    def test_rows_are_the_coefficient_chain_bit_for_bit(self, data, kind, order, ts):
+        f = data.draw(FAMILIES[kind])
+        t = np.array(ts)
+        if kind == "polynomial_bump":  # the edge of the cutoff, from both sides
+            edge = f.param("support") * (1.0 - 1e-8)
+            t = np.concatenate([t, [edge, np.nextafter(edge, 0.0), 1e-9 * edge]])
+        for tt in [t] + list(t):  # a batch, then each point as a 0-d t
+            want = oracle_family_coeffs(f, tt, order)
+            got = f.eval_jet(tt, order).coeffs
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            deriv = f.derivative_values(tt, order)
+            assert np.shape(deriv) == np.shape(tt)
+            want_deriv = want[..., order] * float(math.factorial(order))
+            assert np.array_equal(deriv.view(np.int64), want_deriv.view(np.int64))
+            assert np.array_equal(f.values(tt).view(np.int64), want[..., 0].view(np.int64))
+
+    @pytest.mark.parametrize("call", ["eval_jet", "derivative_values"])
+    def test_negative_order_is_rejected(self, call):
+        # it used to leak a bare StopIteration from the composition
+        with pytest.raises(DomainError):
+            getattr(RadialFunction.gaussian(), call)(1.0, -1)
+
+    def test_fractional_order_is_rejected(self):
+        with pytest.raises(DomainError):
+            RadialFunction.gaussian().eval_jet(1.0, 2.5)
+
+    def test_boolean_order_is_rejected(self):
+        # True used to be served as order 1
+        with pytest.raises(DomainError):
+            RadialFunction.gaussian().eval_jet(1.0, True)
+
+    @pytest.mark.parametrize("build", [
+        lambda: RadialFunction.gaussian(math.inf),
+        lambda: RadialFunction.gaussian(math.nan),
+        lambda: RadialFunction.power_decay(math.nan),
+        lambda: RadialFunction.power_decay(math.inf),
+        lambda: RadialFunction.polynomial_bump((1.0,), support=math.nan),
+        lambda: RadialFunction.polynomial_bump((1.0,), support=math.inf),
+        lambda: RadialFunction.polynomial_bump((1.0, math.nan), support=1.0),
+        lambda: RadialFunction.polynomial_bump((-math.inf,), support=1.0),
+        lambda: RadialFunction.log_profile(math.nan),
+        lambda: RadialFunction.log_profile(1.0, math.inf),
+    ], ids=["gaussian_inf", "gaussian_nan", "power_decay_nan", "power_decay_inf",
+            "bump_support_nan", "bump_support_inf", "bump_coeff_nan", "bump_coeff_inf",
+            "log_ref_nan", "log_delta_inf"])
+    def test_non_finite_parameters_are_rejected(self, build):
+        # gaussian(inf) used to be v = 0 with an infinite envelope coefficient
+        with pytest.raises(DomainError):
+            build()
 
 
 class TestEnvelopes:

@@ -11,7 +11,8 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import Poly as _Poly, oracle_christoffel, oracle_covariant, oracle_norm
+from oracles import (Poly as _Poly, jet_add, jet_scale, jet_shift, oracle_christoffel,
+                     oracle_covariant, oracle_norm)
 
 from radwarp import geometry
 from radwarp.errors import ChartSingularityError, DomainError, ProximityError, RadwarpError
@@ -96,7 +97,8 @@ class TestChristoffel:
         n, point = 3, (0.7, 1.1, 0.4)
         base = BasePoint(point)
         x = [jet_coordinate(n, 2, v, point[v - 1], base) for v in range(1, n + 1)]
-        g = tuple(x[0] * (0.5 + i) + x[1] * (0.25 * i) + x[2] * (1.0 + 0.1 * i) + 2.0
+        g = tuple(jet_shift(jet_add(jet_add(jet_scale(x[0], 0.5 + i), jet_scale(x[1], 0.25 * i)),
+                                    jet_scale(x[2], 1.0 + 0.1 * i)), 2.0)
                   for i in range(1, n + 1))
         g_inv = tuple(jet_compose_univariate("recip", e.truncated(1)) for e in g)
         gamma = christoffel_at(DiagonalMetric(n, 2, g, g_inv, base))
