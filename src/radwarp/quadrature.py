@@ -26,6 +26,13 @@ own, so the results are those of evaluating one segment per call, bit for
 bit.  For the same reason a store can outlive its integral: a caller that
 passes one store to the integrals of an equal weighted integrand (at a
 tighter tolerance, say) has each segment evaluated once.
+
+Each segment's K and G sums are 1-D `@` products, which numpy hands to BLAS
+ddot; on OpenBLAS 0.3 (Haswell kernels) that equals a sequential fused
+multiply-add chain from 0.0 on random rows.  A matrix-vector product (gemv)
+or np.add.accumulate rounds differently in nearly every row.  A
+matrix-matrix product (gemm) kept the bits on the rows measured, but it
+loads BLAS-3 code, which raises peak memory for no saving here.
 """
 
 from __future__ import annotations
@@ -110,8 +117,12 @@ class DecayEnvelope:
     quad_rate: float = 0.0
 
     def __post_init__(self):
+        if not self.coef >= 0.0:
+            raise DomainError("decay envelope needs a nonnegative coefficient")
         if not self.quad_rate >= 0.0:
             raise DomainError("decay envelope needs a nonnegative quadratic rate")
+        if math.isnan(self.power) or math.isnan(self.rate) or math.isnan(self.valid_from):
+            raise DomainError("decay envelope fields must not be NaN")
 
     def power_scaled(self, q: float) -> "DecayEnvelope":
         if q < 0:
@@ -193,10 +204,11 @@ def _warp_power_envelope(w: WarpSpec, theta_w: float) -> DecayEnvelope:
 def _gk_segments(fn, bounds) -> list[tuple[float, float, float | None]]:
     """GK 15(7) (value, error, first non-finite node or None) of each [a, b].
 
-    Up to _CALL_SEGMENTS segments share one evaluator call.  Each segment
-    is summed with its own 1-D dot product: a batched matrix product rounds
-    differently.  Non-finite values are reported, not raised, so that a
-    segment evaluated ahead raises only if its result is used.
+    Up to _CALL_SEGMENTS segments share one evaluator call, and one finiteness
+    test covers the call.  Each segment is summed with its own 1-D dot
+    product (see the module docstring for why).  Non-finite values are
+    reported, not raised, so that a segment evaluated ahead raises only if
+    its result is used.
     """
     out = []
     for i in range(0, len(bounds), _CALL_SEGMENTS):
@@ -207,11 +219,12 @@ def _gk_segments(fn, bounds) -> list[tuple[float, float, float | None]]:
         y = np.asarray(fn(x), dtype=np.float64)
         if y.shape != x.shape:
             raise EvaluationError("integrand evaluator must be vectorized over its input")
-        for half, xs, ys in zip(halves, x.reshape(-1, _GK_NODES.size),
-                                y.reshape(-1, _GK_NODES.size)):
-            finite = np.isfinite(ys)
-            if not finite.all():
-                out.append((math.nan, math.nan, xs[~finite][0]))
+        y = y.reshape(-1, _GK_NODES.size)
+        finite = np.isfinite(y).all(axis=1).tolist()
+        for j, (half, ys) in enumerate(zip(halves, y)):
+            if not finite[j]:
+                xs = x[j * _GK_NODES.size:(j + 1) * _GK_NODES.size]
+                out.append((math.nan, math.nan, xs[~np.isfinite(ys)][0]))
                 continue
             k = half * float(_GK_WEIGHTS_K @ ys)
             g = half * float(_GK_WEIGHTS_G @ ys)
@@ -225,7 +238,8 @@ def _segment_source(fn, known: dict):
     them."""
     def segments(bounds):
         missing = [ab for ab in bounds if ab not in known]
-        known.update(zip(missing, _gk_segments(fn, missing)))
+        if missing:
+            known.update(zip(missing, _gk_segments(fn, missing)))
         return [known[ab] for ab in bounds]
     return segments
 
@@ -269,6 +283,22 @@ def _adaptive_interval(segments, a: float, b: float,
     value = math.fsum(s[1] for s in accepted)
     error = math.fsum(s[2] for s in accepted)
     return value, error, len(accepted)
+
+
+def _panel_integral(segments, known: dict, a: float, b: float,
+                    tol_abs: float) -> tuple[float, float, int]:
+    """_adaptive_interval(segments, a, b, tol_abs), whose root segment is in
+    `known`; read straight from the root when its level-0 test accepts it.
+
+    The test is _adaptive_interval's expression, so it decides the same way,
+    and a NaN error (a non-finite root) fails it.  `+ 0.0` repeats
+    math.fsum([-0.0]) == 0.0; the error is an abs, never -0.0.
+    """
+    val, err, _ = known[(a, b)]
+    length = b - a
+    if err <= tol_abs * length / length + _MACHINE_FLOOR * abs(val):
+        return val + 0.0, err, 1
+    return _adaptive_interval(segments, a, b, tol_abs)
 
 
 def _panel(upper: float, m: int) -> tuple[float, float]:
@@ -322,7 +352,9 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     origin stops once two consecutive panel contributions fall below the
     running tolerance, and the leftover sliver is bounded by geometric
     extrapolation.  Divergent behaviour toward 0 (contributions that keep
-    growing) yields converged=False with an infinite error estimate.
+    growing) yields converged=False with an infinite error estimate, and so
+    does a walk that stops on the panel budget, the level cap or min_t
+    before its contributions show a positive decay ratio.
 
     `min_t` keeps panels away from evaluators with a positive proximity
     floor; the uncovered sliver is still accounted for in the error.
@@ -359,7 +391,7 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     total = 0.0
     small_run = 0
     growth_run = 0
-    diverging = False
+    diverging = settled = False
     m = 0
     while m <= _MAX_PANEL_LEVELS and subdivisions < _PANEL_BUDGET:
         a_panel, b_panel = _panel(upper, m)
@@ -369,7 +401,7 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
             _prefetch(segments, upper, m, min_t, _PANEL_BUDGET - subdivisions)
         scale = max(1.0, abs(total))
         panel_tol = tol * scale / (8.0 * (m + 1) * (m + 2))
-        val, err, nsub = _adaptive_interval(segments, a_panel, b_panel, panel_tol)
+        val, err, nsub = _panel_integral(segments, known, a_panel, b_panel, panel_tol)
         contributions.append(val)
         errors.append(err)
         subdivisions += nsub
@@ -380,6 +412,7 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
             growth_run = 0
             if small_run >= 2:
                 if _remaining_mass_estimate(weighted, a_panel, min_t) <= stop_tol:
+                    settled = True
                     break
                 small_run = 0  # mass detected further down: keep descending
         else:
@@ -400,12 +433,14 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     else:
         # contributions of an integrable singularity decay geometrically;
         # bound the uncovered sliver (0, U 2^-(m+1)) by extrapolating the
-        # worst recent decay ratio
+        # worst recent decay ratio.  Without a positive ratio the sliver is
+        # bounded only by the small-panel stop's mass estimate: a walk
+        # stopped by the budget, the level cap or min_t leaves it unbounded.
         tail_c = [abs(c) for c in contributions[-4:]]
         ratios = [tail_c[i + 1] / tail_c[i] for i in range(len(tail_c) - 1) if tail_c[i] > 0]
         q = max(ratios) if ratios else 0.0
         if q == 0.0:
-            sliver = 0.0
+            sliver = 0.0 if settled else math.inf
         elif q < 0.97:
             sliver = abs(contributions[-1]) * q / (1.0 - q)
         else:

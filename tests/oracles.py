@@ -9,12 +9,13 @@ from itertools import product
 
 import numpy as np
 
-from radwarp.errors import DimensionError
+from radwarp.errors import DimensionError, EvaluationError
 from radwarp.geometry import christoffel_at
 from radwarp.jets import (Jet, _combine_base, _series_coeffs, compose_coeffs, embed_univariate,
                           jet_constant, jet_from_derivatives, jet_mul, jet_partial, mul_coeffs,
                           mul_table, n_terms, polynomial_derivatives, taylor_coeffs)
 from radwarp.manifold import WarpSpec, default_point, metric_at, warp_eval
+from radwarp.quadrature import _CALL_SEGMENTS, _GK_NODES, _GK_WEIGHTS_G, _GK_WEIGHTS_K
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
@@ -193,3 +194,28 @@ def oracle_norm(comps: dict, metric):
             weight = weight * inv[i]
         total = total + weight * jet.value**2
     return np.sqrt(total)
+
+
+def oracle_gk_segments(fn, bounds) -> list:
+    """quadrature._gk_segments one segment at a time: its finiteness test,
+    first non-finite node and K and G dot products are each taken on that
+    segment's own rows."""
+    out = []
+    for i in range(0, len(bounds), _CALL_SEGMENTS):
+        chunk = bounds[i:i + _CALL_SEGMENTS]
+        halves = [0.5 * (b - a) for a, b in chunk]
+        mids = np.array([0.5 * (a + b) for a, b in chunk])
+        x = (mids[:, None] + np.array(halves)[:, None] * _GK_NODES).ravel()
+        y = np.asarray(fn(x), dtype=np.float64)
+        if y.shape != x.shape:
+            raise EvaluationError("integrand evaluator must be vectorized over its input")
+        for half, xs, ys in zip(halves, x.reshape(-1, _GK_NODES.size),
+                                y.reshape(-1, _GK_NODES.size)):
+            finite = np.isfinite(ys)
+            if not finite.all():
+                out.append((math.nan, math.nan, xs[~finite][0]))
+                continue
+            k = half * float(_GK_WEIGHTS_K @ ys)
+            g = half * float(_GK_WEIGHTS_G @ ys)
+            out.append((k, abs(k - g), None))
+    return out

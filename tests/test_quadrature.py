@@ -18,6 +18,8 @@ from radwarp.quadrature import (
     integrate_weighted,
 )
 
+from oracles import oracle_gk_segments
+
 
 def const_one(t):
     return np.ones_like(t)
@@ -118,6 +120,23 @@ class TestWeightedIntegrals:
         assert res.converged
         assert res.value == pytest.approx(math.sqrt(math.pi) / 1000.0, rel=1e-8)
 
+    def test_walk_stopped_by_the_budget_is_not_converged(self):
+        # the first panel [1/2, 1] alone spends the subdivision budget, so no
+        # decay ratio bounds the uncovered (0, 1/2), which holds half the mass
+        res = integrate_weighted(Integrand(lambda t: np.sin(3e4 * t) ** 2),
+                                 WarpSpec.euclidean(1.0))
+        assert res.value == pytest.approx(0.25, rel=1e-3)
+        assert math.isinf(res.error_estimate)
+        assert not res.converged
+
+    @pytest.mark.parametrize("min_t, value", [(0.3, 0.5), (0.75, 0.0)])
+    def test_walk_stopped_by_min_t_before_a_decay_ratio_is_not_converged(self, min_t, value):
+        # int_0^1 1 dt = 1: the walk covers [1/2, 1] or nothing before min_t
+        res = integrate_weighted(Integrand(const_one), WarpSpec.euclidean(1.0), min_t=min_t)
+        assert res.value == pytest.approx(value, abs=1e-12)
+        assert math.isinf(res.error_estimate)
+        assert not res.converged
+
 
 class TestInvariants:
     def test_halving_tol_does_not_increase_error(self):
@@ -206,6 +225,19 @@ class TestEnvelopeAlgebra:
         # certifies no tail
         with pytest.raises(DomainError, match="quadratic rate"):
             DecayEnvelope(1e4, 0.0, 2.0, 1.0, -0.01)
+
+    def test_negative_coefficient_rejected(self):
+        # a negative tail bound would be subtracted from the error: on
+        # int_0^inf e^-t it certified 0.632 with error -0.368
+        with pytest.raises(DomainError, match="nonnegative coefficient"):
+            DecayEnvelope(-1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("field", range(5))
+    def test_nan_field_rejected(self, field):
+        fields = [1.0, 0.0, 1.0, 1.0, 0.0]
+        fields[field] = math.nan
+        with pytest.raises(DomainError):
+            DecayEnvelope(*fields)
 
     def test_quadratic_dominates_linear_growth(self):
         env = DecayEnvelope(1.0, 0.0, -2.0, 1.0, quad_rate=1.0)  # e^{2t - t^2}
@@ -494,3 +526,108 @@ class TestSegmentMemo:
         assert funcspace._STORES.get() is None
         funcspace.weighted_integral(*self.BASE, 1e-10)
         assert segment_counts[1][0] is None
+
+
+@pytest.fixture
+def gk_calls(monkeypatch):
+    """The number of segments of each _gk_segments call, in order."""
+    sizes = []
+    gk_segments = quadrature._gk_segments
+
+    def counting(fn, bounds):
+        sizes.append(len(bounds))
+        return gk_segments(fn, bounds)
+
+    monkeypatch.setattr(quadrature, "_gk_segments", counting)
+    return sizes
+
+
+def _result_bits(results):
+    return [(v.hex(), e.hex(), None if t is None else float(t).hex()) for v, e, t in results]
+
+
+class TestSegmentSums:
+    """_gk_segments tests finiteness once per evaluator call and reads each
+    panel root straight from the store, and every result stays that of the
+    one-segment-at-a-time oracle, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        bad_rows=st.lists(st.integers(0, 39), max_size=4),
+        tiny_rows=st.lists(st.integers(0, 39), max_size=6),
+    )
+    # a chunk boundary with a bad row on each side, and an all-tiny row
+    @example(n=17, seed=0, bad_rows=[15, 16], tiny_rows=[0])
+    def test_batched_sums_equal_the_oracle(self, n, seed, bad_rows, tiny_rows):
+        rng = np.random.default_rng(seed)
+        size = quadrature._GK_NODES.size
+        lefts = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 1, n)
+        bounds = [(float(a), float(a + w))
+                  for a, w in zip(lefts, 10.0 ** rng.uniform(-300.0, 0.0, n))]
+        y = rng.standard_normal(n * size) * 10.0 ** rng.uniform(-320.0, 300.0, n * size)
+        for row in tiny_rows:
+            if row < n:  # half * sum underflows to -0.0 on the narrower segments
+                y[row * size:(row + 1) * size] = -(10.0 ** rng.uniform(-320.0, -300.0, size))
+        for row in bad_rows:
+            if row < n:
+                at = row * size + rng.choice(size, rng.integers(1, 4), replace=False)
+                y[at] = rng.choice([math.nan, math.inf, -math.inf], at.size)
+
+        def evaluator(seen):
+            def fn(t):
+                start = sum(map(np.size, seen))
+                seen.append(t.copy())
+                return y[start:start + t.size]
+            return fn
+
+        got_x, want_x = [], []
+        got = quadrature._gk_segments(evaluator(got_x), bounds)
+        want = oracle_gk_segments(evaluator(want_x), bounds)
+        assert _result_bits(got) == _result_bits(want)
+        assert [x.tobytes() for x in got_x] == [x.tobytes() for x in want_x]
+
+    # a subnormal integrand on a narrow segment: half * sum underflows to -0.0
+    TINY = staticmethod(lambda t: np.full_like(t, -1e-320))
+    NARROW = (0.5, 0.5 + 2.0**-40)
+
+    def test_negative_zero_sum_is_kept(self):
+        (val, err, bad), = quadrature._gk_segments(self.TINY, [self.NARROW])
+        assert (val.hex(), err.hex(), bad) == ("-0x0.0p+0", "0x0.0p+0", None)
+
+    def test_root_fast_path_on_a_negative_zero_root(self, monkeypatch):
+        known = {}
+        segments = quadrature._segment_source(self.TINY, known)
+        segments([self.NARROW])
+        slow = quadrature._adaptive_interval(segments, *self.NARROW, 1e-10)
+
+        def refused(*args):
+            raise AssertionError("an accepted root bisects")
+
+        monkeypatch.setattr(quadrature, "_adaptive_interval", refused)
+        fast = quadrature._panel_integral(segments, known, *self.NARROW, 1e-10)
+        assert (fast[0].hex(), fast[1].hex(), fast[2]) == ("0x0.0p+0", "0x0.0p+0", 1)
+        assert (slow[0].hex(), slow[1].hex(), slow[2]) == ("0x0.0p+0", "0x0.0p+0", 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(freq=st.floats(0.0, 400.0), power=st.floats(-0.9, 3.0), m=st.integers(0, 30),
+           tol=st.sampled_from([1e-6, 1e-10, 1e-13]))
+    def test_panel_integral_equals_the_bisection(self, freq, power, m, tol):
+        known = {}
+        segments = quadrature._segment_source(lambda t: np.cos(freq * t) * t**power, known)
+        a, b = quadrature._panel(1.0, m)
+        segments([(a, b)])
+        fast = quadrature._panel_integral(segments, known, a, b, tol)
+        slow = quadrature._adaptive_interval(segments, a, b, tol)
+        assert (fast[0].hex(), fast[1].hex(), fast[2]) == (slow[0].hex(), slow[1].hex(), slow[2])
+
+    def test_no_evaluation_asks_for_no_segment(self, gk_calls):
+        for f, w, min_t, _ in TestBatchedSchedule.CASES.values():
+            integrate_weighted(f, w, min_t=min_t)
+        divergence_probe(Integrand(lambda t: 1.0 / t), WarpSpec.euclidean(1.0), 1.0,
+                         [1e-2, 3e-3, 1e-3, 3e-4])
+        with funcspace.shared_segments():
+            for tol in (1e-10, 1e-10 / 16):
+                funcspace.weighted_integral(*TestSegmentMemo.BASE, tol)
+        assert gk_calls and min(gk_calls) > 0
