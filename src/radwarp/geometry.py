@@ -13,12 +13,13 @@ the tensor recursion
 
 on exact jets, so the components are exact up to rounding; rank-j components
 of a depth-k computation hold jets of order k - j.  A rank is one array of
-raw coefficients, one row per component in `product` order, combined with
-the gather tables `jets.partial_table` and `jets.mul_table` in the
-operations and order of `jet_partial`, `jet_mul` and jet subtraction, so no
-Jet is built per component; `CovTensor.component` wraps one in a Jet for
-outside readers.  A product of order 0, as at rank k, is one elementwise
-multiply: the sum over a one-term segment is that term.
+raw coefficients, one row per component in `product` order, combined by
+`jets.partial_table` gathers and `jets.mul_coeffs`, the product of
+`jet_mul`, in the operations and order of `jet_partial`, `jet_mul` and jet
+subtraction, so no Jet is built per component; `CovTensor.component` wraps
+one in a Jet for outside readers.  A product of order 0, as at rank k, is
+one elementwise multiply of the two factors: the sum over a one-term
+segment is that term, and it gathers no copy of either.
 
 The recursion computes only what its readers keep, and only when they read it:
 
@@ -77,8 +78,8 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, ProximityError, SingularMetricError
-from .jets import (Jet, embed_univariate, jet_coordinate, jet_mul, jet_partial, mul_table,
-                   n_terms, partial_table)
+from .jets import (Jet, embed_univariate, jet_coordinate, jet_mul, jet_partial, mul_coeffs,
+                   mul_table, n_terms, partial_table)
 from .manifold import (
     DiagonalMetric,
     ManifoldSpec,
@@ -321,14 +322,13 @@ class CovTensor:
                 rows, factor, slot = rows[keep], factor[keep], slot[keep]
             for lo in range(0, rows.size, step):
                 part = slice(lo, lo + step)
-                prod = gamma[slot[part], ..., :terms]
                 if d:  # jet_mul of both factors cut to order d
-                    prod = prod[..., table.ia]
-                    prod *= prev.coeffs[factor[part], ..., :terms][..., table.ib]
-                    prod = np.add.reduceat(prod, table.starts, axis=-1)
+                    out[rows[part]] -= mul_coeffs(gamma[slot[part], ..., :terms],
+                                                  prev.coeffs[factor[part], ..., :terms], table)
                 else:  # order 0: each product is one term
+                    prod = gamma[slot[part], ..., :terms]
                     prod *= prev.coeffs[factor[part], ..., :terms]
-                out[rows[part]] -= prod
+                    out[rows[part]] -= prod
         done = slice(None) if full else comps
         self._nonzero[done] = out[done].reshape(comps.size, -1).any(axis=1)
         self._done[done] = True

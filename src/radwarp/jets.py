@@ -11,6 +11,14 @@ makes truncation to a lower order a prefix slice, and it lets us precompute
 flat gather tables for products and partial derivatives once per
 (num_vars, order) signature.
 
+A product coefficient sums its segment of pairwise products, ordered by the
+multi-index of the left factor, in the order of np.add.reduceat on numpy
+2.4: t0 + S(t1, ..., t(L-1)), where S is numpy's pairwise sum.  Under 8
+terms S is a left fold; from 8 terms it keeps 8 lanes over whole blocks of
+8, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then folds in the
+remaining terms.  `mul_table` plans those additions once as whole-array
+slice adds over all segments (`mul_coeffs`), bit for bit.
+
 The coefficient array may carry leading batch dimensions.  Every operation
 broadcasts over them, which is how grid sweeps over evaluation points are
 vectorized: a jet "at r" where r is an array of shape (B,) simply has
@@ -32,6 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import add
 from typing import Iterable
 
 import numpy as np
@@ -103,37 +113,110 @@ def n_terms(num_vars: int, order: int) -> int:
 
 @dataclass(frozen=True)
 class _MulTable:
-    ia: np.ndarray
-    ib: np.ndarray
-    starts: np.ndarray  # reduceat segment starts, one per output position
-    n_out: int
+    ia: np.ndarray  # coefficient of a of each pair, output ascending, then ia
+    ib: np.ndarray  # coefficient of b of each pair, in the same order
+    starts: np.ndarray  # first pair of each output's segment; it sums as t0 + S(t1, ...)
+    gather_a: np.ndarray  # ia laid out for the summing plan
+    gather_b: np.ndarray  # ib laid out for the summing plan
+    steps: tuple  # (dst, src) slices or index arrays: w[..., dst] += w[..., src]
+    unsort: np.ndarray  # where each output coefficient ends up in w
+
+
+def _rounds(length: int) -> list:
+    """The additions of numpy's pairwise sum of places 1..length-1 of a
+    segment into place 1, as rounds of (dst, src) places that touch no place
+    twice.  Fewer than 8 terms fold left; from 8 on, 8 lanes take whole
+    blocks of 8, combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the
+    remaining terms fold in."""
+    n = length - 1
+    if n < 8:
+        return [[(1, p)] for p in range(2, length)]
+    whole = n - n % 8
+    rounds = [[(1 + j, 1 + i + j) for j in range(8)] for i in range(8, whole, 8)]
+    rounds += [[(1, 2), (3, 4), (5, 6), (7, 8)], [(1, 3), (5, 7)], [(1, 5)]]
+    return rounds + [[(1, p)] for p in range(1 + whole, length)]
+
+
+def _step(runs: list) -> tuple:
+    """(dst, src) of one step from its runs [dst, src, count]: two slices for
+    a single run, else two read-only index arrays."""
+    if len(runs) == 1:
+        dst, src, count = runs[0]
+        return slice(dst, dst + count), slice(src, src + count)
+    moves = []
+    for col in (0, 1):
+        array = np.array([run[col] + i for run in runs for i in range(run[2])], dtype=np.intp)
+        array.flags.writeable = False
+        moves.append(array)
+    return tuple(moves)
+
+
+def mul_table(num_vars: int, order_a: int, order_b: int) -> _MulTable:
+    """The product table of jets of orders a and b: that of two jets of
+    order min(a, b), as the product reads no coefficient above it."""
+    return _mul_table(num_vars, min(order_a, order_b))
 
 
 @lru_cache(maxsize=None)
-def mul_table(num_vars: int, order_a: int, order_b: int) -> _MulTable:
-    d_out = min(order_a, order_b)
-    ta = _table(num_vars, order_a)
-    tb = _table(num_vars, order_b)
+def _mul_table(num_vars: int, d_out: int) -> _MulTable:
+    """Gather and summing plan of the product of two jets of order d_out.
+
+    Output coefficient gamma sums the segment of pairs alpha + beta = gamma,
+    ia ascending, as np.add.reduceat does: t0 + S(t1, ...), with S numpy's
+    pairwise sum (`_rounds`).  The plan lays the pairs out heads first,
+    longest segment first, then the l-th pair of every segment longer than
+    l for l = 1, 2, ...: place l of the k-th segment sits at off[l] + k.  A
+    step takes one round of every segment that has it, as one run per
+    length; runs that continue each other merge, so a step over segments of
+    at most 8 terms is two slices.  Every head add is in the last step.
+    A table is built when first read, often at the memory peak of a
+    covariant recursion, so the plan is worked out on runs of segments and
+    Python ints, not on per-pair move lists or np.argsort.
+    """
     tout = _table(num_vars, d_out)
-    triples = []
-    for ia, alpha in enumerate(ta.indices):
-        da = sum(alpha)
-        if da > d_out:
-            break  # graded ordering: all later terms have degree >= da
-        for ib, beta in enumerate(tb.indices):
-            if da + sum(beta) > d_out:
-                break
-            gamma = tuple(alpha[v] + beta[v] for v in range(num_vars))
-            triples.append((tout.position[gamma], ia, ib))
+    position, triples = tout.position, []
+    # graded ordering: the terms of degree <= m are the first n_terms(num_vars, m)
+    for ia, alpha in enumerate(tout.indices):
+        room = _table(num_vars, d_out - sum(alpha)).indices
+        triples += [(position[tuple(map(add, alpha, beta))], ia, ib)
+                    for ib, beta in enumerate(room)]
     triples.sort()
-    out_pos = np.array([t[0] for t in triples], dtype=np.intp)
-    ia_arr = np.array([t[1] for t in triples], dtype=np.intp)
-    ib_arr = np.array([t[2] for t in triples], dtype=np.intp)
     # every output slot is hit at least once (pair with the zero multi-index)
-    starts = np.searchsorted(out_pos, np.arange(tout.n_terms))
-    for arr in (ia_arr, ib_arr, starts):
+    lengths = [0] * tout.n_terms
+    for t in triples:
+        lengths[t[0]] += 1
+    starts = [0, *accumulate(lengths[:-1])]
+    rank = sorted(range(tout.n_terms), key=lambda o: -lengths[o])  # stable
+    off, order = [], []
+    for place in range(lengths[rank[0]]):
+        off.append(len(order))
+        order += [starts[o] + place for o in rank if lengths[o] > place]
+    groups = {}  # length -> [first k, end k]
+    for k, o in enumerate(rank):
+        groups.setdefault(lengths[o], [k, k])[1] = k + 1
+    rounds = {length: _rounds(length) for length in groups}
+    last = max(map(len, rounds.values()))
+    for length, r in rounds.items():  # every head add waits for the last step
+        r += [[]] * (last - len(r)) + [[(0, 1)] if length > 1 else []]
+    plan = []
+    for s in range(last + 1):
+        runs = []  # [dst, src, count], a run merged into the one it continues
+        for length, (k0, k1) in groups.items():
+            for dst, src in rounds[length][s]:
+                if runs and runs[-1][0] + runs[-1][2] == off[dst] + k0 \
+                        and runs[-1][1] + runs[-1][2] == off[src] + k0:
+                    runs[-1][2] += k1 - k0
+                else:
+                    runs.append([off[dst] + k0, off[src] + k0, k1 - k0])
+        if runs:
+            plan.append(_step(runs))
+    unsort = sorted(range(len(rank)), key=rank.__getitem__)  # the inverse of rank
+    arrays = [np.array(values, dtype=np.intp) for values in (
+        [t[1] for t in triples], [t[2] for t in triples], starts,
+        [triples[i][1] for i in order], [triples[i][2] for i in order], unsort)]
+    for arr in arrays:
         arr.flags.writeable = False
-    return _MulTable(ia_arr, ib_arr, starts, tout.n_terms)
+    return _MulTable(*arrays[:5], tuple(plan), arrays[5])
 
 
 @lru_cache(maxsize=None)
@@ -329,9 +412,16 @@ def mul_coeffs(a: np.ndarray, b: np.ndarray, table: _MulTable) -> np.ndarray:
     The pairwise products overwrite the gathered copy of the factor with the
     larger batch where the other broadcasts into it, so a product allocates
     two batch x pairs arrays, not three (about 0.6 MB each for an order-3
-    product at N = 5 on 256 points).
+    product at N = 5 on 256 points).  The table's steps then sum every
+    segment in place, as t0 + S(t1, ...) with S numpy's pairwise sum (see
+    the module docstring): the bits of np.add.reduceat over `table.starts`
+    of the pairs in `table.ia` order.  The result is a fresh array of the
+    output size, not a view that would keep the pairs alive.
     """
-    prod, other = a[..., table.ia], b[..., table.ib]
+    prod = a[..., table.gather_a]
+    del a  # a factor passed as a temporary is freed before the second gather
+    other = b[..., table.gather_b]
+    del b
     if prod.ndim < other.ndim:
         prod, other = other, prod  # a product is the same in either order
     if other.shape == prod.shape or other.ndim == 1:
@@ -339,7 +429,9 @@ def mul_coeffs(a: np.ndarray, b: np.ndarray, table: _MulTable) -> np.ndarray:
     else:
         prod = prod * other
     del other
-    return np.add.reduceat(prod, table.starts, axis=-1)
+    for dst, src in table.steps:
+        prod[..., dst] += prod[..., src]
+    return prod[..., table.unsort]
 
 
 def jet_partial(a: Jet, var_index: int) -> Jet:
@@ -429,7 +521,10 @@ def compose_coeffs(f: str, coeffs: np.ndarray, num_vars: int,
     product plus the next series coefficient as a full constant array.  `f`
     is in COMPOSABLE_FUNCTIONS; "pow" takes `alpha`."""
     terms = coeffs.shape[-1]
-    order = next(d for d in range(MAX_ORDER + 1) if n_terms(num_vars, d) == terms)
+    order = next((d for d in range(MAX_ORDER + 1) if n_terms(num_vars, d) == terms), None)
+    if order is None:
+        raise DimensionError(f"{terms} coefficients are no jet of order <= {MAX_ORDER} "
+                             f"in {num_vars} variables")
     c = _series_coeffs(f, coeffs[..., 0], order, alpha)
     w = np.array(coeffs)
     w[..., 0] = 0.0
@@ -448,8 +543,9 @@ def jet_compose_univariate(f: str, inner: Jet, alpha: float | None = None) -> Je
 
 def _row_sum(a: list, b: list, k: int):
     """Coefficient k of the product of univariate rows a and b, summed as
-    `mul_coeffs` sums it: a_0 b_k + ((a_1 b_(k-1) + a_2 b_(k-2)) + ...), the
-    grouping of np.add.reduceat on a short segment.  A row given as None is
+    `mul_coeffs` sums it: a_0 b_k + ((a_1 b_(k-1) + a_2 b_(k-2)) + ...), a
+    head plus a left fold, as a segment of at most 8 terms (k <= MAX_ORDER)
+    sums (see the module docstring).  A row given as None is
     exactly zero and its terms are left out, which can change only the sign
     of a zero result; None when no term is left."""
     tail = None

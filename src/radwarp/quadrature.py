@@ -248,8 +248,8 @@ def _non_finite(t) -> EvaluationError:
     return EvaluationError(f"integrand produced a non-finite value near t={t!r}")
 
 
-def _adaptive_interval(segments, a: float, b: float,
-                       tol_abs: float) -> tuple[float, float, int]:
+def _adaptive_interval(segments, a: float, b: float, tol_abs: float,
+                       budget: int = _PANEL_BUDGET) -> tuple[float, float, int]:
     """Breadth-first bisection on [a, b]; error target proportional to length.
 
     The live segments of a level are evaluated together.  A segment's accept
@@ -257,6 +257,11 @@ def _adaptive_interval(segments, a: float, b: float,
     a depth-first search.  A non-finite segment stops refinement to its
     right, and the error names the leftmost one, which depth-first order
     meets first.  `segments` maps a list of (a, b) to their results.
+
+    At most `budget` (>= 1) segments are accepted: each bisection adds one,
+    so once a level's failing segments outnumber what is left, those to the
+    right of the last that fits are accepted as they stand, as at
+    _MAX_BISECT_DEPTH.
     """
     length = b - a
     accepted = []  # (left endpoint, value, error)
@@ -264,7 +269,7 @@ def _adaptive_interval(segments, a: float, b: float,
     level = [(a, b)]
     depth = 0
     while level:
-        children = []
+        children, failed = [], []
         for (lo, hi), (val, err, bad_t) in zip(level, segments(level)):
             if bad_t is not None:
                 bad = bad_t
@@ -275,6 +280,11 @@ def _adaptive_interval(segments, a: float, b: float,
             else:
                 mid = 0.5 * (lo + hi)
                 children += [(lo, mid), (mid, hi)]
+                failed.append((lo, val, err))
+        room = budget - len(accepted) - len(failed)  # bisections that fit, >= 0
+        if room < len(failed):
+            accepted += failed[room:]
+            children = children[:2 * room]
         level = children
         depth += 1
     if bad is not None:
@@ -285,9 +295,9 @@ def _adaptive_interval(segments, a: float, b: float,
     return value, error, len(accepted)
 
 
-def _panel_integral(segments, known: dict, a: float, b: float,
-                    tol_abs: float) -> tuple[float, float, int]:
-    """_adaptive_interval(segments, a, b, tol_abs), whose root segment is in
+def _panel_integral(segments, known: dict, a: float, b: float, tol_abs: float,
+                    budget: int = _PANEL_BUDGET) -> tuple[float, float, int]:
+    """_adaptive_interval(segments, a, b, tol_abs, budget), whose root segment is in
     `known`; read straight from the root when its level-0 test accepts it.
 
     The test is _adaptive_interval's expression, so it decides the same way,
@@ -298,7 +308,7 @@ def _panel_integral(segments, known: dict, a: float, b: float,
     length = b - a
     if err <= tol_abs * length / length + _MACHINE_FLOOR * abs(val):
         return val + 0.0, err, 1
-    return _adaptive_interval(segments, a, b, tol_abs)
+    return _adaptive_interval(segments, a, b, tol_abs, budget)
 
 
 def _panel(upper: float, m: int) -> tuple[float, float]:
@@ -401,7 +411,8 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
             _prefetch(segments, upper, m, min_t, _PANEL_BUDGET - subdivisions)
         scale = max(1.0, abs(total))
         panel_tol = tol * scale / (8.0 * (m + 1) * (m + 2))
-        val, err, nsub = _panel_integral(segments, known, a_panel, b_panel, panel_tol)
+        val, err, nsub = _panel_integral(segments, known, a_panel, b_panel, panel_tol,
+                                         _PANEL_BUDGET - subdivisions)
         contributions.append(val)
         errors.append(err)
         subdivisions += nsub

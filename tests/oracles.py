@@ -12,8 +12,8 @@ import numpy as np
 from radwarp.errors import DimensionError, EvaluationError
 from radwarp.geometry import christoffel_at
 from radwarp.jets import (Jet, _combine_base, _series_coeffs, compose_coeffs, embed_univariate,
-                          jet_constant, jet_from_derivatives, jet_mul, jet_partial, mul_coeffs,
-                          mul_table, n_terms, polynomial_derivatives, taylor_coeffs)
+                          jet_constant, jet_from_derivatives, jet_mul, jet_partial, mul_table,
+                          n_terms, polynomial_derivatives, taylor_coeffs)
 from radwarp.manifold import WarpSpec, default_point, metric_at, warp_eval
 from radwarp.quadrature import _CALL_SEGMENTS, _GK_NODES, _GK_WEIGHTS_G, _GK_WEIGHTS_K
 
@@ -47,10 +47,18 @@ def _shift_coeffs(coeffs: np.ndarray, s) -> np.ndarray:
     return out
 
 
+def mul_coeffs_reduceat(a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
+    """`jets.mul_coeffs` as a plain gather of the pairs in output order and
+    one np.add.reduceat over the table's segments: the route whose bits the
+    summing plan keeps."""
+    return np.add.reduceat(a[..., table.ia] * b[..., table.ib], table.starts, axis=-1)
+
+
 def oracle_family_coeffs(v, t, order: int) -> np.ndarray:
     """Coefficients of a RadialFunction's jet at t, coefficient axis last, by
     the chain of coefficient-array operations (`compose_coeffs`, constant
-    shifts, `taylor_coeffs`, `mul_coeffs`) whose bits the family rows keep."""
+    shifts, `taylor_coeffs`, `mul_coeffs_reduceat`) whose bits the family
+    rows keep."""
     ta = np.asarray(t, dtype=np.float64)
 
     def quadratic(c0, c2):  # c0 + c2 t^2
@@ -76,7 +84,7 @@ def oracle_family_coeffs(v, t, order: int) -> np.ndarray:
         w = taylor_coeffs((w_rows + [np.zeros_like(ti)] * order)[: order + 1])
         cut = compose_coeffs("exp", _shift_coeffs(-compose_coeffs("recip", w, 1), 1.0), 1)
         poly = taylor_coeffs(polynomial_derivatives(list(enumerate(v.bump_coeffs())), ti, order))
-        out[inside] = mul_coeffs(cut, poly, mul_table(1, order, order))
+        out[inside] = mul_coeffs_reduceat(cut, poly, mul_table(1, order, order))
     return out[0] if ta.ndim == 0 else out
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radwarp import jets
 from radwarp.errors import (
@@ -27,7 +27,7 @@ from radwarp.jets import (
     jet_partial,
 )
 
-from oracles import jet_add, jet_scale, oracle_compose
+from oracles import jet_add, jet_scale, mul_coeffs_reduceat, oracle_compose
 
 
 def uni(coeffs, order=None):
@@ -116,6 +116,13 @@ class TestCompose:
     def test_log_of_zero_raises(self):
         with pytest.raises(SingularCompositionError):
             jet_compose_univariate("log", jet_coordinate(1, 2, 1, 0.0))
+
+    @pytest.mark.parametrize("terms, num_vars", [(5, 2), (8, 1), (0, 3)])
+    def test_coefficient_count_of_no_jet_is_rejected(self, terms, num_vars):
+        # 5 lies between n_terms(2, 1) = 3 and n_terms(2, 2) = 6; 8 is
+        # n_terms(1, 7), past MAX_ORDER
+        with pytest.raises(DimensionError, match=f"{terms} coefficients"):
+            compose_coeffs("sin", np.ones(terms), num_vars)
 
     def test_pow_matches_polynomial(self):
         inner = jet_coordinate(1, 3, 1, 3.0)
@@ -343,6 +350,36 @@ def test_mul_coeffs_is_the_gathered_product(seed, num_vars, order, shapes):
     got = jets.mul_coeffs(a, b, table)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
+
+
+# a sample of values a summing order can tell apart: zeros of either sign,
+# subnormals, and magnitudes whose sums round
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, -3e-310, 1e-160, -7.5, 1e100])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_vars=st.integers(1, 8), order_a=st.integers(0, 6),
+       order_b=st.integers(0, 6), edge=st.sampled_from([0.0, 0.3, 0.9]),
+       shapes=st.sampled_from([((), ()), ((7,), (7,)), ((7,), ()), ((), (7,)),
+                               ((2, 3), (3,)), ((1,), (4,)), ((4, 1), (1, 3))]))
+@example(seed=0, num_vars=8, order_a=6, order_b=6, edge=0.0, shapes=((), ()))
+@example(seed=1, num_vars=8, order_a=6, order_b=6, edge=0.3, shapes=((4, 1), (1, 3)))
+@example(seed=2, num_vars=8, order_a=6, order_b=5, edge=0.9, shapes=((2, 3), (3,)))
+@example(seed=3, num_vars=5, order_a=3, order_b=2, edge=0.3, shapes=((7,), ()))
+def test_summing_plan_is_the_reduceat_of_the_gathered_pairs(seed, num_vars, order_a, order_b,
+                                                            edge, shapes):
+    # mixed orders as in the Christoffel rows; at 8 variables and order 6 a
+    # segment has up to 64 terms, so the lane and tree steps run
+    rng = np.random.default_rng(seed)
+    factors = []
+    for order, batch in zip((order_a, order_b), shapes):
+        shape = batch + (jets.n_terms(num_vars, order),)
+        c = rng.standard_normal(shape) * 2.0 ** rng.integers(-60, 60, shape)
+        factors.append(np.where(rng.random(shape) < edge, rng.choice(EDGE_VALUES, shape), c))
+    table = jets.mul_table(num_vars, order_a, order_b)
+    want = mul_coeffs_reduceat(*factors, table)
+    got = jets.mul_coeffs(*factors, table)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

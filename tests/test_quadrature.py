@@ -129,6 +129,23 @@ class TestWeightedIntegrals:
         assert math.isinf(res.error_estimate)
         assert not res.converged
 
+    def test_bisection_stays_within_the_budget(self):
+        # the first panel stops its bisection on the budget: its tree of
+        # _PANEL_BUDGET leaves has fewer than twice as many segments, plus
+        # the prefetched panel roots
+        known = {}
+        res = integrate_weighted(Integrand(lambda t: np.sin(3e4 * t) ** 2),
+                                 WarpSpec.euclidean(1.0), known=known)
+        assert res.subdivisions == quadrature._PANEL_BUDGET
+        assert len(known) < 2 * quadrature._PANEL_BUDGET + quadrature._PREFETCH_PANELS
+        assert not res.converged
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 10, 101])
+    def test_bisection_accepts_at_most_its_budget(self, budget):
+        segments = quadrature._segment_source(lambda t: np.sin(3e4 * t) ** 2, {})
+        _, _, accepted = quadrature._adaptive_interval(segments, 0.5, 1.0, 1e-10, budget)
+        assert accepted == budget
+
     @pytest.mark.parametrize("min_t, value", [(0.3, 0.5), (0.75, 0.0)])
     def test_walk_stopped_by_min_t_before_a_decay_ratio_is_not_converged(self, min_t, value):
         # int_0^1 1 dt = 1: the walk covers [1/2, 1] or nothing before min_t
