@@ -45,33 +45,49 @@ The recursion computes only what its readers keep, and only when they read it:
   uses, about 0.25 MB of resident code.  For a whole rank the plan depends
   only on N, the rank and the Christoffel rows, so it is kept
   (`_full_plan`).  Components and Christoffel rows are computed once and
-  kept.  The pure-radial component (1, ..., 1) reads only (1, ..., 1) of
-  the rank below and the row of (1, 1), which is empty because radial lines
-  are geodesics: reading it alone costs one radial partial per rank and
-  that one row.
+  kept.
+- The pure-radial component (1, ..., 1) reads only (1, ..., 1) of the rank
+  below and the row of (1, 1), which is empty because radial lines are
+  geodesics.  Read alone, it is that one row and one radial partial per
+  rank, with the gather and scale of a pass and no plan (`_radial`).
 - A gather takes at most as many components as keep it within the largest
-  gather of the per-component recursion (`_chunk`), and `norm_profiles`
-  frees each rank once the rank above it is complete, so a bundle's
-  transient arrays stay as small as that recursion's.
+  gather of the per-component recursion (`_chunk`), so a bundle's transient
+  arrays stay as small as that recursion's.
 - `pointwise_norm` adds the weighted squares in `product` order, each
   weight built left to right, as a sequential fold (`np.add.accumulate`
   from 0.0): a pairwise sum (`np.sum`) would group the terms differently
   and move the last bits of the norms.
-- `norm_profiles` takes ranks 0 and 1 from v alone: |u| = |v| and, as g^11
-  = 1 and the angular partials of u vanish, |grad u|_g = sqrt(v'^2), the
-  dense norm to the bit.  So for k <= 1 it builds no metric at all.
 - The metric and the Christoffel table do not depend on v.  A `Frame`
   carries one set of points and one rank and holds both, each built when
-  first read; the bundles and norm profiles of several functions taken
-  through one frame (`Frame.bundle`, `Frame.norm_profiles`) share them, and
-  with them every Christoffel row any of them reads.  Called directly,
-  `covariant_bundle` and `norm_profiles` build a frame per call.
+  first read; the bundles of several functions taken through one frame
+  (`Frame.bundle`) share them, and with them every Christoffel row any of
+  them reads.  Called directly, `covariant_bundle` builds a frame per call.
+
+The norm profiles |grad^j u|_g do not run this recursion.  u = v(r) is
+invariant under the rotations about the origin, O(N-1), so grad^j u lies in
+the span of the products of dr and h = g - dr (x) dr over slot patterns (the
+first fundamental theorem for O(n): at most 10 patterns for j <= 4, against
+N^j components), with coefficients that are functions of r alone.  They
+follow from v and psi = phi'/phi through grad dr = psi h, and the norm is a
+Gram form that reads N only through N - 1 (`_pattern_norms`).  So
+`norm_profiles` builds no metric, no Christoffel symbol and no bundle: rows
+0 and 1 are |v| and sqrt(v'^2), the dense norms to the bit, and rows j >= 2
+take the pattern form, whose fold starts from v^(j)^2 and adds only terms
+>= 0, so no row falls below |v^(j)| by rounding.  The two routes agree
+within 1e-13 relative for r >= 0.1; nearer the origin both lose digits to
+the 1/r of psi.  `pointwise_norm` over `covariant_bundle`, the dense route,
+stays as the tests' oracle of the pattern form.  The `identity` and
+`asymptotic_leading` checks read components of the bundle: the pattern form
+has v^(j) as its all-dr coefficient by construction, so `identity` would
+test nothing through it.  A `Frame` keeps psi's coefficients for the norm
+profiles taken through it (`Frame.norm_profiles`).
 
 Coordinate indices are 1-based throughout; coordinate 1 is the radial one.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -81,6 +97,7 @@ from .errors import DomainError, ProximityError, SingularMetricError
 from .jets import (Jet, embed_univariate, jet_coordinate, jet_mul, jet_partial, mul_coeffs,
                    mul_table, n_terms, partial_table)
 from .manifold import (
+    WARP_TABLE,
     DiagonalMetric,
     ManifoldSpec,
     default_point,
@@ -275,11 +292,29 @@ class CovTensor:
         if not all(1 <= i <= self.dim for i in idx):
             raise DomainError(f"index {idx} outside 1..{self.dim}")
         row = sum((i - 1) * self.dim ** (self.rank - 1 - s) for s, i in enumerate(idx))
-        if not self._done[row]:
+        if row == 0 and not self._done[0] and (self.rank < 2 or not self._gamma.row(1, 1)):
+            self._radial()
+        elif not self._done[row]:
             want = np.zeros(self._done.size, dtype=bool)
             want[row] = True
             self._fill(want)
         return self.coeffs[row]
+
+    def _radial(self) -> None:
+        """Compute row 0, the pure-radial component (1, ..., 1), alone: the
+        partial in x_1 of row 0 below, gathered and scaled as a pass does it.
+        A pass would subtract the products of the row of Gamma_11, and the
+        caller has seen that row empty (radial lines are geodesics)."""
+        prev = self._prev
+        if not prev._done[0]:
+            prev._radial()
+        src, scale = partial_table(self.dim, self.order + 1, 0)
+        if self.coeffs is None:
+            self.coeffs = np.empty((self.dim**self.rank,) + prev.coeffs.shape[1:-1]
+                                   + (n_terms(self.dim, self.order),))
+        self.coeffs[0] = prev.coeffs[0][..., src] * scale
+        self._nonzero[0] = self.coeffs[0].any()
+        self._done[0] = True
 
     def _fill(self, want: np.ndarray) -> None:
         """Compute the rows where the mask `want` holds and that are not done.
@@ -334,15 +369,120 @@ class CovTensor:
         self._done[done] = True
 
 
-class Frame:
-    """Polar points and a rank k, with the metric and Christoffel table there.
+@lru_cache(maxsize=None)
+def _patterns(j: int) -> tuple:
+    """The slot patterns of rank j >= 1, in the order the recursion first
+    reaches them.  Slot s of a pattern holds s where the pattern has dr and
+    the other end of its h pair otherwise."""
+    return ((0,),) if j == 1 else _pattern_step(j - 1)[0]
 
-    Neither depends on the radial function, so the bundles and norm profiles
-    of several functions taken through one frame (`bundle`, `norm_profiles`)
-    share its metric and each Christoffel row any of them reads.  `r` may be
-    an array; angles default to pi/2 (all nested sine factors 1).  The rank
-    and the point are checked on construction; the metric and the table are
-    built when first read.
+
+def _paired(slots: tuple, a: int, b: int, dr: int | None = None) -> tuple:
+    """`slots` with a and b joined in an h pair and, if given, `dr` made dr."""
+    out = list(slots)
+    out[a], out[b] = b, a
+    if dr is not None:
+        out[dr] = dr
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _pattern_step(j: int) -> tuple:
+    """(patterns, levels) of rank j + 1 from rank j >= 1.
+
+    With P patterns at rank j, term p is c_p', term P + p is psi c_p and
+    term 2P + p is -psi c_p.  The new slot goes first:
+
+        grad(c P) = c' dr (x) P + psi c sum_{dr slots b} (dr_b -> h_0b)
+                    - psi c sum_{h pairs (b, e)} (h_be -> h_0b dr_e + dr_b h_0e)
+
+    Level l holds (targets, terms): the l-th term of each target that has
+    one.  Level 0 reaches every target, in order.
+    """
+    prev = _patterns(j)
+    n, sums = len(prev), {}  # target -> its terms, targets in the order first reached
+    for p, pattern in enumerate(prev):
+        moved = (0,) + tuple(q + 1 for q in pattern)  # slot s is now s + 1
+        sums.setdefault(moved, []).append(p)
+        for b, e in enumerate(pattern):
+            if e == b:
+                sums.setdefault(_paired(moved, 0, b + 1), []).append(n + p)
+            elif b < e:
+                sums.setdefault(_paired(moved, 0, b + 1, e + 1), []).append(2 * n + p)
+                sums.setdefault(_paired(moved, 0, e + 1, b + 1), []).append(2 * n + p)
+    levels = []
+    for l in range(max(map(len, sums.values()))):
+        pairs = [(t, terms[l]) for t, terms in enumerate(sums.values()) if len(terms) > l]
+        levels.append((_frozen([t for t, _ in pairs]), _frozen([x for _, x in pairs])))
+    return tuple(sums), tuple(levels)
+
+
+@lru_cache(maxsize=None)
+def _norm_plan(j: int) -> tuple:
+    """(ones, threes) of the rank-j patterns, 2 <= j <= 4: the patterns with
+    one h pair, and as (3, count) the three patterns that pair each set of
+    four angular slots.  Patterns with different dr slots are orthogonal,
+    as h(dr, .) = 0, and the all-dr pattern is read from v."""
+    groups = {}
+    for p, pattern in enumerate(_patterns(j)):
+        angular = frozenset(s for s, e in enumerate(pattern) if e != s)
+        groups.setdefault(angular, []).append(p)
+    ones = [g[0] for a, g in groups.items() if len(a) == 2]
+    threes = [g for a, g in groups.items() if len(a) == 4]
+    return _frozen(ones), _frozen(np.reshape(threes, (-1, 3)).T)
+
+
+def _pattern_norms(v: np.ndarray, psi: np.ndarray, m: float) -> list:
+    """Rows 2..k of the norm profiles from the Taylor coefficients of v
+    (order k) and of psi = phi'/phi (order k - 2), coefficient axis last, on
+    N - 1 = m.
+
+    grad^j u = sum_P c_P P over the slot patterns P of products of dr and
+    h = g - dr (x) dr; each c_P is a function of r, carried as the Taylor
+    coefficients of order k - j, all patterns of a rank in one array.  Rank 1
+    is v' dr; `_pattern_step` takes each rank to the next, with
+    grad dr = psi h and grad_a h_bc = -psi (h_ab dr_c + h_ac dr_b).  The
+    norm squared sums, per set of dr slots, c^2 with no h pair, m c^2 with
+    one, and m (m - 1) (a^2 + b^2 + c^2) + m (a + b + c)^2 over the three
+    pairings a, b, c of four angular slots: every term is >= 0.  The fold
+    starts from v^(j)^2, v^(j) formed as `Jet.derivative` forms it, and adds
+    the terms left to right; so each row is >= |v^(j)| bit for bit wherever
+    v^(j)^2 neither underflows nor overflows.
+    """
+    k = v.shape[-1] - 1
+    src, scale = partial_table(1, k, 0)
+    coef, rows = (v[..., src] * scale)[None], []
+    for j in range(1, k):  # rank j -> j + 1, coefficients of order k - j - 1
+        d = k - j
+        src, scale = partial_table(1, d, 0)
+        psi_c = mul_coeffs(coef[..., :d], psi[..., :d], mul_table(1, d - 1, d - 1))
+        terms = np.concatenate([coef[..., src] * scale, psi_c, -psi_c])
+        (_, first), *levels = _pattern_step(j)[1]
+        coef = terms[first]
+        for targets, more in levels:
+            coef[targets] += terms[more]
+        ones, threes = _norm_plan(j + 1)
+        x, radial = coef[..., 0], v[..., j + 1] * float(math.factorial(j + 1))
+        total = radial * radial
+        for term in m * np.square(x[ones]):
+            total = total + term
+        if threes.size:
+            a, b, c = x[threes]
+            for term in m * (m - 1) * (a * a + b * b + c * c) + m * np.square(a + b + c):
+                total = total + term
+        rows.append(np.sqrt(total))
+    return rows
+
+
+class Frame:
+    """Polar points and a rank k, with the metric, Christoffel table and psi there.
+
+    None depends on the radial function, so the bundles of several functions
+    taken through one frame (`bundle`) share its metric and each Christoffel
+    row any of them reads, and their norm profiles (`norm_profiles`) share
+    psi.  `r` may be an array; angles default to pi/2 (all nested sine
+    factors 1).  The rank and the point are checked on construction; the
+    metric, the table and psi are built when first read.
     """
 
     def __init__(self, m: ManifoldSpec, r, k: int, angles=None):
@@ -363,6 +503,13 @@ class Frame:
     @cached_property
     def gamma(self) -> ChristoffelTable | None:
         return christoffel_at(self.metric) if self.k >= 2 else None  # rank 1 is plain partials
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """Taylor coefficients of psi = phi'/phi at r to order k - 2 (k >= 2),
+        coefficient axis last: all the norm rows of rank >= 2 read of the warp."""
+        w, r = self.m.warp, np.asarray(self.r, dtype=np.float64)
+        return np.stack(WARP_TABLE[w.kind].psi(w, r, self.k - 2), axis=-1)
 
     def bundle(self, v):
         """`covariant_bundle` of v at this frame's points and rank."""
@@ -399,7 +546,8 @@ def pointwise_norm(t: CovTensor, metric: DiagonalMetric):
     `product` order, each weight built left to right, and is one sequential
     fold (`np.add.accumulate`, from 0.0) taken a block of components at a
     time: the additions of a loop over components, where a pairwise sum
-    would group them otherwise and move the last bits.
+    would group them otherwise and move the last bits.  `norm_profiles`
+    takes the pattern form instead; this dense norm is its tests' oracle.
     """
     if t.base is not metric.base and not metric.base.matches(t.base):
         raise DomainError("tensor and metric were built at different base points")
@@ -432,22 +580,18 @@ def norm_profiles(v, m: ManifoldSpec, r, k: int, angles=None,
     Rows 0 and 1 read no metric: |u| = |v|, and since the angular partials
     of u vanish and g^11 = 1, |grad u|_g = sqrt(v'^2), squared and rooted as
     `pointwise_norm` does it, so a v' whose square underflows gives 0 alike.
-    So for k <= 1 only the point is checked, and only ranks >= 2 build the
-    covariant bundle.  `_frame` is as for `covariant_bundle`; only
+    Rows j >= 2 come from the pattern form (`_pattern_norms`), which reads
+    v's jet and psi = phi'/phi alone, so no row builds a metric and only the
+    point is checked.  `_frame` is as for `covariant_bundle`; only
     `Frame.norm_profiles` passes it.
     """
     frame = Frame(m, r, k, angles) if _frame is None else _frame
-    if k < 2:
-        coeffs = v.eval_jet(r, k).coeffs
-        radial, higher = [coeffs[..., j] for j in range(k + 1)], []
-    else:  # the bundle has evaluated v: its radial components of ranks 0, 1 are v, v'
-        metric, tensors = frame.bundle(v)
-        higher = [pointwise_norm(tensors[2], metric)]  # fills ranks 1 and 2 whole
-        radial = [tensors[j]._entry((1,) * j)[..., 0].copy() for j in (0, 1)]
-        for j in range(3, k + 1):  # rank j reads rank j - 1 alone: free the two below it
-            tensors[j - 3].coeffs = tensors[j - 2].coeffs = None
-            higher.append(pointwise_norm(tensors[j], metric))
-    rows = [np.abs(radial[0])] + [np.sqrt(d**2) for d in radial[1:]] + higher
+    coeffs = v.eval_jet(r, k).coeffs
+    rows = [np.abs(coeffs[..., 0])]
+    if k >= 1:
+        rows.append(np.sqrt(coeffs[..., 1] ** 2))
+    if k >= 2:
+        rows += _pattern_norms(coeffs, frame.psi, m.dim - 1.0)
     rows = [np.broadcast_to(row, np.shape(r)) for row in rows]
     return np.stack(rows) if np.ndim(r) else np.array([float(x) for x in rows])
 

@@ -98,6 +98,10 @@ class _IndexTable:
 
 @lru_cache(maxsize=None)
 def _table(num_vars: int, order: int) -> _IndexTable:
+    """The multi-indices of `num_vars` >= 1 variables up to total degree
+    `order`; every index table of the module starts here."""
+    if num_vars < 1:
+        raise DimensionError(f"a jet needs at least one variable, got num_vars={num_vars}")
     indices = []
     for deg in range(order + 1):
         indices.extend(_compositions(deg, num_vars))

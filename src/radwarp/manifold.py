@@ -9,7 +9,8 @@ theta_N) is then
 
 the standard nested-sine realization of the round sphere factor.  WARP_TABLE
 holds all the program reads about each warp kind, exact: derivatives of phi,
-positivity, the monotonicity constant c_phi and tail growth bounds.  The
+positivity, the monotonicity constant c_phi and tail growth bounds, and
+each row gives the Taylor rows of psi = phi'/phi from its derivatives.  The
 module also provides unit-sphere volumes and the metric jets.
 """
 
@@ -25,12 +26,14 @@ from .errors import ChartSingularityError, DomainError
 from .jets import (
     BasePoint,
     Jet,
+    compose_rows,
     embed_univariate,
     jet_compose_univariate,
     jet_constant,
     jet_coordinate,
     jet_from_derivatives,
     jet_mul,
+    mul_rows,
     polynomial_derivatives,
     tanh_series,
 )
@@ -139,6 +142,15 @@ class WarpKind:
     c_phi: Callable[[WarpSpec], float] | None = lambda w: 1.0
     growth: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None
     series: bool = False
+
+    def psi(self, w: WarpSpec, r: np.ndarray, order: int) -> list[np.ndarray]:
+        """Taylor rows [psi_0, ..., psi_order] of psi = phi'/phi at r in (0, R):
+        the rows of phi' times the reciprocal of phi's rows, both from
+        `derivatives`."""
+        d = self.derivatives(w, r, order + 1)
+        phi = [d[m] / math.factorial(m) for m in range(order + 1)]
+        dphi = [d[m + 1] / math.factorial(m) for m in range(order + 1)]
+        return mul_rows(dphi, compose_rows("recip", phi))
 
 
 WARP_TABLE = {

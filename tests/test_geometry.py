@@ -8,6 +8,7 @@ test.
 import math
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -262,7 +263,9 @@ class TestCovariantDerivatives:
         assert [t.coeffs.shape for t in tensors] == [(5**j, 256, math.comb(9 - j, 4 - j))
                                                       for j in range(5)]
         monkeypatch.undo()
-        assert norms.tobytes() == norm_profiles(v, m, r, 4).tobytes()
+        fresh_metric, fresh = covariant_bundle(v, m, r, 4)
+        assert norms.tobytes() == np.stack([pointwise_norm(t, fresh_metric)
+                                            for t in fresh]).tobytes()
 
 
 class TestPointwiseNorm:
@@ -373,9 +376,10 @@ def test_identity_and_inequality_fuzz_over_custom_warps(c3, c5, a, r, n):
         assert float(pointwise_norm(tensors[k], metric)) >= abs(rhs) - 1e-10
 
 
-# float.hex of norm_profiles rows (j = 0..4) and of the (1,...,1) components
-# (ranks 1..4) for gaussian(a=1) at r = 0.25, 1.1, 2.7: which components are
-# computed, in what order and at what jet order must not move a single bit
+# float.hex of the dense norms `pointwise_norm` (ranks 0..4) and of the
+# (1,...,1) components (ranks 1..4) for gaussian(a=1) at r = 0.25, 1.1, 2.7:
+# which components are computed, in what order and at what jet order must
+# not move a single bit
 PINNED_PROFILES = {
     ("euclidean", 5): [
         ["0x1.e0fabfbc702a4p-1", "0x1.315aa0aba1521p-2", "0x1.65bc855fb5068p-11"],
@@ -420,9 +424,10 @@ def test_rank4_values_are_pinned_bit_for_bit(kind, n):
     m = ManifoldSpec(getattr(WarpSpec, kind)(), n)
     v = RadialFunction.gaussian(1.0)
     r = np.array([0.25, 1.1, 2.7])
-    profiles = norm_profiles(v, m, r, 4)
-    assert [[float(x).hex() for x in row] for row in profiles] == PINNED_PROFILES[(kind, n)]
-    _, tensors = covariant_bundle(v, m, r, 4)
+    metric, tensors = covariant_bundle(v, m, r, 4)
+    norms = [pointwise_norm(t, metric) for t in tensors]
+    assert [[float(x).hex() for x in row] for row in norms] == PINNED_PROFILES[(kind, n)]
+    _, tensors = covariant_bundle(v, m, r, 4)  # read one component at a time
     radial = [[float(x).hex() for x in tensors[j].component((1,) * j).value] for j in range(1, 5)]
     assert radial == PINNED_RADIAL
 
@@ -476,16 +481,16 @@ def test_components_and_norms_equal_the_jet_recursion_bit_for_bit(w, n, k, size,
         want = oracle_norm(comps, oracle_metric)
         got = pointwise_norm(tensors[j], metric)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), j
-    _, fresh = covariant_bundle(v, m, r, k, angles)  # read one component at a time
+    fresh_metric, fresh = covariant_bundle(v, m, r, k, angles)  # read one component at a time
     for j, comps in enumerate(ranks):
         for idx, want in comps.items():
             got = fresh[j].component(idx)
             assert (got.order, got.coeffs.shape) == (want.order, want.coeffs.shape), (j, idx)
             assert got.coeffs.tobytes() == want.coeffs.tobytes(), (j, idx)
-    profiles = norm_profiles(v, m, r, k, angles)
-    for j, comps in enumerate(ranks):
-        want = np.broadcast_to(oracle_norm(comps, oracle_metric), np.shape(r))
-        assert np.asarray(profiles[j]).tobytes() == np.asarray(want).tobytes(), j
+    for j, comps in enumerate(ranks):  # the norms of ranks filled one component at a time
+        want = oracle_norm(comps, oracle_metric)
+        got = pointwise_norm(fresh[j], fresh_metric)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), j
 
 
 # r = 20 on an unbounded warp: gaussian(1) has v' = -40 exp(-400) = -7.7e-173
@@ -523,6 +528,128 @@ def test_rank0_and_rank1_rows_equal_the_dense_norms_bit_for_bit(w, n, k, size, l
     for j in range(min(k, 1) + 1):
         want = np.broadcast_to(pointwise_norm(tensors[j], metric), np.shape(r))
         assert np.asarray(profiles[j]).tobytes() == np.asarray(want).tobytes(), j
+
+
+def _dense_norms(v, m, r, k, angles=None):
+    """`pointwise_norm` of every rank of `covariant_bundle`: the dense route."""
+    metric, tensors = covariant_bundle(v, m, r, k, angles)
+    return np.stack([np.broadcast_to(pointwise_norm(t, metric), np.shape(r)) for t in tensors])
+
+
+def _pattern_tol(r):
+    """How far the pattern and dense routes may part, relative: both lose
+    digits to the 1/r cancellation of psi = phi'/phi near the origin."""
+    return np.where(r >= 0.1, 1e-13, np.where(r >= 0.01, 1e-11, 1e-9))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("w", ALL_MANIFOLD_WARPS[:4], ids=lambda w: w.kind)
+def test_pattern_rows_agree_with_the_dense_norms(w, n):
+    m = ManifoldSpec(w, n)
+    r = np.geomspace(1e-3, min(3.0, 0.95 * w.radius), 40)
+    for v in default_families(w.radius):
+        got, want = norm_profiles(v, m, r, 4), _dense_norms(v, m, r, 4)
+        assert np.all(np.abs(got - want) <= _pattern_tol(r) * want), v.label
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    w=st.sampled_from(ALL_MANIFOLD_WARPS),
+    n=st.integers(2, 6),
+    k=st.integers(2, 4),
+    family=st.integers(0, 4),
+    lo=st.floats(min_value=1e-3, max_value=1.0),
+    size=st.sampled_from([None, 1, 15]),
+    angled=st.booleans(),
+)
+@example(w=ALL_MANIFOLD_WARPS[4], n=6, k=4, family=2, lo=1e-3, size=15, angled=True)
+def test_pattern_rows_agree_with_the_dense_norms_fuzz(w, n, k, family, lo, size, angled):
+    m = ManifoldSpec(w, n)
+    v = default_families(w.radius)[family]
+    hi = min(3.0, 0.95 * w.radius)
+    r = lo if size is None else np.geomspace(lo, hi, size)
+    angles = ANGLES[: n - 1] if angled else None
+    got, want = norm_profiles(v, m, r, k, angles), _dense_norms(v, m, r, k, angles)
+    assert np.all(np.abs(got - want) <= _pattern_tol(np.asarray(r)) * want)
+
+
+# psi = phi'/phi of each warp kind, and the families, in mpmath
+MP_PSI = {"euclidean": lambda t: 1 / t, "hyperbolic": mpmath.coth, "spherical": mpmath.cot,
+          "tanh_cap": lambda t: 1 / (mpmath.sinh(t) * mpmath.cosh(t))}
+MP_FAMILIES = {
+    "gaussian": lambda v, t: mpmath.exp(-v.param("a") * t**2),
+    "power_decay": lambda v, t: (1 + t**2) ** -v.param("a"),
+    "polynomial_bump": lambda v, t: (sum(c * t**i for i, c in enumerate(v.bump_coeffs()))
+                                     * mpmath.exp(1 - 1 / (1 - (t / v.param("support")) ** 2))),
+    "log_profile": lambda v, t: (mpmath.log(v.param("r_ref"))
+                                 - mpmath.log(v.param("delta") ** 2 + t**2) / 2),
+    "linear": lambda v, t: t,
+}
+
+
+def _mp_norms(v, kind: str, n: int, r: float) -> list:
+    """|grad^j u|_g for j = 2, 3, 4 at the float r, in 50 digits.
+
+    Written out by hand from grad dr = psi h and grad_a h_bc = -psi (h_ab dr_c
+    + h_ac dr_b), h = g - dr (x) dr, |h|^2 = N - 1 = m:
+      rank 2: v'' on dr dr, psi v' on h;
+      rank 3: v''' on dr dr dr, b = psi v'' - psi^2 v' on h_01 dr_2 and on
+              h_02 dr_1, c = (psi v')' on dr_0 h_12;
+      rank 4: v'''' on four dr, psi (v''' - 2b) on h_01 dr_2 dr_3, psi (v'''
+              - b - c) on h_02 dr_1 dr_3 and on h_03 dr_1 dr_2, b' on dr_0
+              h_12 dr_3 and on dr_0 h_13 dr_2, c' on dr_0 dr_1 h_23, psi b on
+              h_03 h_12 and on h_02 h_13, psi c on h_01 h_23.
+    """
+    with mpmath.workdps(50):
+        t, m = mpmath.mpf(r), n - 1
+        fac = mpmath.factorial
+        d = [x * fac(i) for i, x in enumerate(mpmath.taylor(
+            lambda s: MP_FAMILIES[v.family](v, s), t, 4))]
+        psi, dpsi, ddpsi = [x * fac(i) for i, x in enumerate(mpmath.taylor(MP_PSI[kind], t, 2))]
+        b, c = psi * d[2] - psi**2 * d[1], dpsi * d[1] + psi * d[2]
+        db = dpsi * d[2] + psi * d[3] - 2 * psi * dpsi * d[1] - psi**2 * d[2]
+        dc = ddpsi * d[1] + 2 * dpsi * d[2] + psi * d[3]
+        squares = [
+            d[2] ** 2 + m * (psi * d[1]) ** 2,
+            d[3] ** 2 + m * (2 * b**2 + c**2),
+            d[4] ** 2 + m * (psi**2 * ((d[3] - 2 * b) ** 2 + 2 * (d[3] - b - c) ** 2)
+                             + 2 * db**2 + dc**2)
+            + m * (m - 1) * psi**2 * (2 * b**2 + c**2) + m * psi**2 * (2 * b + c) ** 2,
+        ]
+        return [mpmath.sqrt(x) for x in squares]
+
+
+@pytest.mark.parametrize("r, tol", [(1e-3, 1e-9), (0.01, 1e-11), (0.1, 1e-13), (1.0, 1e-14)])
+@pytest.mark.parametrize("w", ALL_MANIFOLD_WARPS[:4], ids=lambda w: w.kind)
+def test_pattern_rows_against_fifty_digits(w, r, tol):
+    for n, v in product(range(2, 7), default_families(w.radius)):
+        got = norm_profiles(v, ManifoldSpec(w, n), r, 4)[2:]
+        want = _mp_norms(v, w.kind, n, r)
+        for j, (x, y) in enumerate(zip(got, want), start=2):
+            assert abs(x - y) <= tol * y, (n, v.label, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=st.sampled_from(ALL_MANIFOLD_WARPS),
+    n=st.integers(2, 6),
+    k=st.integers(0, 4),
+    family=st.integers(0, 4),
+    lo=st.floats(min_value=1e-3, max_value=1.0),
+    size=st.sampled_from([None, 1, 256]),
+)
+@example(w=ALL_MANIFOLD_WARPS[1], n=5, k=4, family=0, lo=UNDERFLOW_R, size=None)
+def test_rows_bound_the_radial_derivatives_exactly(w, n, k, family, lo, size):
+    # the fold starts from v^(j)^2 and adds terms >= 0, so no rounding takes a
+    # row below |v^(j)|, wherever v^(j)^2 does not underflow
+    v = default_families(w.radius)[family]
+    hi = min(25.0, 0.95 * w.radius)
+    r = min(lo, 0.9 * hi) if size is None else np.linspace(min(lo, 0.5 * hi), hi, size)
+    profiles = norm_profiles(v, ManifoldSpec(w, n), r, k)
+    vjet = v.eval_jet(r, k)
+    for j in range(k + 1):
+        d = vjet.derivative(j)
+        assert np.all((profiles[j] >= np.abs(d)) | (d * d < np.finfo(float).tiny)), j
 
 
 def test_underflowing_gradient_reads_zero():
@@ -599,11 +726,12 @@ class TestFrame:
         assert built == []
 
     # identity reads only the pure-radial components, so only the row of (1, 1);
-    # the rank-2 norms read the rows of all 10 unordered pairs of 1..4
-    @pytest.mark.parametrize("kind, k, n_rows", [("identity", 3, 1),
-                                                 ("gradient_inequality", 2, 10)])
-    def test_grid_check_builds_one_metric_and_each_christoffel_row_once(self, kind, k, n_rows,
-                                                                        monkeypatch):
+    # the norms of gradient_inequality read v and psi alone: no metric, no
+    # Christoffel row and no bundle
+    @pytest.mark.parametrize("kind, k, n_metrics, n_rows, n_bundles",
+                             [("identity", 3, 1, 1, 5), ("gradient_inequality", 2, 0, 0, 0)])
+    def test_grid_check_builds_one_metric_and_each_christoffel_row_once(
+            self, kind, k, n_metrics, n_rows, n_bundles, monkeypatch):
         from radwarp.geometry import ChristoffelTable
         from radwarp.verify import CheckSpec, GridSpec, run_check
 
@@ -621,6 +749,6 @@ class TestFrame:
         spec = CheckSpec(kind=kind, manifold=self.M, k=k, grid=GridSpec(n=24))
         assert len(spec.families) == 5
         assert run_check(spec).verdict == "pass"
-        assert len(metrics) == 1
+        assert len(metrics) == n_metrics
         assert len(rows) == len(set(rows)) == n_rows
-        assert len(bundles) == 5
+        assert len(bundles) == n_bundles

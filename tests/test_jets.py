@@ -124,6 +124,14 @@ class TestCompose:
         with pytest.raises(DimensionError, match=f"{terms} coefficients"):
             compose_coeffs("sin", np.ones(terms), num_vars)
 
+    @pytest.mark.parametrize("build", [lambda: jets.n_terms(0, 2), lambda: jets.mul_table(0, 1, 1),
+                                       lambda: compose_coeffs("sin", np.ones(1), 0),
+                                       lambda: jets.partial_table(-1, 1, 0)])
+    def test_no_variables_is_a_dimension_error(self, build):
+        # the index tables of zero variables would recurse without end
+        with pytest.raises(DimensionError, match="at least one variable"):
+            build()
+
     def test_pow_matches_polynomial(self):
         inner = jet_coordinate(1, 3, 1, 3.0)
         out = jet_compose_univariate("pow", inner, alpha=2.0)

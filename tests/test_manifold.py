@@ -3,6 +3,7 @@ volumes, metric jets."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -87,6 +88,25 @@ class TestWarpEval:
         j = warp_eval(WarpSpec.hyperbolic(), r, 2)
         np.testing.assert_allclose(j.derivative(0), np.sinh(r))
         np.testing.assert_allclose(j.derivative(1), np.cosh(r))
+
+
+# psi = phi'/phi in closed form, written independently of the warp table
+CLOSED_PSI = {"euclidean": lambda t: 1 / t, "hyperbolic": mpmath.coth, "spherical": mpmath.cot,
+              "tanh_cap": lambda t: 2 / mpmath.sinh(2 * t)}
+
+
+@pytest.mark.parametrize("w", ALL_WARPS, ids=lambda w: w.kind)
+def test_psi_rows_are_the_taylor_rows_of_phi_prime_over_phi(w):
+    # at r = 2.9, psi's rows of hyperbolic and tanh_cap are about 1e-2 of
+    # the rows they are formed from (tanh_cap's phi' = 1 - tanh^2 as well),
+    # and lose about two digits
+    r = np.array([0.01, 0.3, 1.7, 2.9])
+    rows = WARP_TABLE[w.kind].psi(w, r, 3)
+    for i, t in enumerate(r):
+        with mpmath.workdps(40):
+            want = mpmath.taylor(CLOSED_PSI[w.kind], mpmath.mpf(float(t)), 3)
+        for m, row in enumerate(rows):
+            assert abs(row[i] - float(want[m])) <= 1e-13 * abs(float(want[m])), (t, m)
 
 
 def assert_origin_conditions(w: WarpSpec):

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import radwarp.cli  # noqa: F401  (loads every module the tracer rebinds in)
-from radwarp import verify
+from radwarp import geometry, verify
 from radwarp.funcspace import RadialFunction
 from radwarp.manifold import ManifoldSpec, WarpSpec
 
@@ -39,11 +39,14 @@ def _bindings() -> dict:
 
 def test_tracer_counts_a_manifold_check_and_restores_every_binding():
     tracer_module = _load_tracer()
-    # a manifold Sobolev norm of order 2: Christoffel symbols, covariant
-    # tensors, norm functions and quadrature all run
-    check = verify.CheckSpec(kind="embedding_ratio",
-                             manifold=ManifoldSpec(WarpSpec.euclidean(1.0), 3), k=2, p=1.5,
-                             q=2.0, families=(RadialFunction.gaussian(1.0),))
+    # a manifold Sobolev norm of order 2 runs norm functions, norm profiles
+    # and quadrature; an identity check runs the metric, the Christoffel
+    # symbols and the covariant tensors, and one direct call their dense norm
+    m = ManifoldSpec(WarpSpec.euclidean(1.0), 3)
+    checks = [verify.CheckSpec(kind="embedding_ratio", manifold=m, k=2, p=1.5, q=2.0,
+                               families=(RadialFunction.gaussian(1.0),)),
+              verify.CheckSpec(kind="identity", manifold=m, k=2,
+                               families=(RadialFunction.gaussian(1.0),))]
     original = _bindings()
     tracer = tracer_module.Tracer()
     try:
@@ -51,7 +54,9 @@ def test_tracer_counts_a_manifold_check_and_restores_every_binding():
         replaced = [key for key, value in _bindings().items()
                     if key in original and value is not original[key]]
         # through the module, whose binding the tracer replaces
-        assert verify.run_check(check).verdict == "pass"
+        assert [verify.run_check(check).verdict for check in checks] == ["pass", "pass"]
+        metric, tensors = geometry.covariant_bundle(RadialFunction.gaussian(1.0), m, 0.5, 2)
+        assert geometry.pointwise_norm(tensors[2], metric) > 0.0
     finally:
         tracer.restore()
     assert ("radwarp.geometry", "christoffel_at") in replaced
