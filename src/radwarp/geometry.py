@@ -62,6 +62,10 @@ The recursion computes only what its readers keep, and only when they read it:
   first read; the bundles of several functions taken through one frame
   (`Frame.bundle`) share them, and with them every Christoffel row any of
   them reads.  Called directly, `covariant_bundle` builds a frame per call.
+  Each inverse g^kk is built on first read, and a row forms no product by
+  an exactly zero metric partial, so the row of (1, 1), all the pure-radial
+  components read, reads no inverse (g_11 = 1).  The frame keeps one jet
+  of each v (`Frame.jet`) for its bundle, its norm profiles and the checks.
 
 The norm profiles |grad^j u|_g do not run this recursion.  u = v(r) is
 invariant under the rotations about the origin, O(N-1), so grad^j u lies in
@@ -127,7 +131,7 @@ class ChristoffelTable:
         self._metric = metric
         self._partials = {}  # (i, v) -> d_v g_ii, read once so far
         self._rows = {}  # (i, j) -> ((alpha, slot), ...)
-        batch = np.broadcast_shapes(*(g.coeffs.shape[:-1] for g in metric.g + metric.g_inv))
+        batch = np.broadcast_shapes(*(g.coeffs.shape[:-1] for g in metric.g))
         # g_ii of a warped product depends on x_1 .. x_{i-1} only, so at most
         # n (n - 1) symbols are nonzero; one more slot takes a vanishing one
         # while it is tested, and a denser metric doubles the stack
@@ -165,18 +169,21 @@ class ChristoffelTable:
         return jet
 
     def _row(self, i: int, j: int) -> tuple:
-        g_inv, row = self._metric.inverse_entry, []
+        row = []
         for k in range(1, self._metric.dim + 1):
             if i == j == k:
-                half, jet = 0.5, jet_mul(g_inv(k), self._dg(i, i))
+                half, dg = 0.5, self._dg(i, i)
             elif i == j:
-                half, jet = -0.5, jet_mul(g_inv(k), self._dg(i, k))
+                half, dg = -0.5, self._dg(i, k)
             elif k == i:
-                half, jet = 0.5, jet_mul(g_inv(i), self._dg(i, j))
+                half, dg = 0.5, self._dg(i, j)
             elif k == j:
-                half, jet = 0.5, jet_mul(g_inv(j), self._dg(j, i))
+                half, dg = 0.5, self._dg(j, i)
             else:
                 continue
+            if not dg.coeffs.any():  # the product, all +-0, would leave the row
+                continue
+            jet = jet_mul(self._metric.inverse_entry(k), dg)
             if self._slots == len(self.coeffs):
                 self.coeffs = np.concatenate([self.coeffs, np.empty_like(self.coeffs)])
             # the jet's scalar product, written into the next free slot
@@ -480,9 +487,10 @@ class Frame:
     None depends on the radial function, so the bundles of several functions
     taken through one frame (`bundle`) share its metric and each Christoffel
     row any of them reads, and their norm profiles (`norm_profiles`) share
-    psi.  `r` may be an array; angles default to pi/2 (all nested sine
-    factors 1).  The rank and the point are checked on construction; the
-    metric, the table and psi are built when first read.
+    psi; each function's jet is evaluated once (`jet`) for all its readers.
+    `r` may be an array; angles default to pi/2 (all nested sine factors 1).
+    The rank and the point are checked on construction; the metric, the
+    table, psi and the jets are built when first read.
     """
 
     def __init__(self, m: ManifoldSpec, r, k: int, angles=None):
@@ -493,6 +501,7 @@ class Frame:
         self.m, self.r, self.k, self.angles = m, r, k, angles
         self.point = default_point(m, r) if angles is None else (r,) + tuple(angles)
         polar_radius(m, self.point)
+        self._jets = {}  # id(v) -> (v, jet): v is kept, so its id stays its own
 
     @cached_property
     def metric(self) -> DiagonalMetric:
@@ -510,6 +519,13 @@ class Frame:
         coefficient axis last: all the norm rows of rank >= 2 read of the warp."""
         w, r = self.m.warp, np.asarray(self.r, dtype=np.float64)
         return np.stack(WARP_TABLE[w.kind].psi(w, r, self.k - 2), axis=-1)
+
+    def jet(self, v) -> Jet:
+        """v.eval_jet(r, k), evaluated on v's first read and kept."""
+        got = self._jets.get(id(v))
+        if got is None:
+            got = self._jets[id(v)] = (v, v.eval_jet(self.r, self.k))
+        return got[1]
 
     def bundle(self, v):
         """`covariant_bundle` of v at this frame's points and rank."""
@@ -530,7 +546,7 @@ def covariant_bundle(v, m: ManifoldSpec, r, k: int, angles=None, _frame: Frame |
     """
     frame = Frame(m, r, k, angles) if _frame is None else _frame
     metric = frame.metric
-    u_jet = embed_univariate(v.eval_jet(r, k), m.dim, 1, metric.base)
+    u_jet = embed_univariate(frame.jet(v), m.dim, 1, metric.base)
 
     tensors = [CovTensor(0, m.dim, k, metric.base, value=u_jet.coeffs)]
     for rank in range(1, k + 1):
@@ -586,7 +602,7 @@ def norm_profiles(v, m: ManifoldSpec, r, k: int, angles=None,
     `Frame.norm_profiles` passes it.
     """
     frame = Frame(m, r, k, angles) if _frame is None else _frame
-    coeffs = v.eval_jet(r, k).coeffs
+    coeffs = frame.jet(v).coeffs
     rows = [np.abs(coeffs[..., 0])]
     if k >= 1:
         rows.append(np.sqrt(coeffs[..., 1] ** 2))

@@ -238,23 +238,27 @@ class ManifoldSpec:
 class DiagonalMetric:
     """Diagonal metric entries and their inverses as jets at one base point.
 
-    The entries g_ii have jet order `order`; the inverses have order
-    `order - 1` (0 when `order` is 0).  Their readers need no more: the
-    Christoffel symbols multiply them by first partials of the entries, and
-    tensor norms read only their values.
+    The entries g_ii have jet order `order`; each inverse, built on first
+    read and kept, has order `order - 1` (0 when `order` is 0).  Its readers
+    need no more: the Christoffel symbols multiply it by first partials of
+    the entries, and tensor norms read only its values.
     """
 
     dim: int
     order: int
     g: tuple[Jet, ...]
-    g_inv: tuple[Jet, ...]
     base: BasePoint
+    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entry(self, i: int) -> Jet:
         return self.g[i - 1]
 
     def inverse_entry(self, i: int) -> Jet:
-        return self.g_inv[i - 1]
+        inv = self._inverses.get(i)
+        if inv is None:
+            cut = self.g[i - 1].truncated(max(self.order - 1, 0))
+            inv = self._inverses[i] = jet_compose_univariate("recip", cut)
+        return inv
 
 
 def default_point(m: ManifoldSpec, r) -> tuple:
@@ -284,8 +288,8 @@ def polar_radius(m: ManifoldSpec, point) -> np.ndarray:
 
 
 def metric_at(m: ManifoldSpec, point, order: int) -> DiagonalMetric:
-    """Diagonal metric jets g_ii and inverses at the polar point `point`
-    (checked by `polar_radius`)."""
+    """Diagonal metric jets g_ii at the polar point `point` (checked by
+    `polar_radius`); the inverses are built as they are read."""
     n = m.dim
     r = polar_radius(m, point)
     base = BasePoint(point)
@@ -297,8 +301,4 @@ def metric_at(m: ManifoldSpec, point, order: int) -> DiagonalMetric:
         theta_jet = jet_coordinate(1, order, 1, float(point[j - 1]))
         s = embed_univariate(jet_compose_univariate("sin", theta_jet), n, j, base)
         g.append(jet_mul(g[-1], jet_mul(s, s)))
-    inv_order = max(order - 1, 0)
-    g_inv = [g[0].truncated(inv_order)]
-    for entry in g[1:]:
-        g_inv.append(jet_compose_univariate("recip", entry.truncated(inv_order)))
-    return DiagonalMetric(n, order, tuple(g), tuple(g_inv), base)
+    return DiagonalMetric(n, order, tuple(g), base)

@@ -356,7 +356,7 @@ def check_identity(spec: CheckSpec) -> tuple[dict, dict, bool]:
 
     def gap(f):
         _, tensors = frame.bundle(f)
-        vjet = f.eval_jet(grid, spec.k)
+        vjet = frame.jet(f)
         gaps = []
         for order in orders:
             lhs = tensors[order].component((1,) * order).value
@@ -376,7 +376,7 @@ def check_gradient_inequality(spec: CheckSpec) -> tuple[dict, dict, bool]:
 
     def margin(f):
         profiles = frame.norm_profiles(f)
-        vjet = f.eval_jet(grid, spec.k)
+        vjet = frame.jet(f)
         margins = [profiles[order] - np.abs(vjet.derivative(order)) for order in orders]
         return _grid_extreme(np.array(margins), grid, orders, largest=False)
 
@@ -580,14 +580,12 @@ def check_counterexample(spec: CheckSpec) -> tuple[dict, dict, bool]:
     w = m.warp
     alpha = n - 1.0 - (k - 1) * p
 
-    weight_res = integrate_weighted(
-        Integrand(lambda t: np.ones_like(t), n - 1.0), w, spec.quad_tol
-    )
+    weight_res = integrate_weighted(Integrand(np.ones_like, n - 1.0), w, spec.quad_tol)
     interval_norm = sobolev_norm_1d(_LINEAR, k, p, n, w, spec.quad_tol)
 
     r0 = min(1.0, w.radius / 2.0)
     probe = divergence_probe(
-        Integrand(lambda t: np.ones_like(t), alpha),
+        Integrand(np.ones_like, alpha),
         w,
         r0,
         [1e-2, 3e-3, 1e-3, 3e-4, 1e-4],

@@ -12,8 +12,8 @@ import numpy as np
 from radwarp.errors import DimensionError, EvaluationError
 from radwarp.geometry import christoffel_at
 from radwarp.jets import (Jet, _combine_base, _series_coeffs, compose_coeffs, embed_univariate,
-                          jet_constant, jet_from_derivatives, jet_mul, jet_partial, mul_table,
-                          n_terms, polynomial_derivatives, taylor_coeffs)
+                          jet_compose_univariate, jet_constant, jet_from_derivatives, jet_mul,
+                          jet_partial, mul_table, n_terms, polynomial_derivatives, taylor_coeffs)
 from radwarp.manifold import WarpSpec, default_point, metric_at, warp_eval
 from radwarp.quadrature import _CALL_SEGMENTS, _GK_NODES, _GK_WEIGHTS_G, _GK_WEIGHTS_K
 
@@ -154,6 +154,34 @@ def oracle_christoffel(w: WarpSpec, n: int, point) -> dict:
                 prod_sin *= math.sin(thetas[j]) ** 2
             table[(a, b, b)] = -math.sin(thetas[a]) * math.cos(thetas[a]) * prod_sin
     return table
+
+
+def oracle_eager_inverse(metric, i: int) -> Jet:
+    """g^ii as `metric_at` once built every inverse up front: the `recip` of
+    g_ii cut to order - 1 (for g_11 = 1 it stored the cut entry itself)."""
+    return jet_compose_univariate("recip", metric.entry(i).truncated(max(metric.order - 1, 0)))
+
+
+def oracle_eager_christoffel_row(metric, i: int, j: int) -> list:
+    """Row (i, j) of the Christoffel table as (alpha, coefficients), formed
+    as the table once formed it: every term half * jet_mul(g^kk, partial),
+    inverses from `oracle_eager_inverse`, kept where any coefficient is
+    nonzero.  The table now skips a term whose partial is exactly zero; with
+    a finite g^kk that term was all +-0 here and was dropped.  Only an
+    overflowing inverse parts the two: 0 * inf = NaN put a NaN term here."""
+    row = []
+    for k in range(1, metric.dim + 1):
+        if i == j:
+            half, entry, v = (0.5 if k == i else -0.5), i, k
+        elif k in (i, j):
+            half, entry, v = 0.5, k, i + j - k
+        else:
+            continue
+        dg = jet_partial(metric.entry(entry), v)
+        coeffs = jet_mul(oracle_eager_inverse(metric, k), dg).coeffs * half
+        if coeffs.any():
+            row.append((k, coeffs))
+    return row
 
 
 def oracle_covariant(v, m, r, k: int, angles=None):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (Poly as _Poly, jet_add, jet_scale, jet_shift, oracle_christoffel,
-                     oracle_covariant, oracle_norm)
+                     oracle_covariant, oracle_eager_christoffel_row, oracle_eager_inverse,
+                     oracle_norm)
 
 from radwarp import geometry
 from radwarp.errors import ChartSingularityError, DomainError, ProximityError, RadwarpError
@@ -27,7 +28,7 @@ from radwarp.geometry import (
     norm_profiles,
     pointwise_norm,
 )
-from radwarp.manifold import ManifoldSpec, WarpSpec, default_point, metric_at
+from radwarp.manifold import WARP_TABLE, ManifoldSpec, WarpSpec, default_point, metric_at
 
 
 ALL_MANIFOLD_WARPS = [
@@ -102,7 +103,7 @@ class TestChristoffel:
                                     jet_scale(x[2], 1.0 + 0.1 * i)), 2.0)
                   for i in range(1, n + 1))
         g_inv = tuple(jet_compose_univariate("recip", e.truncated(1)) for e in g)
-        gamma = christoffel_at(DiagonalMetric(n, 2, g, g_inv, base))
+        gamma = christoffel_at(DiagonalMetric(n, 2, g, base))
 
         def d(a, c):  # d_c g_aa
             return float(g[a - 1].derivative(tuple(int(v == c - 1) for v in range(n))))
@@ -115,6 +116,33 @@ class TestChristoffel:
             assert got == pytest.approx(want, rel=1e-13), (k, i, j)
         assert sum(len(gamma.row(i, j)) for i in range(1, n + 1) for j in range(i, n + 1)) == 15
         assert len(gamma.coeffs) > n * n - n + 1
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("w", ALL_MANIFOLD_WARPS, ids=lambda w: w.kind)
+    def test_lazy_inverses_and_rows_equal_the_eager_route_bit_for_bit(self, w, n, order):
+        # inverses built on first read, and rows that form no product by an
+        # exactly zero partial, give the bits of building every inverse up
+        # front and forming every product; the two routes can part only
+        # where an inverse overflows, where the eager one put 0 * inf = NaN
+        # into a row
+        rng = np.random.default_rng([n, order, ALL_MANIFOLD_WARPS.index(w)])
+        r = rng.uniform(0.05, min(3.0, 0.95 * w.radius), 6)
+        point = (r,) + tuple(rng.uniform(0.2, math.pi - 0.2, n - 1))
+        metric = metric_at(ManifoldSpec(w, n), point, order)
+        for i in range(1, n + 1):
+            assert (metric.inverse_entry(i).coeffs.tobytes()
+                    == oracle_eager_inverse(metric, i).coeffs.tobytes())
+        # g_11 = 1 is its own recip, which the eager route stored as it was
+        assert (metric.inverse_entry(1).coeffs.tobytes()
+                == metric.entry(1).truncated(order - 1).coeffs.tobytes())
+        metric = metric_at(ManifoldSpec(w, n), point, order)  # no inverse built yet
+        gamma = christoffel_at(metric)
+        for i, j in product(range(1, n + 1), repeat=2):
+            row, want = gamma.row(i, j), oracle_eager_christoffel_row(metric, i, j)
+            assert [alpha for alpha, _ in row] == [alpha for alpha, _ in want], (i, j)
+            for (_, slot), (_, coeffs) in zip(row, want):
+                assert gamma.coeffs[slot].tobytes() == coeffs.tobytes(), (i, j)
 
     def test_torsion_free_symmetry(self):
         m = ManifoldSpec(WarpSpec.spherical(), 4)
@@ -198,7 +226,7 @@ class TestCovariantDerivatives:
         base = BasePoint((1.0, 1.0))
         zero = jet_constant(2, 2, 0.0, base)
         one = jet_constant(2, 2, 1.0, base)
-        degenerate = DiagonalMetric(2, 2, (one, zero), (one, one), base)
+        degenerate = DiagonalMetric(2, 2, (one, zero), base)
         with pytest.raises(SingularMetricError):
             christoffel_at(degenerate)
 
@@ -632,6 +660,26 @@ def test_pattern_rows_against_fifty_digits(w, r, tol):
 @settings(max_examples=60, deadline=None)
 @given(
     w=st.sampled_from(ALL_MANIFOLD_WARPS),
+    j=st.integers(2, 4),
+    family=st.integers(0, 4),
+    r=st.floats(min_value=1e-3, max_value=3.0),
+)
+def test_squared_rows_are_polynomials_in_the_sphere_dimension(w, j, family, r):
+    # |grad^j u|_g^2 has degree floor(j/2) in m = N - 1: the coefficients of
+    # the patterns do not depend on m, and each h pair traces to a factor m;
+    # so over m = 1..5 its differences of order floor(j/2) + 1 vanish to
+    # rounding (every term is >= 0, so rounding is relative to the sum)
+    r = np.array([min(r, 0.95 * w.radius)])
+    v = default_families(w.radius)[family].eval_jet(r, j).coeffs
+    psi = np.stack(WARP_TABLE[w.kind].psi(w, r, j - 2), axis=-1)
+    squares = np.array([geometry._pattern_norms(v, psi, float(m))[-1][0] ** 2
+                        for m in range(1, 6)])
+    assert np.all(np.abs(np.diff(squares, n=j // 2 + 1)) <= 1e-13 * squares.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=st.sampled_from(ALL_MANIFOLD_WARPS),
     n=st.integers(2, 6),
     k=st.integers(0, 4),
     family=st.integers(0, 4),
@@ -752,3 +800,36 @@ class TestFrame:
         assert len(metrics) == n_metrics
         assert len(rows) == len(set(rows)) == n_rows
         assert len(bundles) == n_bundles
+
+    def test_identity_composes_no_recip_and_forms_no_radial_product(self, monkeypatch):
+        # identity reads only the row of (1, 1), whose terms take partials of
+        # g_11 = 1, all exactly zero: no product, so no inverse and no recip
+        from radwarp import manifold
+        from radwarp.geometry import ChristoffelTable
+        from radwarp.verify import CheckSpec, GridSpec, run_check
+
+        composed, products, rows = [], [], {}
+        compose, mul, row_ = manifold.jet_compose_univariate, geometry.jet_mul, ChristoffelTable._row
+        monkeypatch.setattr(manifold, "jet_compose_univariate",
+                            lambda f, *a: composed.append(f) or compose(f, *a))
+        monkeypatch.setattr(geometry, "jet_mul", lambda *a: products.append(a) or mul(*a))
+        monkeypatch.setattr(ChristoffelTable, "_row",
+                            lambda self, i, j: rows.setdefault((i, j), row_(self, i, j)))
+        spec = CheckSpec(kind="identity", manifold=ManifoldSpec(WarpSpec.hyperbolic(), 5), k=4,
+                         grid=GridSpec(n=24))
+        assert run_check(spec).verdict == "pass"
+        assert composed == ["sin"] * 3  # the metric's nested sines, theta_2 .. theta_4
+        assert products == []
+        assert rows == {(1, 1): ()}
+
+    @pytest.mark.parametrize("kind, k", [("identity", 4), ("gradient_inequality", 4)])
+    def test_grid_check_evaluates_each_family_once(self, kind, k, monkeypatch):
+        from radwarp.verify import CheckSpec, GridSpec, run_check
+
+        labels, eval_jet = [], RadialFunction.eval_jet
+        monkeypatch.setattr(RadialFunction, "eval_jet",
+                            lambda v, *a: labels.append(v.label) or eval_jet(v, *a))
+        spec = CheckSpec(kind=kind, manifold=self.M, k=k, grid=GridSpec(n=24))
+        assert run_check(spec).verdict == "pass"
+        assert sorted(labels) == sorted(f.label for f in spec.families)
+        assert len(set(labels)) == 5
