@@ -21,6 +21,15 @@ the sum of p-th roots:  sum_{j<=k} ( omega_{N-1} int |grad^j u|_g^p
 phi^(N-1) )^(1/p).  Both forms are in common use; every comparison in the
 verification layer states which side uses which.  Divergent integrals make a
 norm infinite (math.inf), the "infinite norm" signal.
+
+Inside a shared_segments block (run_check opens one per check), the
+integrals of one (v, space) read v's rows from one memo, keyed by the exact
+node array: the family's Taylor rows on a warp, the norm_profiles rows on a
+manifold.  Each norm asks for rows to the highest order it reads, and an
+entry is evaluated again only for a higher order.  Rows 0..j of such an
+evaluation equal those of an order-j one bit for bit, so every integral
+keeps its bits whatever the memo holds.  The memo lives for one check; a
+run-wide one would evaluate every row to the suite's highest order.
 """
 
 from __future__ import annotations
@@ -229,39 +238,75 @@ def critical_q(n: int, k: int, p: float, theta: float = 0.0,
 # ---------------------------------------------------------------------------
 # norms
 
-# weighted_integral's segment stores by its arguments but tol; None outside a block
+# weighted_integral's segment stores by its arguments but tol, and its row
+# memos by (v, space); None outside a shared_segments block
 _STORES: ContextVar[dict | None] = ContextVar("radwarp_segment_stores", default=None)
+_ROWS: ContextVar[dict | None] = ContextVar("radwarp_row_memos", default=None)
 
 
 @contextmanager
 def shared_segments():
     """Let weighted_integral calls that differ only in `tol` share one
     segment store, so a refined integral evaluates only the segments it
-    adds; the stores are dropped when the block ends, also when it raises."""
-    token = _STORES.set({})
+    adds, and let all calls on one (v, space) share one row memo; both are
+    dropped when the block ends, also when it raises."""
+    stores, rows = _STORES.set({}), _ROWS.set({})
     try:
         yield
     finally:
-        _STORES.reset(token)
+        _ROWS.reset(rows)
+        _STORES.reset(stores)
+
+
+def _row_source(v: RadialFunction, space: WarpSpec | ManifoldSpec, j: int, order: int):
+    """rows(t): v's Taylor rows (on a warp) or norm_profiles rows (on a
+    manifold) at the nodes t, at least rows 0..j.
+
+    Inside a shared_segments block the rows are evaluated to max(j, order)
+    and kept in the (v, space) memo, keyed by the bytes of t, and are
+    evaluated again only when a higher order is asked for; outside one they
+    are evaluated to j on every call.
+    """
+    if isinstance(space, ManifoldSpec):
+        evaluate = lambda t, k: geometry.norm_profiles(v, space, t, k)
+    else:
+        evaluate = v._rows
+    memos = _ROWS.get()
+    if memos is None:
+        return lambda t: evaluate(t, j)
+    memo, order = memos.setdefault((v, space), {}), max(j, order)
+
+    def rows(t):
+        key = t.tobytes()
+        got = memo.get(key)
+        if got is None or len(got) <= order:
+            got = memo[key] = evaluate(t, order)
+        return got
+    return rows
 
 
 def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
-                      space: WarpSpec | ManifoldSpec, tol: float) -> float:
+                      space: WarpSpec | ManifoldSpec, tol: float, order: int = 0) -> float:
     """int_0^R g(t)^p phi(t)^theta dt, with g = |v^(j)| when `space` is a
     warp (the interval side) and g = |grad^j u|_g, u = v(r), when it is a
     manifold; inf when it diverges or, on an unbounded domain, when no
     envelope certifies the tail.
 
     The integrand depends on these arguments alone, which is what lets
-    shared_segments share its segments between calls.
+    shared_segments share its segments between calls.  `order` changes no
+    value: inside a block, v's rows are evaluated to max(j, order), so a
+    norm passes the highest order it reads and its integrals share one
+    evaluation per node array (see _row_source).
     """
     p = float(p)
+    rows = _row_source(v, space, j, order)
     if isinstance(space, ManifoldSpec):
         w, min_t = space.warp, geometry.MIN_RADIUS
-        evaluator = lambda t: geometry.norm_profiles(v, space, t, j)[j] ** p
+        evaluator = lambda t: rows(t)[j] ** p
     else:
         w, min_t = space, 0.0
-        evaluator = lambda t: np.abs(v.derivative_values(t, j)) ** p
+        scale = float(math.factorial(j))  # v^(j) as derivative_values forms it
+        evaluator = lambda t: np.abs(rows(t)[j] * scale) ** p
     # v's envelope bounds rows 0 and 1 of norm_profiles, |v| and sqrt(v'^2);
     # a manifold profile of order >= 2 has none
     base = v.decay_envelope() if j <= 1 or not isinstance(space, ManifoldSpec) else None
@@ -291,7 +336,7 @@ def sobolev_seminorms_1d(v: RadialFunction, k: int, p: float, n: int, w: WarpSpe
         raise InadmissibleParameterError("weight dimension must be >= 2")
     if k > MAX_JET_ORDER:
         raise InadmissibleParameterError(f"derivative count limited to {MAX_JET_ORDER}")
-    return [weighted_integral(v, j, p, n - 1.0, w, tol) for j in range(k + 1)]
+    return [weighted_integral(v, j, p, n - 1.0, w, tol, k) for j in range(k + 1)]
 
 
 def sobolev_norm_1d(v: RadialFunction, k: int, p: float, n: int, w: WarpSpec,
@@ -303,7 +348,7 @@ def sobolev_norm_1d(v: RadialFunction, k: int, p: float, n: int, w: WarpSpec,
 
 
 def _manifold_norm_term(v: RadialFunction, j: int, p: float, m: ManifoldSpec,
-                        tol: float) -> float:
+                        tol: float, order: int = 0) -> float:
     """( omega_{N-1} int |grad^j u|_g^p phi^(N-1) dr )^(1/p); inf on divergence.
 
     The pointwise tensor norms come from the covariant recursion at the
@@ -312,7 +357,7 @@ def _manifold_norm_term(v: RadialFunction, j: int, p: float, m: ManifoldSpec,
     unbounded domain the tail of order j <= 1 is certified by v's own
     envelope, and a term of order j >= 2 is inf (see weighted_integral).
     """
-    integral = weighted_integral(v, j, p, m.dim - 1.0, m, tol)
+    integral = weighted_integral(v, j, p, m.dim - 1.0, m, tol, order)
     if not math.isfinite(integral):
         return math.inf
     return (sphere_volume(m.dim) * integral) ** (1.0 / p)
@@ -325,7 +370,7 @@ def sobolev_norm_manifold(v: RadialFunction, k: int, p: float, m: ManifoldSpec,
         raise InadmissibleParameterError(f"derivative count limited to {MAX_JET_ORDER}")
     terms = []
     for j in range(k + 1):
-        term = _manifold_norm_term(v, j, p, m, tol)
+        term = _manifold_norm_term(v, j, p, m, tol, k)
         if not math.isfinite(term):
             return math.inf
         terms.append(term)

@@ -506,9 +506,9 @@ def check_hardy(spec: CheckSpec) -> tuple[dict, dict, bool]:
 
     def ratio(f, quad_tol):
         # only the orders k - j .. k enter the right-hand side
-        rhs = math.fsum(weighted_integral(f, i, p, n - 1.0, w, quad_tol)
+        rhs = math.fsum(weighted_integral(f, i, p, n - 1.0, w, quad_tol, k)
                         for i in range(k - j, k + 1))
-        lhs = weighted_integral(f, k - j, p, n - 1.0 - j * p, w, quad_tol)
+        lhs = weighted_integral(f, k - j, p, n - 1.0 - j * p, w, quad_tol, k)
         if not (math.isfinite(lhs) and math.isfinite(rhs)) or rhs == 0.0:
             return None
         return lhs / rhs, {"lhs": lhs, "rhs": rhs}
@@ -550,7 +550,10 @@ def check_embedding_ratio(spec: CheckSpec) -> tuple[dict, dict, bool]:
         return sobolev_norm_1d(f, spec.k, spec.p, n, w, quad_tol)
 
     def ratio(f, q, quad_tol):
-        num, den = lebesgue(f, q, quad_tol), sobolev(f, quad_tol)
+        # the Sobolev side first: on one space it evaluates the rows that the
+        # Lebesgue side reads
+        den = sobolev(f, quad_tol)
+        num = lebesgue(f, q, quad_tol)
         if not (math.isfinite(num) and math.isfinite(den)) or den == 0.0:
             return None
         return num / den, {"lq_norm": num, "sobolev_norm": den}

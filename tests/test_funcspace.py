@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 from scipy.special import erf
 
-from radwarp import funcspace
+from radwarp import funcspace, geometry
 from radwarp.errors import DomainError, InadmissibleParameterError
 from radwarp.funcspace import (
     FAMILY_KINDS,
@@ -388,6 +388,87 @@ class TestManifoldTails:
         assert len(integrands) == 2  # orders 0 and 1 only
         assert math.isfinite(sobolev_norm_manifold(f, 2, 2.0,
                                                    ManifoldSpec(WarpSpec.hyperbolic(2.0), 3)))
+
+
+TABLE_WARPS = (WarpSpec.euclidean(), WarpSpec.hyperbolic(), WarpSpec.spherical(),
+               WarpSpec.tanh_cap())
+
+
+class TestRowMemo:
+    """Inside shared_segments, the integrals of one (v, space) read v's rows
+    from one memo, evaluated to the highest order asked for."""
+
+    # the premise: rows 0..j of a higher-order evaluation are those of an
+    # order-j one, bit for bit
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(FAMILY_KINDS), top=st.integers(0, 4),
+           w=st.sampled_from(TABLE_WARPS), n=st.integers(2, 5),
+           fractions=st.lists(st.floats(1e-6, 0.999), min_size=1, max_size=8))
+    def test_higher_order_rows_keep_the_lower_rows(self, data, kind, top, w, n, fractions):
+        f = data.draw(FAMILIES[kind])
+        t = np.array(fractions) * min(w.radius, 40.0)
+        m = ManifoldSpec(w, n)
+        rows, profiles = f._rows(t, top), geometry.norm_profiles(f, m, t, top)
+        for j in range(top + 1):
+            assert rows[j].tobytes() == f._rows(t, j)[j].tobytes(), j
+            assert profiles[j].tobytes() == geometry.norm_profiles(f, m, t, j)[j].tobytes(), j
+
+    BUMP = RadialFunction.polynomial_bump((1.0, -0.3, 0.2), support=0.8)
+    UNIT = WarpSpec.euclidean(1.0)
+
+    @staticmethod
+    def _counted_rows(monkeypatch):
+        calls = []
+        rows = RadialFunction._rows
+
+        def counting(self, t, order):
+            calls.append((self, order))
+            return rows(self, t, order)
+
+        monkeypatch.setattr(RadialFunction, "_rows", counting)
+        return calls
+
+    def test_a_block_evaluates_fewer_rows_and_keeps_every_bit(self, monkeypatch):
+        calls = self._counted_rows(monkeypatch)
+        alone = [x.hex() for x in sobolev_seminorms_1d(self.BUMP, 2, 2.0, 3, self.UNIT)]
+        outside = len(calls)
+        with funcspace.shared_segments():
+            shared = [x.hex() for x in sobolev_seminorms_1d(self.BUMP, 2, 2.0, 3, self.UNIT)]
+        inside = len(calls) - outside
+        assert shared == alone
+        assert 0 < inside < outside
+        assert {order for _, order in calls[outside:]} == {2}
+
+    @pytest.mark.parametrize("other", [
+        (RadialFunction.gaussian(1.0), UNIT),
+        (BUMP, WarpSpec.hyperbolic(1.0)),
+        (BUMP, ManifoldSpec(UNIT, 3)),
+    ], ids=["family", "warp", "manifold"])
+    def test_different_families_or_spaces_share_no_rows(self, monkeypatch, other):
+        calls = self._counted_rows(monkeypatch)
+        v, space = other
+        with funcspace.shared_segments():
+            alone = weighted_integral(v, 1, 2.0, 2.0, space, 1e-10, 2)
+        made = len(calls)
+        with funcspace.shared_segments():
+            weighted_integral(self.BUMP, 1, 2.0, 2.0, self.UNIT, 1e-10, 2)
+            before = len(calls)
+            shared = weighted_integral(v, 1, 2.0, 2.0, space, 1e-10, 2)
+            assert len(funcspace._ROWS.get()) == 2
+        assert len(calls) - before == made > 0
+        assert shared.hex() == alone.hex()
+
+    def test_rows_are_evaluated_again_only_for_a_higher_order(self, monkeypatch):
+        calls = self._counted_rows(monkeypatch)
+        t = np.linspace(0.1, 0.7, 15)
+        with funcspace.shared_segments():
+            low = funcspace._row_source(self.BUMP, self.UNIT, 0, 0)(t)
+            assert funcspace._row_source(self.BUMP, self.UNIT, 0, 0)(t.copy()) is low
+            high = funcspace._row_source(self.BUMP, self.UNIT, 1, 0)(t)
+            assert funcspace._row_source(self.BUMP, self.UNIT, 0, 0)(t) is high
+            assert len(funcspace._row_source(self.BUMP, self.UNIT, 0, 3)(t[1:])) == 4
+        assert [order for _, order in calls] == [0, 1, 3]
+        assert high[0].tobytes() == low[0].tobytes()
 
 
 class TestNormRequest:

@@ -1,6 +1,7 @@
 """Quadrature against closed-form oracles, plus tail and tolerance invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -539,8 +540,11 @@ class TestSegmentMemo:
                 funcspace.weighted_integral(*self.BASE, 1e-10)
                 (store,) = funcspace._STORES.get().values()
                 assert store is segment_counts[0][0]
+                (rows,) = funcspace._ROWS.get().values()
+                assert rows
                 raise RuntimeError("check failed")
         assert funcspace._STORES.get() is None
+        assert funcspace._ROWS.get() is None
         funcspace.weighted_integral(*self.BASE, 1e-10)
         assert segment_counts[1][0] is None
 
@@ -577,6 +581,11 @@ class TestSegmentSums:
     )
     # a chunk boundary with a bad row on each side, and an all-tiny row
     @example(n=17, seed=0, bad_rows=[15, 16], tiny_rows=[0])
+    # one-segment and one whole 16-segment call, the last row summing to
+    # -0.0; (n, 15) @ (15, 2), (n, 1, 15) @ (15, 2) and np.einsum each
+    # round one of them differently
+    @example(n=1, seed=175, bad_rows=[], tiny_rows=[])
+    @example(n=16, seed=0, bad_rows=[], tiny_rows=[15])
     def test_batched_sums_equal_the_oracle(self, n, seed, bad_rows, tiny_rows):
         rng = np.random.default_rng(seed)
         size = quadrature._GK_NODES.size
@@ -608,6 +617,18 @@ class TestSegmentSums:
     # a subnormal integrand on a narrow segment: half * sum underflows to -0.0
     TINY = staticmethod(lambda t: np.full_like(t, -1e-320))
     NARROW = (0.5, 0.5 + 2.0**-40)
+
+    def test_a_non_finite_row_raises_no_warning(self):
+        # inf against a zero Gauss weight, or inf - inf, would make the
+        # stacked product raise "invalid value encountered in matmul"
+        size = quadrature._GK_NODES.size
+        y = np.ones(2 * size)
+        y[1], y[2] = math.inf, -math.inf
+        bounds = [(0.0, 1.0), (1.0, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quadrature._gk_segments(lambda t: y[:t.size], bounds)
+        assert _result_bits(got) == _result_bits(oracle_gk_segments(lambda t: y[:t.size], bounds))
 
     def test_negative_zero_sum_is_kept(self):
         (val, err, bad), = quadrature._gk_segments(self.TINY, [self.NARROW])
