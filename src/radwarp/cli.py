@@ -104,11 +104,11 @@ def _cmd_run(args) -> int:
     out_path = output_path(cfg, "report", "report.json", args.out)
     report = run_suite(specs)
 
-    meta = dict(report.run_meta)
+    payload = report.to_dict()
+    meta = payload["run_meta"]
     meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     meta["config_sha256"] = sha256(cfg.source_text.encode()).hexdigest()
     meta["package_version"] = __version__
-    payload = {"run_meta": meta, "checks": [c.to_dict() for c in report.checks]}
 
     with _open_output(out_path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)

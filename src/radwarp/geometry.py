@@ -12,60 +12,39 @@ the tensor recursion
                            - sum_l sum_a Gamma^a_{i1 il} (T^j)_{...a...}
 
 on exact jets, so the components are exact up to rounding; rank-j components
-of a depth-k computation hold jets of order k - j.  A rank is one array of
-raw coefficients, one row per component in `product` order, combined by
-`jets.partial_table` gathers and `jets.mul_coeffs`, the product of
-`jet_mul`, in the operations and order of `jet_partial`, `jet_mul` and jet
-subtraction, so no Jet is built per component; `CovTensor.component` wraps
-one in a Jet for outside readers.  A product of order 0, as at rank k, is
-one elementwise multiply of the two factors: the sum over a one-term
-segment is that term, and it gathers no copy of either.
+of a depth-k computation hold jets of order k - j.  Each component is
+computed when first read and kept, as the raw coefficients of its jet
+(`CovTensor._entry`): the `jets.partial_table` gather and scale of its rest
+in its first index, less one `jets.mul_coeffs` product per Christoffel
+entry, places in order and alpha ascending, skipping a factor that is all
+zero.  Those are the operations of `jet_partial`, `jet_mul` and jet
+subtraction in the order the recursion on Jets applies them, so the bits
+are that recursion's and no Jet is built per component;
+`CovTensor.component` wraps one in a Jet for outside readers.  The degree
+<= d coefficients of a product depend only on the degree <= d coefficients
+of its factors, and each product is subtracted from a partial of order d,
+so both factors are cut to order d; at d = 0, as at rank k, the product is
+one elementwise multiply.  So the Christoffel symbols are built to order
+k - 2, the most any product reads (at rank 2), from metric jets of order
+k - 1, and not at all for k <= 1.  A read computes only its dependency
+closure: its rest, and the rest with each alpha of the rows it names put in
+place, down to rank 0.  The pure-radial component (1, ..., 1) reads only
+(1, ..., 1) below and the row of (1, 1), which is empty because radial
+lines are geodesics, so it costs one radial partial per rank.
+`pointwise_norm` reads all N^j components and adds the weighted squares in
+`product` order, each weight built left to right, one at a time from 0.0:
+a pairwise sum (`np.sum`) would group the terms differently and move the
+last bits of the norms.
 
-The recursion computes only what its readers keep, and only when they read it:
-
-- The degree <= d coefficients of a product depend only on the degree <= d
-  coefficients of its factors.  Each product is subtracted from a partial of
-  order d, so it gathers only those prefixes of its factors, bit-identical to
-  the full product cut to order d under graded coefficient order.  So the
-  Christoffel symbols are built to order k - 2, the most any product reads
-  (at rank 2), from metric jets of order k - 1, and not at all for k <= 1.
-- A rank is computed in passes, each over a set of components: all N^j for
-  `pointwise_norm`, the dependency closure of one index for
-  `CovTensor.component`.  A pass first fills what its components read of
-  the rank below (their rests, and each rest with alpha put in one place),
-  then takes one partial gather per distinct first index, then, for each
-  index position and each entry of the Christoffel row (alpha ascending),
-  one product over every component whose row has that entry and whose
-  factor is nonzero, subtracted from those components alone.  So each
-  component sees the operations of the per-component jet recursion in the
-  same order, and the numpy calls are per rank, not per component.
-  Which rows a pass reads and writes is worked out on Python ints
-  (`_plan`), so the numpy calls only move and combine coefficients: integer
-  array arithmetic would fault in numpy loops that nothing else in a run
-  uses, about 0.25 MB of resident code.  For a whole rank the plan depends
-  only on N, the rank and the Christoffel rows, so it is kept
-  (`_full_plan`).  Components and Christoffel rows are computed once and
-  kept.
-- The pure-radial component (1, ..., 1) reads only (1, ..., 1) of the rank
-  below and the row of (1, 1), which is empty because radial lines are
-  geodesics.  Read alone, it is that one row and one radial partial per
-  rank, with the gather and scale of a pass and no plan (`_radial`).
-- A gather takes at most as many components as keep it within the largest
-  gather of the per-component recursion (`_chunk`), so a bundle's transient
-  arrays stay as small as that recursion's.
-- `pointwise_norm` adds the weighted squares in `product` order, each
-  weight built left to right, as a sequential fold (`np.add.accumulate`
-  from 0.0): a pairwise sum (`np.sum`) would group the terms differently
-  and move the last bits of the norms.
-- The metric and the Christoffel table do not depend on v.  A `Frame`
-  carries one set of points and one rank and holds both, each built when
-  first read; the bundles of several functions taken through one frame
-  (`Frame.bundle`) share them, and with them every Christoffel row any of
-  them reads.  Called directly, `covariant_bundle` builds a frame per call.
-  Each inverse g^kk is built on first read, and a row forms no product by
-  an exactly zero metric partial, so the row of (1, 1), all the pure-radial
-  components read, reads no inverse (g_11 = 1).  The frame keeps one jet
-  of each v (`Frame.jet`) for its bundle, its norm profiles and the checks.
+The metric and the Christoffel table do not depend on v.  A `Frame` carries
+one set of points and one rank and holds both, each built when first read;
+the bundles of several functions taken through one frame (`Frame.bundle`)
+share them, and with them every Christoffel row any of them reads.  Called
+directly, `covariant_bundle` builds a frame per call.  Each inverse g^kk is
+built on first read, and a row forms no product by an exactly zero metric
+partial, so the row of (1, 1), all the pure-radial components read, reads no
+inverse (g_11 = 1).  The frame keeps one jet of each v (`Frame.jet`) for its
+bundle, its norm profiles and the checks.
 
 The norm profiles |grad^j u|_g do not run this recursion.  u = v(r) is
 invariant under the rotations about the origin, O(N-1), so grad^j u lies in
@@ -117,46 +96,32 @@ MAX_RANK = 4
 class ChristoffelTable:
     """Jet-valued Christoffel symbols of a diagonal metric at one point.
 
-    The nonzero symbols are the slots of one stacked array `coeffs`, of shape
-    (slots,) + batch + (terms,), so the covariant recursion gathers its
-    factors from it directly.  `row(i, j)` lists the (alpha, slot) pairs of
-    Gamma^alpha_ij, alpha ascending; a row is computed when first read, and
-    kept.  `lowered(i, j)` gives a row as (alpha, jet) pairs over views of
-    its slots; `entry` reads through it and returns None for a vanishing
-    symbol.
+    `row(i, j)` lists the (alpha, coefficients) pairs of the nonzero
+    Gamma^alpha_ij, alpha ascending, so the covariant recursion reads its
+    factors as bare arrays; a row is computed when first read, and kept.
+    `lowered(i, j)` gives a row as (alpha, jet) pairs; `entry` reads through
+    it and returns None for a vanishing symbol.
     """
 
     def __init__(self, metric: DiagonalMetric):
-        n = metric.dim
         self._metric = metric
         self._partials = {}  # (i, v) -> d_v g_ii, read once so far
-        self._rows = {}  # (i, j) -> ((alpha, slot), ...)
-        batch = np.broadcast_shapes(*(g.coeffs.shape[:-1] for g in metric.g))
-        # g_ii of a warped product depends on x_1 .. x_{i-1} only, so at most
-        # n (n - 1) symbols are nonzero; one more slot takes a vanishing one
-        # while it is tested, and a denser metric doubles the stack
-        self.coeffs = np.empty((n * n - n + 1,) + batch + (n_terms(n, metric.order - 1),))
-        self._slots = 0
+        self._rows = {}  # (i, j) -> ((alpha, coefficients), ...)
 
     def entry(self, k: int, i: int, j: int) -> Jet | None:
         return next((jet for alpha, jet in self.lowered(i, j) if alpha == k), None)
 
     def lowered(self, i: int, j: int) -> tuple:
         m = self._metric
-        return tuple((alpha, Jet(m.dim, m.order - 1, self.coeffs[slot], m.base))
-                     for alpha, slot in self.row(i, j))
+        return tuple((alpha, Jet(m.dim, m.order - 1, coeffs, m.base))
+                     for alpha, coeffs in self.row(i, j))
 
     def row(self, i: int, j: int) -> tuple:
-        """The (alpha, slot) pairs of the nonzero Gamma^alpha_ij, alpha ascending."""
+        """The (alpha, coefficients) pairs of the nonzero Gamma^alpha_ij, alpha ascending."""
         row = self._rows.get((i, j))
         if row is None:  # torsion-free: (j, i) holds the same row, exactly
             row = self._rows[(i, j)] = self._rows[(j, i)] = self._row(min(i, j), max(i, j))
         return row
-
-    def table(self) -> tuple:
-        """Every row, in `product` order of the lower pair (i, j)."""
-        n = self._metric.dim
-        return tuple(self.row(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
 
     def _dg(self, i: int, v: int) -> Jet:
         """d_v g_ii.  Only the rows of (i, i) and of {i, v} read it, one
@@ -183,13 +148,9 @@ class ChristoffelTable:
                 continue
             if not dg.coeffs.any():  # the product, all +-0, would leave the row
                 continue
-            jet = jet_mul(self._metric.inverse_entry(k), dg)
-            if self._slots == len(self.coeffs):
-                self.coeffs = np.concatenate([self.coeffs, np.empty_like(self.coeffs)])
-            # the jet's scalar product, written into the next free slot
-            if np.multiply(jet.coeffs, half, out=self.coeffs[self._slots]).any():
-                row.append((k, self._slots))
-                self._slots += 1
+            coeffs = jet_mul(self._metric.inverse_entry(k), dg).coeffs * half
+            if coeffs.any():
+                row.append((k, coeffs))
         return tuple(row)
 
 
@@ -206,174 +167,64 @@ def christoffel_at(metric: DiagonalMetric) -> ChristoffelTable:
     return ChristoffelTable(metric)
 
 
-def _chunk(dim: int, depth: int, per_component: int) -> int:
-    """Components per array operation of a depth-`depth` bundle, taking
-    `per_component` numbers per point from each.  No such gather outgrows the
-    largest of the recursion run one component at a time: the partial of u
-    at rank 1, or a product at rank 2, of two order depth - 2 factors."""
-    low = max(depth - 2, 0)
-    largest = max(n_terms(dim, depth - 1), len(mul_table(dim, low, low).ia))
-    return max(1, largest // per_component)
-
-
-def _plan(n: int, j: int, comps, row) -> tuple:
-    """What a pass over the rank-j components `comps` (ascending rows)
-    reads and does, worked out on Python ints: the mask of the rows of the
-    rank below it reads; per distinct first index f (0-based), the rows here
-    and the rows of their rests below; and per index position and entry of
-    the Christoffel row, in the order applied, the rows here, the factor
-    rows below and the Christoffel slots of its products.  `row(i, l)` gives
-    the row of the lower pair (i, l)."""
-    block = n ** (j - 1)
-    groups, products = {}, {}
-    for c in comps:
-        first, rest = divmod(c, block)
-        group = groups.setdefault(first, ([], []))
-        group[0].append(c)
-        group[1].append(rest)
-        for s in range(j - 1):
-            weight = n ** (j - 2 - s)
-            digit = rest // weight % n
-            for pos, (alpha, slot) in enumerate(row(first + 1, digit + 1)):
-                lists = products.setdefault((s, pos), ([], [], []))
-                lists[0].append(c)
-                lists[1].append(rest + (alpha - 1 - digit) * weight)
-                lists[2].append(slot)
-    reads = np.zeros(block, dtype=bool)
-    for lists in [*groups.values(), *products.values()]:
-        reads[lists[1]] = True
-    return (_frozen(reads, bool), [(f, _frozen(g[0]), _frozen(g[1]))
-                                   for f, g in sorted(groups.items())],
-            [tuple(map(_frozen, products[key])) for key in sorted(products)])
-
-
-def _frozen(values, dtype=np.intp) -> np.ndarray:
-    """`values` as a read-only array: the caches hand one array to every caller."""
-    array = np.array(values, dtype=dtype)
-    array.flags.writeable = False
-    return array
-
-
-@lru_cache(maxsize=64)
-def _full_plan(n: int, j: int, table: tuple) -> tuple:
-    """`_plan` of all n^j components for the Christoffel rows `table`
-    (`ChristoffelTable.table`); it depends on nothing else, so it is kept."""
-    return _plan(n, j, range(n**j), lambda i, l: table[(i - 1) * n + l - 1])
-
-
-@lru_cache(maxsize=None)
-def _digits(n: int, j: int) -> np.ndarray:
-    """The 0-based indices (j, n^j) of every rank-j row, in `product` order."""
-    return _frozen(np.array(list(product(range(n), repeat=j))).reshape(n**j, j).T)
-
-
 class CovTensor:
     """Rank-j covariant derivative of a radial function at one point.
 
-    The component of the 1-based index (i1, ..., ij) is row sum_s (i_s - 1)
-    dim^(j-s) (`product` order) of one array `coeffs`, of shape (dim^j,) +
-    batch + (terms,): coefficients of jets of order depth - rank; rank 0
-    holds u itself.  `_fill` computes a set of rows in one pass, each row
-    once, and they are kept; `component` wraps one in a Jet.
+    Each component is the coefficient array of a jet of order depth - rank,
+    computed when first read and kept in `_memo` under its 1-based index
+    (i1, ..., ij); rank 0 holds u itself under ().  `component` wraps one
+    in a Jet.
     """
 
     def __init__(self, rank: int, dim: int, order: int, base, prev: "CovTensor | None" = None,
                  gamma: ChristoffelTable | None = None, value: np.ndarray | None = None):
         self.rank, self.dim, self.order, self.base = rank, dim, order, base
         self._prev, self._gamma = prev, gamma
-        if value is None:
-            self.coeffs = None  # allocated by the first pass, once the rank below is filled
-            self._done = np.zeros(dim**rank, dtype=bool)
-            self._nonzero = np.zeros(dim**rank, dtype=bool)  # read only where done
-        else:
-            self.coeffs, self._done, self._nonzero = value[None], np.ones(1, dtype=bool), None
+        self._memo = {} if value is None else {(): value}
 
     def component(self, idx: tuple = ()) -> Jet:
-        return Jet(self.dim, self.order, self._entry(idx), self.base)
-
-    def _entry(self, idx: tuple) -> np.ndarray:
-        """The coefficients of one component, computed with what it reads."""
         idx = tuple(idx)
         if len(idx) != self.rank:
             raise DomainError(f"rank-{self.rank} tensor indexed with {len(idx)} indices")
         if not all(1 <= i <= self.dim for i in idx):
             raise DomainError(f"index {idx} outside 1..{self.dim}")
-        row = sum((i - 1) * self.dim ** (self.rank - 1 - s) for s, i in enumerate(idx))
-        if row == 0 and not self._done[0] and (self.rank < 2 or not self._gamma.row(1, 1)):
-            self._radial()
-        elif not self._done[row]:
-            want = np.zeros(self._done.size, dtype=bool)
-            want[row] = True
-            self._fill(want)
-        return self.coeffs[row]
+        return Jet(self.dim, self.order, self._entry(idx), self.base)
 
-    def _radial(self) -> None:
-        """Compute row 0, the pure-radial component (1, ..., 1), alone: the
-        partial in x_1 of row 0 below, gathered and scaled as a pass does it.
-        A pass would subtract the products of the row of Gamma_11, and the
-        caller has seen that row empty (radial lines are geodesics)."""
-        prev = self._prev
-        if not prev._done[0]:
-            prev._radial()
-        src, scale = partial_table(self.dim, self.order + 1, 0)
-        if self.coeffs is None:
-            self.coeffs = np.empty((self.dim**self.rank,) + prev.coeffs.shape[1:-1]
-                                   + (n_terms(self.dim, self.order),))
-        self.coeffs[0] = prev.coeffs[0][..., src] * scale
-        self._nonzero[0] = self.coeffs[0].any()
-        self._done[0] = True
+    def _entry(self, idx: tuple) -> np.ndarray:
+        """The coefficients of component `idx`, computed with what it reads.
 
-    def _fill(self, want: np.ndarray) -> None:
-        """Compute the rows where the mask `want` holds and that are not done.
-
-        Each is the partial of its rest in its first index, less the products
+        The partial of its rest in its first index, less the products
         Gamma^alpha_{first i} * (rest with alpha in i's place), places in
-        order and alpha ascending, nonzero factors only: the operations of the
-        per-component jet recursion in its order (see the module docstring).
+        order and alpha ascending, nonzero factors only, both factors cut to
+        this order: the operations of the recursion on Jets in its order
+        (see the module docstring).
         """
-        comps = np.flatnonzero(want & ~self._done)
-        if not comps.size:
-            return
-        n, j, d, prev = self.dim, self.rank, self.order, self._prev
-        block, full = n ** (j - 1), comps.size == self._done.size
-        if full:
-            plan = _full_plan(n, j, self._gamma.table() if j > 1 else ())
-        else:
-            plan = _plan(n, j, comps.tolist(), self._gamma.row if j > 1 else None)
-        reads, partials, products = plan
-        prev._fill(reads)
-
-        if self.coeffs is None:
-            self.coeffs = np.empty((n**j,) + prev.coeffs.shape[1:-1] + (n_terms(n, d),))
-        out = self.coeffs
-        for f, rows, rests in partials:
-            src, scale = partial_table(n, d + 1, f)
-            if full:  # every rest in order, so the rank below whole, gathered in place
-                # (mode "raise" would gather into a buffer and copy it over)
-                dst = np.take(prev.coeffs, src, axis=-1, out=out[f * block : (f + 1) * block],
-                              mode="clip")
-                dst *= scale
-            else:
-                out[rows] = prev.coeffs[rests][..., src] * scale
-        if products:
-            gamma, terms, table = self._gamma.coeffs, n_terms(n, d), mul_table(n, d, d)
-            step = _chunk(n, j + d, len(table.ia))
-        for rows, factor, slot in products:
-            keep = prev._nonzero[factor]
-            if not keep.all():
-                rows, factor, slot = rows[keep], factor[keep], slot[keep]
-            for lo in range(0, rows.size, step):
-                part = slice(lo, lo + step)
+        out = self._memo.get(idx)
+        if out is not None:
+            return out
+        n, d, prev = self.dim, self.order, self._prev
+        first, rest = idx[0], idx[1:]
+        src, scale = partial_table(n, d + 1, first - 1)
+        out = prev._entry(rest)[..., src] * scale
+        terms = n_terms(n, d)
+        for s, i in enumerate(rest):
+            for alpha, gamma in self._gamma.row(first, i):
+                factor = prev._entry(rest[:s] + (alpha,) + rest[s + 1 :])
+                if not factor.any():
+                    continue
                 if d:  # jet_mul of both factors cut to order d
-                    out[rows[part]] -= mul_coeffs(gamma[slot[part], ..., :terms],
-                                                  prev.coeffs[factor[part], ..., :terms], table)
-                else:  # order 0: each product is one term
-                    prod = gamma[slot[part], ..., :terms]
-                    prod *= prev.coeffs[factor[part], ..., :terms]
-                    out[rows[part]] -= prod
-        done = slice(None) if full else comps
-        self._nonzero[done] = out[done].reshape(comps.size, -1).any(axis=1)
-        self._done[done] = True
+                    out -= mul_coeffs(gamma[..., :terms], factor[..., :terms], mul_table(n, d, d))
+                else:  # order 0: the product is one term
+                    out -= gamma[..., :1] * factor[..., :1]
+        self._memo[idx] = out
+        return out
+
+
+def _frozen(values) -> np.ndarray:
+    """`values` as a read-only index array: the caches hand one array to every caller."""
+    array = np.array(values, dtype=np.intp)
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=None)
@@ -559,33 +410,26 @@ def pointwise_norm(t: CovTensor, metric: DiagonalMetric):
 
     Valid because the metric is diagonal; returns a scalar or a batch array
     matching the base point.  The sum runs over the nonzero components in
-    `product` order, each weight built left to right, and is one sequential
-    fold (`np.add.accumulate`, from 0.0) taken a block of components at a
-    time: the additions of a loop over components, where a pairwise sum
-    would group them otherwise and move the last bits.  `norm_profiles`
-    takes the pattern form instead; this dense norm is its tests' oracle.
+    `product` order, each weight built left to right, and adds them one at
+    a time from 0.0, where a pairwise sum would group them otherwise and
+    move the last bits.  `norm_profiles` takes the pattern form instead;
+    this dense norm is its tests' oracle.
     """
     if t.base is not metric.base and not metric.base.matches(t.base):
         raise DomainError("tensor and metric were built at different base points")
     if t.rank == 0:
         return np.abs(t._entry(())[..., 0])
-    n, j = metric.dim, t.rank
-    t._fill(np.ones(n**j, dtype=bool))
-    batch = t.coeffs.shape[1:-1]
-    inv = np.stack([metric.inverse_entry(i).value for i in range(1, n + 1)])  # all of r's shape
-    comps, step, digits = np.flatnonzero(t._nonzero), _chunk(n, j + t.order, 1), _digits(n, j)
+    n = metric.dim
+    inv = {i: metric.inverse_entry(i).value for i in range(1, n + 1)}
     total = 0.0
-    for lo in range(0, comps.size, step):
-        part = comps[lo : lo + step]
-        weight = inv[digits[0][part]]
-        for s in range(1, j):
-            weight *= inv[digits[s][part]]
-        fold = np.empty((part.size + 1,) + batch)
-        fold[0] = total
-        square = t.coeffs[part, ..., 0]
-        np.multiply(weight, np.square(square, out=square), out=fold[1:])
-        del weight, square
-        total = np.add.accumulate(fold, axis=0, out=fold)[-1]
+    for idx in product(range(1, n + 1), repeat=t.rank):
+        coeffs = t._entry(idx)
+        if not coeffs.any():
+            continue
+        weight = inv[idx[0]]
+        for i in idx[1:]:
+            weight = weight * inv[i]
+        total = total + weight * np.square(coeffs[..., 0])
     return np.sqrt(total)
 
 

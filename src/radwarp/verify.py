@@ -66,7 +66,8 @@ class GridSpec:
     lo: float | None = None
     hi: float | None = None
 
-    def resolve(self, radius: float) -> np.ndarray:
+    def bounds(self, radius: float) -> tuple[float, float]:
+        """(lo, hi) of the grid on a domain of radius R, checked."""
         lo = self.lo if self.lo is not None else max(1e-3, radius / 1e4 if math.isfinite(radius) else 1e-3)
         hi = self.hi if self.hi is not None else min(0.999 * radius, 10.0)
         if self.n < 2:
@@ -76,7 +77,10 @@ class GridSpec:
                 f"radial grid [{lo}, {hi}] is empty or starts below r = {geometry.MIN_RADIUS}")
         if hi >= radius:
             raise InadmissibleParameterError(f"radial grid ends at {hi}, not below R = {radius}")
-        return np.geomspace(lo, hi, self.n)
+        return lo, hi
+
+    def resolve(self, radius: float) -> np.ndarray:
+        return np.geomspace(*self.bounds(radius), self.n)
 
     def doubled(self) -> "GridSpec":
         # with 2n-1 points the original points sit, bit for bit, at the even
@@ -85,8 +89,9 @@ class GridSpec:
         return GridSpec(2 * self.n - 1, self.lo, self.hi)
 
     def meta(self, radius: float) -> dict:
-        g = self.resolve(radius)
-        return {"n": self.n, "lo": float(g[0]), "hi": float(g[-1]), "spacing": "log"}
+        # np.geomspace sets its first and last points to lo and hi exactly
+        lo, hi = self.bounds(radius)
+        return {"n": self.n, "lo": float(lo), "hi": float(hi), "spacing": "log"}
 
 
 def _positive_near_edge(w: WarpSpec) -> bool:
@@ -151,7 +156,7 @@ class CheckSpec:
         if not bounded and row.tail and WARP_TABLE[w.kind].growth is None:
             raise InadmissibleParameterError(f"{kind}: no certified tail growth bound for {w.kind}")
         if row.samples_grid:
-            self.grid.resolve(w.radius)
+            self.grid.bounds(w.radius)
         # the arithmetic each kind adds
         if kind == "identity" and k < 1:
             raise InadmissibleParameterError(
@@ -289,7 +294,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "run_meta": self.run_meta,
+            "run_meta": dict(self.run_meta),
             "checks": [c.to_dict() for c in self.checks],
         }
 

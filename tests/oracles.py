@@ -191,9 +191,10 @@ def oracle_covariant(v, m, r, k: int, angles=None):
     component is the partial of the rank below, less the products
     Gamma^alpha_{first i} * (component with alpha in slot i), taken over the
     slots in order and alpha ascending, with zero components skipped and both
-    factors cut to the component's order: the same jet operations in the same
-    order as the array recursion of `geometry.CovTensor`, so the two agree
-    bit for bit.  The metric and Christoffel rows come from the package.
+    factors cut to the component's order: the same operations in the same
+    order as `geometry.CovTensor._entry` runs on bare coefficient arrays, one
+    component at a time when first read, so the two agree bit for bit.  The
+    metric and Christoffel rows come from the package.
     """
     point = default_point(m, r) if angles is None else (r,) + tuple(angles)
     metric = metric_at(m, point, order=max(k - 1, 0))

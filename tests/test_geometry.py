@@ -89,10 +89,9 @@ class TestChristoffel:
             got = float(entry.value) if entry is not None else 0.0
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-13), (k, i, j)
 
-    def test_a_dense_diagonal_metric_grows_the_stack(self):
+    def test_a_dense_diagonal_metric_gives_every_symbol(self):
         # every g_ii here depends on every coordinate, so all 2 n^2 - n symbols
-        # are nonzero: more than the n (n - 1) of a warped product, which the
-        # stacked array holds at first
+        # are nonzero: more than the n (n - 1) of a warped product
         from radwarp.jets import BasePoint, jet_compose_univariate, jet_coordinate
         from radwarp.manifold import DiagonalMetric
 
@@ -115,7 +114,6 @@ class TestChristoffel:
             got = 0.0 if entry is None else float(entry.value)
             assert got == pytest.approx(want, rel=1e-13), (k, i, j)
         assert sum(len(gamma.row(i, j)) for i in range(1, n + 1) for j in range(i, n + 1)) == 15
-        assert len(gamma.coeffs) > n * n - n + 1
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("n", range(2, 7))
@@ -141,8 +139,8 @@ class TestChristoffel:
         for i, j in product(range(1, n + 1), repeat=2):
             row, want = gamma.row(i, j), oracle_eager_christoffel_row(metric, i, j)
             assert [alpha for alpha, _ in row] == [alpha for alpha, _ in want], (i, j)
-            for (_, slot), (_, coeffs) in zip(row, want):
-                assert gamma.coeffs[slot].tobytes() == coeffs.tobytes(), (i, j)
+            for (_, got), (_, coeffs) in zip(row, want):
+                assert got.tobytes() == coeffs.tobytes(), (i, j)
 
     def test_torsion_free_symmetry(self):
         m = ManifoldSpec(WarpSpec.spherical(), 4)
@@ -232,49 +230,53 @@ class TestCovariantDerivatives:
 
     @staticmethod
     def _radial_read(monkeypatch):
-        """(metric, rank-4 tensor, component lookups, metric partials) of
-        reading (1, 1, 1, 1) of an N=5, rank-4 bundle; both lists keep
+        """(metric, tensors, component lookups, metric partials, rows built)
+        of reading (1, 1, 1, 1) of an N=5, rank-4 bundle; the lists keep
         recording.  Each component computed looks up one partial table,
         (dim, order of the rank below, 0-based direction); the Christoffel
         rows take their metric partials through `jet_partial`."""
-        from radwarp import geometry
+        from radwarp.geometry import ChristoffelTable
 
         m = ManifoldSpec(WarpSpec.hyperbolic(), 5)
-        lookups, partials = [], []
-        table, partial = geometry.partial_table, geometry.jet_partial
+        lookups, partials, rows = [], [], []
+        table, partial, row = geometry.partial_table, geometry.jet_partial, ChristoffelTable._row
         monkeypatch.setattr(geometry, "partial_table", lambda *a: lookups.append(a) or table(*a))
         monkeypatch.setattr(geometry, "jet_partial", lambda *a: partials.append(a) or partial(*a))
+        monkeypatch.setattr(ChristoffelTable, "_row",
+                            lambda self, i, j: rows.append((i, j)) or row(self, i, j))
         metric, tensors = covariant_bundle(RadialFunction.gaussian(), m,
                                            np.array([0.5, 1.5]), 4)
         tensors[4].component((1, 1, 1, 1))
-        return metric, tensors[4], lookups, partials
+        return metric, tensors, lookups, partials, rows
 
     def test_reading_the_radial_component_computes_nothing_else(self, monkeypatch):
         # Gamma^a_11 vanishes, so (1,...,1) at rank 4 needs only (1,...,1) at
-        # ranks 1..3: one radial partial each, in passes that run bottom-up,
-        # rank 1 first; and of the Christoffel symbols only the row of (1, 1),
+        # ranks 1..3: one radial partial each, rank 4 first as the recursion
+        # descends; and of the Christoffel symbols only the row of (1, 1),
         # which takes partials of g_11 alone
-        metric, tensor, lookups, partials = self._radial_read(monkeypatch)
-        assert lookups == [(5, 4, 0), (5, 3, 0), (5, 2, 0), (5, 1, 0)]
+        metric, tensors, lookups, partials, _ = self._radial_read(monkeypatch)
+        assert lookups == [(5, 1, 0), (5, 2, 0), (5, 3, 0), (5, 4, 0)]
+        assert [list(t._memo) for t in tensors] == [[(1,) * j] for j in range(5)]
         assert all(a[0] is metric.entry(1) for a in partials)
         made = len(lookups), len(partials)
-        tensor.component((1, 1, 1, 1))
+        tensors[4].component((1, 1, 1, 1))
         assert (len(lookups), len(partials)) == made
         with pytest.raises(DomainError):
-            tensor.component((1, 1, 1, 6))
+            tensors[4].component((1, 1, 1, 6))
 
     def test_radial_read_builds_only_the_radial_christoffel_row(self, monkeypatch):
         # the row of (1, 1) is Gamma^1_11 = 1/2 g^11 d_1 g_11 and Gamma^a_11 =
         # -1/2 g^aa d_a g_11 (a > 1): it takes d_a g_11 for a = 1..5 in
         # ascending a, and no other row is built
-        metric, _, _, partials = self._radial_read(monkeypatch)
+        metric, _, _, partials, rows = self._radial_read(monkeypatch)
         assert [(a[0] is metric.entry(1), a[1]) for a in partials] == [
             (True, 1), (True, 2), (True, 3), (True, 4), (True, 5)]
+        assert rows == [(1, 1)]
 
     def test_full_read_builds_no_jet_in_the_recursion(self, monkeypatch):
-        # the recursion runs on coefficient arrays, one array per rank: once
-        # the Christoffel rows exist, the norms of an N=5, k=4 bundle compute
-        # all 780 components, each once, and construct no Jet
+        # the recursion runs on coefficient arrays: once the Christoffel rows
+        # exist, the norms of an N=5, k=4 bundle compute all 780 components,
+        # each once, and construct no Jet
         from radwarp.jets import Jet
 
         m = ManifoldSpec(WarpSpec.euclidean(), 5)
@@ -287,13 +289,40 @@ class TestCovariantDerivatives:
         monkeypatch.setattr(Jet, "__post_init__", lambda jet: built.append(jet) or post_init(jet))
         norms = np.stack([pointwise_norm(t, metric) for t in tensors])
         assert built == []
-        assert [int(t._done.sum()) for t in tensors] == [1, 5, 25, 125, 625]
-        assert [t.coeffs.shape for t in tensors] == [(5**j, 256, math.comb(9 - j, 4 - j))
-                                                      for j in range(5)]
+        assert [len(t._memo) for t in tensors] == [1, 5, 25, 125, 625]
+        assert [{c.shape for c in t._memo.values()} for t in tensors] == [
+            {(256, math.comb(9 - j, 4 - j))} for j in range(5)]
         monkeypatch.undo()
         fresh_metric, fresh = covariant_bundle(v, m, r, 4)
         assert norms.tobytes() == np.stack([pointwise_norm(t, fresh_metric)
                                             for t in fresh]).tobytes()
+
+    def test_leading_ratio_computes_only_its_closure(self, monkeypatch):
+        # asymptotic_leading reads (1, 1, 2, 2) at N = 4, k = 4: the recursion
+        # computes that component's rest and each factor its Christoffel rows
+        # name, down to rank 0, and nothing else
+        bundles, bundle = [], geometry.covariant_bundle
+        monkeypatch.setattr(geometry, "covariant_bundle",
+                            lambda *a, **kw: bundles.append(bundle(*a, **kw)) or bundles[-1])
+        asymptotic_leading_ratio(ManifoldSpec(WarpSpec.hyperbolic(), 4), 4, 0.01)
+        (_, tensors), = bundles
+        gamma = tensors[4]._gamma
+        want = [set() for _ in tensors]
+
+        def read(idx):
+            if idx in want[len(idx)]:
+                return
+            want[len(idx)].add(idx)
+            if idx:
+                first, rest = idx[0], idx[1:]
+                read(rest)
+                for s, i in enumerate(rest):
+                    for alpha, _ in gamma.row(first, i):
+                        read(rest[:s] + (alpha,) + rest[s + 1 :])
+
+        read((1, 1, 2, 2))
+        assert [set(t._memo) for t in tensors] == want
+        assert [len(w) for w in want] == [1, 2, 1, 1, 1]
 
 
 class TestPointwiseNorm:

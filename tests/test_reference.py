@@ -30,7 +30,7 @@ def _load_workloads():
 
 # rank4_sweep runs the covariant recursion at N = 2..5, k = 4 on 256 points
 @pytest.mark.parametrize("workload", ["interval_norms", "rank4_sweep"])
-def test_interval_norms_units_match_the_reference(workload, tmp_path):
+def test_units_match_the_reference(workload, tmp_path):
     workloads = _load_workloads()
     units = workloads.all_units(workload)
     cfg_path = tmp_path / "all_units.cfg"

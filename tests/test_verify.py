@@ -102,6 +102,17 @@ class TestRadialLemmas:
                 fine = grid.doubled().resolve(radius)
                 assert fine[::2].tobytes() == grid.resolve(radius).tobytes()
 
+    def test_grid_meta_reports_the_resolved_ends(self):
+        # meta reads the checked bounds, not the grid: np.geomspace sets its
+        # first and last points to them exactly
+        for grid in (GridSpec(n=2), GridSpec(n=97), GridSpec(n=255, lo=0.0123, hi=0.987),
+                     GridSpec(n=7, lo=3e-6)):
+            for radius in (1.0, 2.5, math.pi, math.inf):
+                g, meta = grid.resolve(radius), grid.meta(radius)
+                assert (meta["lo"], meta["hi"]) == (float(g[0]), float(g[-1]))
+                assert meta["lo"].hex() == float(g[0]).hex()
+                assert meta["hi"].hex() == float(g[-1]).hex()
+
     def test_constant_scale_invariance(self):
         base = run_check(spec(
             "radial_lemma_power", WarpSpec.euclidean(1.0), 3, k=1, p=2.0,
