@@ -33,6 +33,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConfigError, RadwarpError
 from .funcspace import FAMILY_KINDS, RadialFunction, default_families
@@ -121,6 +122,11 @@ class RunConfig:
     output: dict = field(default_factory=dict)
     dump: dict = field(default_factory=dict)
     source_text: str = ""
+
+    @cached_property
+    def family_pool(self) -> tuple:
+        """The configured families in index order, built on first read."""
+        return tuple(make_family(self.families[i]) for i in sorted(self.families))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -212,13 +218,10 @@ def _resolve_manifold(cfg: RunConfig, entry: dict) -> ManifoldSpec:
 def _resolve_families(cfg: RunConfig, entry: dict, m: ManifoldSpec, name: str):
     """The configured families in index order, or the default set for m,
     restricted to entry's `families` (one name or label, or a list) if given."""
-    if cfg.families:
-        pool = [make_family(cfg.families[i]) for i in sorted(cfg.families)]
-    else:
-        pool = default_families(m.warp.radius)
+    pool = cfg.family_pool if cfg.families else default_families(m.warp.radius)
     subset = entry.get("families")
     if subset is None:
-        return tuple(pool)
+        return pool
     subset = [as_text(s, name) for s in (subset if isinstance(subset, list) else [subset])]
     chosen = [f for f in pool if f.family in subset or f.label in subset]
     if not chosen:

@@ -105,7 +105,6 @@ class ChristoffelTable:
 
     def __init__(self, metric: DiagonalMetric):
         self._metric = metric
-        self._partials = {}  # (i, v) -> d_v g_ii, read once so far
         self._rows = {}  # (i, j) -> ((alpha, coefficients), ...)
 
     def entry(self, k: int, i: int, j: int) -> Jet | None:
@@ -123,32 +122,23 @@ class ChristoffelTable:
             row = self._rows[(i, j)] = self._rows[(j, i)] = self._row(min(i, j), max(i, j))
         return row
 
-    def _dg(self, i: int, v: int) -> Jet:
-        """d_v g_ii.  Only the rows of (i, i) and of {i, v} read it, one
-        row when v = i, so it is kept from the first read to the second."""
-        if i == v:
-            return jet_partial(self._metric.entry(i), v)
-        jet = self._partials.pop((i, v), None)
-        if jet is None:
-            jet = self._partials[(i, v)] = jet_partial(self._metric.entry(i), v)
-        return jet
-
     def _row(self, i: int, j: int) -> tuple:
-        row = []
-        for k in range(1, self._metric.dim + 1):
+        m, row = self._metric, []
+        for k in range(1, m.dim + 1):
             if i == j == k:
-                half, dg = 0.5, self._dg(i, i)
+                half, g, v = 0.5, i, i
             elif i == j:
-                half, dg = -0.5, self._dg(i, k)
+                half, g, v = -0.5, i, k
             elif k == i:
-                half, dg = 0.5, self._dg(i, j)
+                half, g, v = 0.5, i, j
             elif k == j:
-                half, dg = 0.5, self._dg(j, i)
+                half, g, v = 0.5, j, i
             else:
                 continue
+            dg = jet_partial(m.entry(g), v)  # d_v g_gg
             if not dg.coeffs.any():  # the product, all +-0, would leave the row
                 continue
-            coeffs = jet_mul(self._metric.inverse_entry(k), dg).coeffs * half
+            coeffs = jet_mul(m.inverse_entry(k), dg).coeffs * half
             if coeffs.any():
                 row.append((k, coeffs))
         return tuple(row)

@@ -12,12 +12,12 @@ flat gather tables for products and partial derivatives once per
 (num_vars, order) signature.
 
 A product coefficient sums its segment of pairwise products, ordered by the
-multi-index of the left factor, in the order of np.add.reduceat on numpy
-2.4: t0 + S(t1, ..., t(L-1)), where S is numpy's pairwise sum.  Under 8
-terms S is a left fold; from 8 terms it keeps 8 lanes over whole blocks of
-8, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then folds in the
-remaining terms.  `mul_table` plans those additions once as whole-array
-slice adds over all segments (`mul_coeffs`), bit for bit.
+multi-index of the left factor, as np.add.reduceat does.  A segment of at
+most 8 terms, which is every segment of a product of order <= 3 or in one
+variable, sums as the head plus a left fold, t0 + ((t1 + t2) + ...);
+`mul_table` plans those additions once as whole-array slice adds over all
+segments (`mul_coeffs`), bit for bit.  A product with a longer segment, and
+one of two unbatched factors, runs np.add.reduceat itself.
 
 The coefficient array may carry leading batch dimensions.  Every operation
 broadcasts over them, which is how grid sweeps over evaluation points are
@@ -119,40 +119,11 @@ def n_terms(num_vars: int, order: int) -> int:
 class _MulTable:
     ia: np.ndarray  # coefficient of a of each pair, output ascending, then ia
     ib: np.ndarray  # coefficient of b of each pair, in the same order
-    starts: np.ndarray  # first pair of each output's segment; it sums as t0 + S(t1, ...)
-    gather_a: np.ndarray  # ia laid out for the summing plan
-    gather_b: np.ndarray  # ib laid out for the summing plan
-    steps: tuple  # (dst, src) slices or index arrays: w[..., dst] += w[..., src]
-    unsort: np.ndarray  # where each output coefficient ends up in w
-
-
-def _rounds(length: int) -> list:
-    """The additions of numpy's pairwise sum of places 1..length-1 of a
-    segment into place 1, as rounds of (dst, src) places that touch no place
-    twice.  Fewer than 8 terms fold left; from 8 on, 8 lanes take whole
-    blocks of 8, combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the
-    remaining terms fold in."""
-    n = length - 1
-    if n < 8:
-        return [[(1, p)] for p in range(2, length)]
-    whole = n - n % 8
-    rounds = [[(1 + j, 1 + i + j) for j in range(8)] for i in range(8, whole, 8)]
-    rounds += [[(1, 2), (3, 4), (5, 6), (7, 8)], [(1, 3), (5, 7)], [(1, 5)]]
-    return rounds + [[(1, p)] for p in range(1 + whole, length)]
-
-
-def _step(runs: list) -> tuple:
-    """(dst, src) of one step from its runs [dst, src, count]: two slices for
-    a single run, else two read-only index arrays."""
-    if len(runs) == 1:
-        dst, src, count = runs[0]
-        return slice(dst, dst + count), slice(src, src + count)
-    moves = []
-    for col in (0, 1):
-        array = np.array([run[col] + i for run in runs for i in range(run[2])], dtype=np.intp)
-        array.flags.writeable = False
-        moves.append(array)
-    return tuple(moves)
+    starts: np.ndarray  # first pair of each output's segment
+    gather_a: np.ndarray | None  # ia laid out for the summing plan; None: reduceat
+    gather_b: np.ndarray | None  # ib laid out for the summing plan
+    steps: tuple | None  # (dst, src) slices: w[..., dst] += w[..., src]
+    unsort: np.ndarray | None  # where each output coefficient ends up in w
 
 
 def mul_table(num_vars: int, order_a: int, order_b: int) -> _MulTable:
@@ -166,61 +137,51 @@ def _mul_table(num_vars: int, d_out: int) -> _MulTable:
     """Gather and summing plan of the product of two jets of order d_out.
 
     Output coefficient gamma sums the segment of pairs alpha + beta = gamma,
-    ia ascending, as np.add.reduceat does: t0 + S(t1, ...), with S numpy's
-    pairwise sum (`_rounds`).  The plan lays the pairs out heads first,
-    longest segment first, then the l-th pair of every segment longer than
-    l for l = 1, 2, ...: place l of the k-th segment sits at off[l] + k.  A
-    step takes one round of every segment that has it, as one run per
-    length; runs that continue each other merge, so a step over segments of
-    at most 8 terms is two slices.  Every head add is in the last step.
-    A table is built when first read, often at the memory peak of a
-    covariant recursion, so the plan is worked out on runs of segments and
-    Python ints, not on per-pair move lists or np.argsort.
+    ia ascending, as t0 + ((t1 + t2) + ...): np.add.reduceat's order for a
+    segment of at most 8 terms (see the module docstring).  The plan lays
+    the pairs out place by place, longest segment first: place l of the
+    k-th segment sits at off[l] + k.  Each place l >= 2 is added into place
+    1 with one slice add, then place 1 into the heads.  A table with a
+    longer segment (order >= 4 in two or more variables) has no plan and is
+    summed by np.add.reduceat.
     """
     tout = _table(num_vars, d_out)
     position, triples = tout.position, []
     # graded ordering: the terms of degree <= m are the first n_terms(num_vars, m)
-    for ia, alpha in enumerate(tout.indices):
+    for i, alpha in enumerate(tout.indices):
         room = _table(num_vars, d_out - sum(alpha)).indices
-        triples += [(position[tuple(map(add, alpha, beta))], ia, ib)
-                    for ib, beta in enumerate(room)]
+        triples += [(position[tuple(map(add, alpha, beta))], i, j)
+                    for j, beta in enumerate(room)]
     triples.sort()
     # every output slot is hit at least once (pair with the zero multi-index)
     lengths = [0] * tout.n_terms
     for t in triples:
         lengths[t[0]] += 1
     starts = [0, *accumulate(lengths[:-1])]
+    ia, ib = (_frozen([t[col] for t in triples]) for col in (1, 2))
+    longest = max(lengths)
+    if longest > 8:
+        return _MulTable(ia, ib, _frozen(starts), None, None, None, None)
     rank = sorted(range(tout.n_terms), key=lambda o: -lengths[o])  # stable
     off, order = [], []
-    for place in range(lengths[rank[0]]):
+    for place in range(longest):
         off.append(len(order))
         order += [starts[o] + place for o in rank if lengths[o] > place]
-    groups = {}  # length -> [first k, end k]
-    for k, o in enumerate(rank):
-        groups.setdefault(lengths[o], [k, k])[1] = k + 1
-    rounds = {length: _rounds(length) for length in groups}
-    last = max(map(len, rounds.values()))
-    for length, r in rounds.items():  # every head add waits for the last step
-        r += [[]] * (last - len(r)) + [[(0, 1)] if length > 1 else []]
-    plan = []
-    for s in range(last + 1):
-        runs = []  # [dst, src, count], a run merged into the one it continues
-        for length, (k0, k1) in groups.items():
-            for dst, src in rounds[length][s]:
-                if runs and runs[-1][0] + runs[-1][2] == off[dst] + k0 \
-                        and runs[-1][1] + runs[-1][2] == off[src] + k0:
-                    runs[-1][2] += k1 - k0
-                else:
-                    runs.append([off[dst] + k0, off[src] + k0, k1 - k0])
-        if runs:
-            plan.append(_step(runs))
+    off.append(len(order))
+    # places 2, 3, ... into place 1, then place 1 into the heads
+    steps = [(slice(off[1], off[1] + off[p + 1] - off[p]), slice(off[p], off[p + 1]))
+             for p in range(2, longest)]
+    if longest > 1:
+        steps.append((slice(0, off[2] - off[1]), slice(off[1], off[2])))
     unsort = sorted(range(len(rank)), key=rank.__getitem__)  # the inverse of rank
-    arrays = [np.array(values, dtype=np.intp) for values in (
-        [t[1] for t in triples], [t[2] for t in triples], starts,
-        [triples[i][1] for i in order], [triples[i][2] for i in order], unsort)]
-    for arr in arrays:
-        arr.flags.writeable = False
-    return _MulTable(*arrays[:5], tuple(plan), arrays[5])
+    return _MulTable(ia, ib, _frozen(starts), _frozen(ia[order]), _frozen(ib[order]),
+                     tuple(steps), _frozen(unsort))
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
 
 
 @lru_cache(maxsize=None)
@@ -413,15 +374,17 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 def mul_coeffs(a: np.ndarray, b: np.ndarray, table: _MulTable) -> np.ndarray:
     """Product of two coefficient arrays through a `mul_table` gather.
 
-    The pairwise products overwrite the gathered copy of the factor with the
+    Two unbatched factors, or a table without a plan, take np.add.reduceat
+    over `table.starts` of the pairs in `table.ia` order.  Otherwise the
+    pairwise products overwrite the gathered copy of the factor with the
     larger batch where the other broadcasts into it, so a product allocates
     two batch x pairs arrays, not three (about 0.6 MB each for an order-3
-    product at N = 5 on 256 points).  The table's steps then sum every
-    segment in place, as t0 + S(t1, ...) with S numpy's pairwise sum (see
-    the module docstring): the bits of np.add.reduceat over `table.starts`
-    of the pairs in `table.ia` order.  The result is a fresh array of the
-    output size, not a view that would keep the pairs alive.
+    product at N = 5 on 256 points), and the table's steps sum every segment
+    in place, with the bits of np.add.reduceat.  The result is a fresh array
+    of the output size, not a view that would keep the pairs alive.
     """
+    if table.steps is None or a.ndim == b.ndim == 1:
+        return np.add.reduceat(a[..., table.ia] * b[..., table.ib], table.starts, axis=-1)
     prod = a[..., table.gather_a]
     del a  # a factor passed as a temporary is freed before the second gather
     other = b[..., table.gather_b]

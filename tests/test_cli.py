@@ -71,6 +71,21 @@ class TestConfigParsing:
         assert cfg.checks[3]["warp"] == "euclidean"
         assert cfg.output["report"] == "report.json"
 
+    def test_each_configured_family_is_built_once(self, monkeypatch):
+        # four checks over two configured families construct each family
+        # once, and every check reads the same objects
+        from radwarp import config
+
+        built, make = [], config.make_family
+        monkeypatch.setattr(config, "make_family",
+                            lambda entry: built.append(entry["kind"]) or make(entry))
+        specs = build_check_specs(parse_config(SMALL_CONFIG + 'check.4.kind = "identity"\n'
+                                               'check.4.families = "linear"\n'))
+        assert built == ["gaussian", "linear"]
+        assert [[f.family for f in s.families] for s in specs] == [["gaussian", "linear"]] * 3 + [
+            ["linear"]]
+        assert all(s.families[-1] is specs[0].families[1] for s in specs)
+
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("manifold.warp euclid\n")

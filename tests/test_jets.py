@@ -377,7 +377,8 @@ EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, -3e-310, 1e-160,
 def test_summing_plan_is_the_reduceat_of_the_gathered_pairs(seed, num_vars, order_a, order_b,
                                                             edge, shapes):
     # mixed orders as in the Christoffel rows; at 8 variables and order 6 a
-    # segment has up to 64 terms, so the lane and tree steps run
+    # segment has up to 64 terms, so the table has no plan and np.add.reduceat
+    # sums it, while orders <= 3 run the planned slice adds
     rng = np.random.default_rng(seed)
     factors = []
     for order, batch in zip((order_a, order_b), shapes):
@@ -388,6 +389,48 @@ def test_summing_plan_is_the_reduceat_of_the_gathered_pairs(seed, num_vars, orde
     want = mul_coeffs_reduceat(*factors, table)
     got = jets.mul_coeffs(*factors, table)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _segment_lengths(table) -> np.ndarray:
+    return np.diff(table.starts, append=len(table.ia))
+
+
+@pytest.mark.parametrize("num_vars, order", [(n, d) for n in range(1, 7) for d in range(4)]
+                         + [(1, d) for d in range(4, 7)])
+def test_summing_plan_is_one_slice_add_per_place(num_vars, order):
+    # place p holds the p-th pair of every segment longer than p, longest
+    # segment first: each place p >= 2 adds into place 1 as one pair of
+    # slices, then place 1 adds into the heads, t0 + ((t1 + t2) + ...)
+    table = jets.mul_table(num_vars, order, order)
+    lengths = _segment_lengths(table)
+    assert lengths.max() <= 8
+    counts = [int((lengths > place).sum()) for place in range(lengths.max())]
+    off = [sum(counts[:place]) for place in range(len(counts) + 1)]
+    want = [(slice(off[1], off[1] + counts[p]), slice(off[p], off[p + 1]))
+            for p in range(2, len(counts))]
+    want += [(slice(0, counts[1]), slice(off[1], off[2]))] if len(counts) > 1 else []
+    assert table.steps == tuple(want)
+    assert sorted(table.gather_a.tolist()) == sorted(table.ia.tolist())
+
+
+def test_a_segment_over_8_terms_leaves_the_table_to_reduceat():
+    # (2, 2) is alpha + beta in 9 ways at order 4 in two variables
+    table = jets.mul_table(2, 4, 4)
+    assert _segment_lengths(table).max() == 9
+    assert table.steps is None and table.gather_a is None and table.unsort is None
+    a, b = np.arange(15.0 * 3).reshape(3, 15), np.linspace(-1.0, 1.0, 15)
+    assert jets.mul_coeffs(a, b, table).tobytes() == mul_coeffs_reduceat(a, b, table).tobytes()
+
+
+def test_the_default_suite_builds_only_planned_tables(monkeypatch, tmp_path):
+    # every product the checks form has segments of at most 8 terms, so no
+    # batched product falls to np.add.reduceat
+    from radwarp.cli import main
+
+    built, build = set(), jets._mul_table
+    monkeypatch.setattr(jets, "_mul_table", lambda *key: built.add(key) or build(*key))
+    assert main(["run", "--default-suite", "--out", str(tmp_path / "report.json")]) == 0
+    assert built and all(build(*key).steps is not None for key in built)
 
 
 @settings(max_examples=300, deadline=None)
