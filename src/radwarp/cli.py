@@ -44,7 +44,7 @@ from .config import (
 )
 from .errors import ConfigError, RadwarpError
 from .manifold import warp_value
-from .verify import decay_ratio_profile, radial_lemma_ratio_profile, run_suite
+from .verify import counterexample_exponent, decay_ratio_profile, radial_lemma_profiles, run_suite
 
 # the check kind each dumped curve belongs to; a lemma_ratio dump is a
 # radial_lemma_log check when N = kp and p > 1, else a radial_lemma_power one
@@ -146,14 +146,11 @@ def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
         values = geometry.norm_profiles(family, m, grid, spec.k)[spec.k]
     elif quantity == "decay_ratio":
         values = decay_ratio_profile(m, family, spec.p, grid, spec.quad_tol)
-    elif quantity == "lemma_ratio":
-        # the check takes its constant over the doubled grid
-        grid = spec.grid.doubled().resolve(m.warp.radius)
-        variant = "power" if spec.kind == "radial_lemma_power" else "log"
-        values = radial_lemma_ratio_profile(m, family, spec.k, spec.p, grid, variant,
-                                            spec.quad_tol)
+    elif quantity == "lemma_ratio":  # on the grid the check takes its constant over
+        grid, ratios = radial_lemma_profiles(spec, (family,))
+        values = ratios[family]
     else:  # integrand: the divergence-probe weight curve, on spec.grid
-        params["exponent"] = m.dim - 1.0 - (spec.k - 1) * spec.p
+        params["exponent"] = counterexample_exponent(spec)
         values = warp_value(m.warp, grid) ** params["exponent"]
     if values is None:  # the ratio's norms are infinite or zero
         raise ConfigError(f"family {family.label} has no finite nonzero norms for {quantity}")

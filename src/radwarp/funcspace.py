@@ -22,6 +22,9 @@ phi^(N-1) )^(1/p).  Both forms are in common use; every comparison in the
 verification layer states which side uses which.  Divergent integrals make a
 norm infinite (math.inf), the "infinite norm" signal.
 
+Both sides walk down to the origin: the manifold rows read only v's jet and
+psi = phi'/phi, finite at every r > 0, so none stops at geometry.MIN_RADIUS.
+
 Inside a shared_segments block (run_check opens one per check), the
 integrals of one (v, space) read v's rows from one memo, keyed by the exact
 node array: the family's Taylor rows on a warp, the norm_profiles rows on a
@@ -38,11 +41,12 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import geometry
-from .errors import DomainError, InadmissibleParameterError
+from .errors import DomainError, EvaluationError, InadmissibleParameterError
 from .jets import Jet, compose_rows, mul_rows, polynomial_derivatives
 from .manifold import ManifoldSpec, WarpSpec, sphere_volume
 from .quadrature import DecayEnvelope, Integrand, integrate_weighted
@@ -206,8 +210,10 @@ def _quadratic(t: np.ndarray, order: int, c0: float, c2: float) -> list:
     return rows + [None] * (order - 2)
 
 
+@lru_cache(maxsize=None)
 def default_families(radius: float) -> tuple[RadialFunction, ...]:
-    """The standard five-family test set, sized to the domain radius."""
+    """The standard five-family test set, sized to the domain radius; built
+    once per radius, as the tuple and its families are immutable."""
     bump_support = min(0.8 * radius, 4.0)
     log_ref = radius if math.isfinite(radius) else 10.0
     return (
@@ -289,7 +295,8 @@ def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
                       space: WarpSpec | ManifoldSpec, tol: float, order: int = 0) -> float:
     """int_0^R g(t)^p phi(t)^theta dt, with g = |v^(j)| when `space` is a
     warp (the interval side) and g = |grad^j u|_g, u = v(r), when it is a
-    manifold; inf when it diverges or, on an unbounded domain, when no
+    manifold; inf when it diverges, when its integrand is not finite
+    somewhere the walk reads it, or, on an unbounded domain, when no
     envelope certifies the tail.
 
     The integrand depends on these arguments alone, which is what lets
@@ -301,10 +308,10 @@ def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
     p = float(p)
     rows = _row_source(v, space, j, order)
     if isinstance(space, ManifoldSpec):
-        w, min_t = space.warp, geometry.MIN_RADIUS
+        w = space.warp
         evaluator = lambda t: rows(t)[j] ** p
     else:
-        w, min_t = space, 0.0
+        w = space
         scale = float(math.factorial(j))  # v^(j) as derivative_values forms it
         evaluator = lambda t: np.abs(rows(t)[j] * scale) ** p
     # v's envelope bounds rows 0 and 1 of norm_profiles, |v| and sqrt(v'^2);
@@ -315,8 +322,13 @@ def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
         return math.inf  # no certified tail: infinite-norm signal
     stores = _STORES.get()
     known = None if stores is None else stores.setdefault((v, j, p, theta, space), {})
-    res = integrate_weighted(Integrand(evaluator, theta, envelope), w, tol, min_t=min_t,
-                             known=known)
+    # every row is finite at t > 0, so a non-finite value is float64 overflow
+    # (rank-4 profiles below r ~ 1e-51): an uncertified integral, inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            res = integrate_weighted(Integrand(evaluator, theta, envelope), w, tol, known=known)
+        except EvaluationError:
+            return math.inf
     return res.value if res.converged else math.inf
 
 
@@ -347,20 +359,19 @@ def sobolev_norm_1d(v: RadialFunction, k: int, p: float, n: int, w: WarpSpec,
     return total ** (1.0 / p) if math.isfinite(total) else math.inf
 
 
-def _manifold_norm_term(v: RadialFunction, j: int, p: float, m: ManifoldSpec,
-                        tol: float, order: int = 0) -> float:
-    """( omega_{N-1} int |grad^j u|_g^p phi^(N-1) dr )^(1/p); inf on divergence.
+def norm_term(v: RadialFunction, j: int, p: float, space: WarpSpec | ManifoldSpec, n: int,
+              tol: float, order: int = 0) -> float:
+    """( omega_{N-1} int g^p phi^(N-1) dr )^(1/p), g as in weighted_integral:
+    |v^(j)| on a warp, |grad^j u|_g on a manifold of dimension n; inf on
+    divergence.
 
-    The pointwise tensor norms come from the covariant recursion at the
-    default evaluation angles; angle independence is a separately tested
-    property, so the sphere integral collapses to the radial line.  On an
-    unbounded domain the tail of order j <= 1 is certified by v's own
-    envelope, and a term of order j >= 2 is inf (see weighted_integral).
+    Angle independence of |grad^j u|_g is a separately tested property, so
+    the sphere integral collapses to the radial line.
     """
-    integral = weighted_integral(v, j, p, m.dim - 1.0, m, tol, order)
+    integral = weighted_integral(v, j, p, n - 1.0, space, tol, order)
     if not math.isfinite(integral):
         return math.inf
-    return (sphere_volume(m.dim) * integral) ** (1.0 / p)
+    return (sphere_volume(n) * integral) ** (1.0 / p)
 
 
 def sobolev_norm_manifold(v: RadialFunction, k: int, p: float, m: ManifoldSpec,
@@ -370,7 +381,7 @@ def sobolev_norm_manifold(v: RadialFunction, k: int, p: float, m: ManifoldSpec,
         raise InadmissibleParameterError(f"derivative count limited to {MAX_JET_ORDER}")
     terms = []
     for j in range(k + 1):
-        term = _manifold_norm_term(v, j, p, m, tol, k)
+        term = norm_term(v, j, p, m, m.dim, tol, k)
         if not math.isfinite(term):
             return math.inf
         terms.append(term)
@@ -380,4 +391,4 @@ def sobolev_norm_manifold(v: RadialFunction, k: int, p: float, m: ManifoldSpec,
 def gradient_norm_manifold(v: RadialFunction, p: float, m: ManifoldSpec,
                            tol: float = 1e-10) -> float:
     """( omega_{N-1} int |grad u|_g^p phi^(N-1) dr )^(1/p), recursion route."""
-    return _manifold_norm_term(v, 1, p, m, tol)
+    return norm_term(v, 1, p, m, m.dim, tol)

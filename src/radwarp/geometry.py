@@ -77,8 +77,8 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, ProximityError, SingularMetricError
-from .jets import (Jet, embed_univariate, jet_coordinate, jet_mul, jet_partial, mul_coeffs,
-                   mul_table, n_terms, partial_table)
+from .jets import (Jet, _frozen, embed_univariate, jet_coordinate, jet_mul, jet_partial,
+                   mul_coeffs, mul_table, n_terms, partial_table)
 from .manifold import (
     WARP_TABLE,
     DiagonalMetric,
@@ -89,7 +89,7 @@ from .manifold import (
     warp_eval,
 )
 
-MIN_RADIUS = 1e-6
+MIN_RADIUS = 1e-6  # the dense route's floor, and the radial grids'
 MAX_RANK = 4
 
 
@@ -210,13 +210,6 @@ class CovTensor:
         return out
 
 
-def _frozen(values) -> np.ndarray:
-    """`values` as a read-only index array: the caches hand one array to every caller."""
-    array = np.array(values, dtype=np.intp)
-    array.flags.writeable = False
-    return array
-
-
 @lru_cache(maxsize=None)
 def _patterns(j: int) -> tuple:
     """The slot patterns of rank j >= 1, in the order the recursion first
@@ -331,14 +324,13 @@ class Frame:
     psi; each function's jet is evaluated once (`jet`) for all its readers.
     `r` may be an array; angles default to pi/2 (all nested sine factors 1).
     The rank and the point are checked on construction; the metric, the
-    table, psi and the jets are built when first read.
+    table, psi and the jets are built when first read.  Only the metric,
+    read first by the table and every bundle, requires r >= MIN_RADIUS.
     """
 
     def __init__(self, m: ManifoldSpec, r, k: int, angles=None):
         if not 0 <= k <= MAX_RANK:
             raise DomainError(f"covariant derivative rank must be within 0..{MAX_RANK}")
-        if np.any(np.asarray(r, dtype=np.float64) < MIN_RADIUS):
-            raise ProximityError(f"evaluation requires r >= {MIN_RADIUS}")
         self.m, self.r, self.k, self.angles = m, r, k, angles
         self.point = default_point(m, r) if angles is None else (r,) + tuple(angles)
         polar_radius(m, self.point)
@@ -346,6 +338,8 @@ class Frame:
 
     @cached_property
     def metric(self) -> DiagonalMetric:
+        if np.any(np.asarray(self.r, dtype=np.float64) < MIN_RADIUS):
+            raise ProximityError(f"the dense route requires r >= {MIN_RADIUS}")
         # order max(k - 1, 0): the recursion reads the Christoffel symbols
         # only to order k - 2, at rank 2, and the norms read only values
         return metric_at(self.m, self.point, order=max(self.k - 1, 0))
@@ -432,8 +426,8 @@ def norm_profiles(v, m: ManifoldSpec, r, k: int, angles=None,
     `pointwise_norm` does it, so a v' whose square underflows gives 0 alike.
     Rows j >= 2 come from the pattern form (`_pattern_norms`), which reads
     v's jet and psi = phi'/phi alone, so no row builds a metric and only the
-    point is checked.  `_frame` is as for `covariant_bundle`; only
-    `Frame.norm_profiles` passes it.
+    point is checked: any r in (0, R), below MIN_RADIUS too.  `_frame` is as
+    for `covariant_bundle`; only `Frame.norm_profiles` passes it.
     """
     frame = Frame(m, r, k, angles) if _frame is None else _frame
     coeffs = frame.jet(v).coeffs

@@ -329,16 +329,15 @@ def _panel(upper: float, m: int) -> tuple[float, float]:
     return upper * 2.0 ** -(m + 1), upper * 2.0**-m
 
 
-def _prefetch(segments, upper: float, m: int, min_t: float, budget: int) -> None:
+def _prefetch(segments, upper: float, m: int, budget: int) -> None:
     """Evaluate the root segments of panels m, m+1, ... in one call.
 
     Only panels the sequential loop may still reach: none past
-    _MAX_PANEL_LEVELS, none below min_t, and at most `budget` of them, since
-    each panel takes at least one subdivision.
+    _MAX_PANEL_LEVELS, and at most `budget` of them, since each panel takes
+    at least one subdivision.
     """
     last = min(m + _PREFETCH_PANELS, _MAX_PANEL_LEVELS + 1, m + budget)
-    panels = (_panel(upper, i) for i in range(m, last))
-    segments([ab for ab in panels if ab[0] >= min_t])
+    segments([_panel(upper, i) for i in range(m, last)])
 
 
 def _truncation_point(env: DecayEnvelope, budget: float) -> float | None:
@@ -350,7 +349,7 @@ def _truncation_point(env: DecayEnvelope, budget: float) -> float | None:
     return None
 
 
-def _remaining_mass_estimate(weighted, a: float, min_t: float) -> float:
+def _remaining_mass_estimate(weighted, a: float) -> float:
     """Crude log-grid estimate of the integral over (0, a).
 
     Guards the small-panel early stop against integrands whose support sits
@@ -359,16 +358,12 @@ def _remaining_mass_estimate(weighted, a: float, min_t: float) -> float:
     octaves; resolution floor a * 2^-24.
     """
     t = a * 2.0 ** -np.arange(1, 25, dtype=np.float64)
-    if min_t > 0.0:
-        t = t[t >= min_t]
-    if t.size == 0:
-        return 0.0
     y = np.abs(np.asarray(weighted(t), dtype=np.float64))
     return float(np.sum(y * t) * math.log(2.0))
 
 
 def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
-                       min_t: float = 0.0, known: dict | None = None) -> QuadResult:
+                       known: dict | None = None) -> QuadResult:
     """Integrate f.evaluator(t) * phi(t)^f.weight_exponent over (0, R).
 
     Panels are [U 2^-(m+1), U 2^-m] for m = 0, 1, ...; refinement toward the
@@ -376,11 +371,8 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     running tolerance, and the leftover sliver is bounded by geometric
     extrapolation.  Divergent behaviour toward 0 (contributions that keep
     growing) yields converged=False with an infinite error estimate, and so
-    does a walk that stops on the panel budget, the level cap or min_t
-    before its contributions show a positive decay ratio.
-
-    `min_t` keeps panels away from evaluators with a positive proximity
-    floor; the uncovered sliver is still accounted for in the error.
+    does a walk that stops on the panel budget or the level cap before its
+    contributions show a positive decay ratio.
 
     `known` is the segment store {(a, b): result}, a fresh one when None;
     pass one store only to integrals of one weighted integrand.
@@ -418,10 +410,8 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
     m = 0
     while m <= _MAX_PANEL_LEVELS and subdivisions < _PANEL_BUDGET:
         a_panel, b_panel = _panel(upper, m)
-        if a_panel < min_t:
-            break  # evaluator floor reached; the sliver bound covers the rest
         if (a_panel, b_panel) not in known:
-            _prefetch(segments, upper, m, min_t, _PANEL_BUDGET - subdivisions)
+            _prefetch(segments, upper, m, _PANEL_BUDGET - subdivisions)
         scale = max(1.0, abs(total))
         panel_tol = tol * scale / (8.0 * (m + 1) * (m + 2))
         val, err, nsub = _panel_integral(segments, known, a_panel, b_panel, panel_tol,
@@ -435,7 +425,7 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
             small_run += 1
             growth_run = 0
             if small_run >= 2:
-                if _remaining_mass_estimate(weighted, a_panel, min_t) <= stop_tol:
+                if _remaining_mass_estimate(weighted, a_panel) <= stop_tol:
                     settled = True
                     break
                 small_run = 0  # mass detected further down: keep descending
@@ -459,7 +449,7 @@ def integrate_weighted(f: Integrand, w: WarpSpec, tol: float = 1e-10,
         # bound the uncovered sliver (0, U 2^-(m+1)) by extrapolating the
         # worst recent decay ratio.  Without a positive ratio the sliver is
         # bounded only by the small-panel stop's mass estimate: a walk
-        # stopped by the budget, the level cap or min_t leaves it unbounded.
+        # stopped by the budget or the level cap leaves it unbounded.
         tail_c = [abs(c) for c in contributions[-4:]]
         ratios = [tail_c[i + 1] / tail_c[i] for i in range(len(tail_c) - 1) if tail_c[i] > 0]
         q = max(ratios) if ratios else 0.0

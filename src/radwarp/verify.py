@@ -31,6 +31,7 @@ from .funcspace import (
     default_families,
     gradient_norm_manifold,
     lq_theta_norm_1d,
+    norm_term,
     sobolev_norm_1d,
     sobolev_norm_manifold,
     shared_segments,
@@ -390,13 +391,10 @@ def check_gradient_inequality(spec: CheckSpec) -> tuple[dict, dict, bool]:
 
 
 def check_k1_norm_equality(spec: CheckSpec) -> tuple[dict, dict, bool]:
-    m = spec.manifold
-    n, p = m.dim, spec.p
-    omega = sphere_volume(n)
+    m, p = spec.manifold, spec.p
 
     def rel_diff(f):
-        seminorm = weighted_integral(f, 1, p, n - 1.0, m.warp, spec.quad_tol)
-        rhs = (omega * seminorm) ** (1 / p) if math.isfinite(seminorm) else math.inf
+        rhs = norm_term(f, 1, p, m.warp, m.dim, spec.quad_tol)
         if not math.isfinite(rhs) or rhs == 0.0:
             return None
         lhs = gradient_norm_manifold(f, p, m, spec.quad_tol)
@@ -407,32 +405,28 @@ def check_k1_norm_equality(spec: CheckSpec) -> tuple[dict, dict, bool]:
     return measured, worst, 0.0 <= value <= spec.tol
 
 
-def radial_lemma_ratio_profile(m: ManifoldSpec, f: RadialFunction, k: int, p: float,
-                               grid: np.ndarray, variant: str,
-                               quad_tol: float) -> np.ndarray | None:
-    """Pointwise lemma ratio |v(t)| * scale(t) / ||v||; None if the norm is
-    infinite or zero (family skipped)."""
+def radial_lemma_profiles(spec: CheckSpec, families) -> tuple[np.ndarray, dict]:
+    """(grid, ratios): the doubled grid, whose even-indexed half is the coarse
+    one, and the lemma ratio |v(t)| * scale(t) / ||v|| of each family there;
+    None if the norm is infinite or zero (the family is skipped)."""
+    m, k, p = spec.manifold, spec.k, spec.p
     n, w = m.dim, m.warp
-    norm = sobolev_norm_1d(f, k, p, n, w, quad_tol)
-    if not math.isfinite(norm) or norm == 0.0:
-        return None
-    if variant == "power":
+    grid = spec.grid.doubled().resolve(w.radius)
+    if spec.kind == "radial_lemma_power":
         scale = warp_value(w, grid) ** ((n - k * p) / p)
-        return np.abs(f.values(grid)) * scale / norm
-    growth = (np.log(w.radius / grid)) ** ((p - 1) / p) + 1.0
-    return np.abs(f.values(grid)) / (growth * norm)
+        ratio = lambda f, norm: np.abs(f.values(grid)) * scale / norm
+    else:
+        growth = (np.log(w.radius / grid)) ** ((p - 1) / p) + 1.0
+        ratio = lambda f, norm: np.abs(f.values(grid)) / (growth * norm)
+    ratios = {}
+    for f in families:
+        norm = sobolev_norm_1d(f, k, p, n, w, spec.quad_tol)
+        ratios[f] = ratio(f, norm) if math.isfinite(norm) and norm != 0.0 else None
+    return grid, ratios
 
 
 def check_radial_lemma(spec: CheckSpec) -> tuple[dict, dict, bool]:
-    m = spec.manifold
-    variant = "power" if spec.kind == "radial_lemma_power" else "log"
-    # the coarse grid is the even-indexed half of the doubled one, so one
-    # profile per family serves both suprema
-    grid = spec.grid.doubled().resolve(m.warp.radius)
-    profiles = {
-        f: radial_lemma_ratio_profile(m, f, spec.k, spec.p, grid, variant, spec.quad_tol)
-        for f in spec.families
-    }
+    grid, profiles = radial_lemma_profiles(spec, spec.families)
 
     def sup(f, step):
         ratio = profiles[f]
@@ -582,11 +576,16 @@ def check_embedding_ratio(spec: CheckSpec) -> tuple[dict, dict, bool]:
     return measured, worst, ok
 
 
+def counterexample_exponent(spec: CheckSpec) -> float:
+    """N - 1 - (k - 1) p, the exponent of the weight the probe integrates."""
+    return spec.manifold.dim - 1.0 - (spec.k - 1) * spec.p
+
+
 def check_counterexample(spec: CheckSpec) -> tuple[dict, dict, bool]:
     m = spec.manifold
     n, k, p = m.dim, spec.k, spec.p
     w = m.warp
-    alpha = n - 1.0 - (k - 1) * p
+    alpha = counterexample_exponent(spec)
 
     weight_res = integrate_weighted(Integrand(np.ones_like, n - 1.0), w, spec.quad_tol)
     interval_norm = sobolev_norm_1d(_LINEAR, k, p, n, w, spec.quad_tol)

@@ -86,6 +86,22 @@ class TestConfigParsing:
             ["linear"]]
         assert all(s.families[-1] is specs[0].families[1] for s in specs)
 
+    def test_default_families_are_built_once_per_radius(self):
+        # the default suite configures no family: its 16 checks read the
+        # default set of 4 radii, each built once and shared
+        from radwarp.funcspace import default_families
+
+        default_families.cache_clear()
+        specs = build_check_specs(parse_config(DEFAULT_SUITE))
+        info = default_families.cache_info()
+        radii = {s.manifold.warp.radius for s in specs}
+        assert len(specs) == 16 and (info.misses, info.hits) == (4, 12)
+        assert radii == {math.inf, 3.14159265358979, 1.0, 2.0}
+        for s in specs:
+            if s.kind not in ("counterexample", "asymptotic_leading"):
+                pool = default_families(s.manifold.warp.radius)
+                assert all(any(f is g for g in pool) for f in s.families)
+
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("manifold.warp euclid\n")

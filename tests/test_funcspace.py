@@ -1,11 +1,12 @@
 """Family jets against closed-form derivatives; norm oracles and invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import trapezoid
+from scipy.integrate import quad, trapezoid
 from scipy.special import erf
 
 from radwarp import funcspace, geometry
@@ -388,6 +389,52 @@ class TestManifoldTails:
         assert len(integrands) == 2  # orders 0 and 1 only
         assert math.isfinite(sobolev_norm_manifold(f, 2, 2.0,
                                                    ManifoldSpec(WarpSpec.hyperbolic(2.0), 3)))
+
+
+class TestManifoldOrigin:
+    """A manifold norm walks to the origin as an interval norm does: for a
+    profile with v'(0) != 0, |grad^j u|_g ~ r^(1 - j), so the integral is
+    finite exactly where N - 1 + p (1 - j) > -1."""
+
+    BUMP = RadialFunction.polynomial_bump((1.0, 0.5), support=2.0)
+
+    @staticmethod
+    def _hessian_oracle(v, w, n, p, psi):
+        # |grad^2 u|_g^2 = v''^2 + (N - 1) (psi v')^2: the Hessian of a
+        # radial function has the eigenvalues v'' and psi v'
+        def integrand(r):
+            d1, d2 = (float(v.derivative_values(np.array([r]), j)[0]) for j in (1, 2))
+            return (d2**2 + (n - 1) * (psi(r) * d1) ** 2) ** (p / 2) * w(r) ** (n - 1)
+        return quad(integrand, 0.0, 2.0, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+    @pytest.mark.parametrize("warp, w, psi", [
+        (WarpSpec.euclidean(3.0), lambda r: r, lambda r: 1.0 / r),
+        (WarpSpec.hyperbolic(3.0), math.sinh, lambda r: 1.0 / math.tanh(r)),
+        (WarpSpec.spherical(3.0), math.sin, lambda r: 1.0 / math.tan(r)),
+    ], ids=["euclidean", "hyperbolic", "spherical"])
+    @pytest.mark.parametrize("n, p", [(3, 2.0), (2, 1.5), (4, 2.5)])
+    def test_second_order_integral_is_the_scipy_oracle(self, warp, w, psi, n, p):
+        # the integrand tends to 0.5^p (N - 1)^(p/2) r^(N - 1 - p) at the
+        # origin, which every case integrates; euclidean N = 3, p = 2 read
+        # inf while manifold norms stopped at r = 1e-6
+        value = weighted_integral(self.BUMP, 2, p, n - 1.0, ManifoldSpec(warp, n), 1e-10)
+        oracle = self._hessian_oracle(self.BUMP, w, n, p, psi)
+        assert value == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("n, j, p", [(2, 2, 2.0), (3, 2, 3.0), (5, 3, 2.5), (4, 4, 2.0)])
+    def test_integral_at_or_below_the_borderline_is_inf(self, n, j, p):
+        # N - 1 + p (1 - j) <= -1: the integral diverges at the origin
+        m = ManifoldSpec(WarpSpec.hyperbolic(3.0), n)
+        assert math.isinf(weighted_integral(self.BUMP, j, p, n - 1.0, m, 1e-10))
+
+    def test_overflowing_integrand_is_inf_without_a_warning(self):
+        # N - 1 + p (1 - j) = -0.91: finite, but the walk decays so slowly
+        # that it reaches r ~ 8e-52, where the rank-4 rows overflow float64
+        v = RadialFunction.polynomial_bump((1.0, 0.5), support=1.5)
+        m = ManifoldSpec(WarpSpec.hyperbolic(2.0), 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isinf(weighted_integral(v, 4, 1.97, 5.0, m, 1e-10))
 
 
 TABLE_WARPS = (WarpSpec.euclidean(), WarpSpec.hyperbolic(), WarpSpec.spherical(),

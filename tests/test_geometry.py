@@ -758,8 +758,8 @@ class TestFrame:
                     == norm_profiles(v, self.M, self.R, k, angles).tobytes())
 
     @pytest.mark.parametrize("r, k, angles", [
-        (MIN_RADIUS / 2, 1, None),
-        (np.array([0.5, MIN_RADIUS / 2]), 0, None),  # one batch point below
+        (0.0, 1, None),                    # at the origin
+        (np.array([0.5, 0.0]), 0, None),   # one batch point there
         (math.pi, 1, None),                # at R
         (4.0, 0, None),                    # past R
         (1.0, -1, None),                   # no such rank
@@ -792,6 +792,23 @@ class TestFrame:
         assert raised(Frame, m, r, k, angles) is dense
         if not np.all(np.isfinite(np.append(r, angles or ()))):
             assert dense is DomainError
+
+    @pytest.mark.parametrize("r", [MIN_RADIUS / 2, np.array([0.5, MIN_RADIUS / 2]), 1e-60])
+    def test_only_the_dense_route_keeps_the_proximity_floor(self, r):
+        # the norm rows read v and psi, finite at every r > 0; the metric,
+        # the Christoffel rows and the bundle stop at MIN_RADIUS
+        m = ManifoldSpec(WarpSpec.spherical(), 4)
+        v = RadialFunction.polynomial_bump((1.0, 0.5), 2.0)
+        frame = Frame(m, r, 2)
+        rows = norm_profiles(v, m, r, 2)
+        assert np.all(np.isfinite(rows)) and frame.norm_profiles(v).tobytes() == rows.tobytes()
+        for read in (lambda: frame.metric, lambda: frame.gamma, lambda: frame.bundle(v),
+                     lambda: covariant_bundle(v, m, r, 0)):
+            with pytest.raises(ProximityError):
+                read()
+        if np.ndim(r) == 0:
+            with pytest.raises(ProximityError):
+                asymptotic_leading_ratio(m, 3, r)
 
     def test_low_rank_rows_build_no_geometry(self, monkeypatch):
         built = []

@@ -378,8 +378,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("kind", ["identity", "gradient_inequality"])
     def test_grid_below_the_evaluation_floor_rejected(self, kind):
-        # tensors are evaluated down to geometry.MIN_RADIUS only, so such a
-        # grid would fail at run time
+        # the dense route evaluates down to geometry.MIN_RADIUS only, and
+        # every grid check keeps that floor, also one that reads only norms
         with pytest.raises(InadmissibleParameterError, match="starts below"):
             spec(kind, WarpSpec.hyperbolic(), 3, grid=GridSpec(n=8, lo=1e-7))
         res = run_check(spec(kind, WarpSpec.hyperbolic(), 3, grid=GridSpec(n=8, lo=1e-6)))
