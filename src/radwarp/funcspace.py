@@ -28,11 +28,12 @@ psi = phi'/phi, finite at every r > 0, so none stops at geometry.MIN_RADIUS.
 Inside a shared_segments block (run_check opens one per check), the
 integrals of one (v, space) read v's rows from one memo, keyed by the exact
 node array: the family's Taylor rows on a warp, the norm_profiles rows on a
-manifold.  Each norm asks for rows to the highest order it reads, and an
-entry is evaluated again only for a higher order.  Rows 0..j of such an
-evaluation equal those of an order-j one bit for bit, so every integral
-keeps its bits whatever the memo holds.  The memo lives for one check; a
-run-wide one would evaluate every row to the suite's highest order.
+manifold.  An entry is evaluated to the order of the first integral that
+reads it, and again only when a later one reads a higher order; a norm that
+reads several orders integrates the highest first.  Rows 0..j of a
+higher-order evaluation equal those of an order-j one bit for bit, so every
+integral keeps its bits whatever the memo holds.  The memo lives for one
+check; a run-wide one would evaluate every row to the suite's highest order.
 """
 
 from __future__ import annotations
@@ -244,10 +245,9 @@ def critical_q(n: int, k: int, p: float, theta: float = 0.0,
 # ---------------------------------------------------------------------------
 # norms
 
-# weighted_integral's segment stores by its arguments but tol, and its row
-# memos by (v, space); None outside a shared_segments block
-_STORES: ContextVar[dict | None] = ContextVar("radwarp_segment_stores", default=None)
-_ROWS: ContextVar[dict | None] = ContextVar("radwarp_row_memos", default=None)
+# one dict per shared_segments block: weighted_integral's segment stores,
+# keyed by its arguments but tol, and its row memos, keyed by (v, space)
+_MEMO: ContextVar[dict | None] = ContextVar("radwarp_memo", default=None)
 
 
 @contextmanager
@@ -256,43 +256,38 @@ def shared_segments():
     segment store, so a refined integral evaluates only the segments it
     adds, and let all calls on one (v, space) share one row memo; both are
     dropped when the block ends, also when it raises."""
-    stores, rows = _STORES.set({}), _ROWS.set({})
+    token = _MEMO.set({})
     try:
         yield
     finally:
-        _ROWS.reset(rows)
-        _STORES.reset(stores)
+        _MEMO.reset(token)
 
 
-def _row_source(v: RadialFunction, space: WarpSpec | ManifoldSpec, j: int, order: int):
+def _check_order(j: int) -> None:
+    if not 0 <= j <= MAX_JET_ORDER:
+        raise InadmissibleParameterError(f"derivative count must be within 0..{MAX_JET_ORDER}")
+
+
+def _row_source(v: RadialFunction, space: WarpSpec | ManifoldSpec, j: int, memo: dict):
     """rows(t): v's Taylor rows (on a warp) or norm_profiles rows (on a
-    manifold) at the nodes t, at least rows 0..j.
-
-    Inside a shared_segments block the rows are evaluated to max(j, order)
-    and kept in the (v, space) memo, keyed by the bytes of t, and are
-    evaluated again only when a higher order is asked for; outside one they
-    are evaluated to j on every call.
-    """
+    manifold) at the nodes t, at least rows 0..j, kept in `memo` by the
+    bytes of t and evaluated again only when a higher order is asked for."""
     if isinstance(space, ManifoldSpec):
         evaluate = lambda t, k: geometry.norm_profiles(v, space, t, k)
     else:
         evaluate = v._rows
-    memos = _ROWS.get()
-    if memos is None:
-        return lambda t: evaluate(t, j)
-    memo, order = memos.setdefault((v, space), {}), max(j, order)
 
     def rows(t):
         key = t.tobytes()
         got = memo.get(key)
-        if got is None or len(got) <= order:
-            got = memo[key] = evaluate(t, order)
+        if got is None or len(got) <= j:
+            got = memo[key] = evaluate(t, j)
         return got
     return rows
 
 
 def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
-                      space: WarpSpec | ManifoldSpec, tol: float, order: int = 0) -> float:
+                      space: WarpSpec | ManifoldSpec, tol: float) -> float:
     """int_0^R g(t)^p phi(t)^theta dt, with g = |v^(j)| when `space` is a
     warp (the interval side) and g = |grad^j u|_g, u = v(r), when it is a
     manifold; inf when it diverges, when its integrand is not finite
@@ -300,13 +295,15 @@ def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
     envelope certifies the tail.
 
     The integrand depends on these arguments alone, which is what lets
-    shared_segments share its segments between calls.  `order` changes no
-    value: inside a block, v's rows are evaluated to max(j, order), so a
-    norm passes the highest order it reads and its integrals share one
-    evaluation per node array (see _row_source).
+    shared_segments share its segments between calls.  v's rows are read
+    through the block's memo, or outside a block through one for this call
+    alone (see _row_source).
     """
+    _check_order(j)
     p = float(p)
-    rows = _row_source(v, space, j, order)
+    memo = _MEMO.get()
+    memo = {} if memo is None else memo  # not `or {}`: a block's memo starts empty, falsy
+    rows = _row_source(v, space, j, memo.setdefault((v, space), {}))
     if isinstance(space, ManifoldSpec):
         w = space.warp
         evaluator = lambda t: rows(t)[j] ** p
@@ -320,8 +317,7 @@ def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
     envelope = base.power_scaled(p) if base is not None else None
     if math.isinf(w.radius) and envelope is None:
         return math.inf  # no certified tail: infinite-norm signal
-    stores = _STORES.get()
-    known = None if stores is None else stores.setdefault((v, j, p, theta, space), {})
+    known = memo.setdefault((v, j, p, theta, space), {})
     # every row is finite at t > 0, so a non-finite value is float64 overflow
     # (rank-4 profiles below r ~ 1e-51): an uncertified integral, inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -343,12 +339,12 @@ def lq_theta_norm_1d(v: RadialFunction, q: float, theta: float, w: WarpSpec,
 
 def sobolev_seminorms_1d(v: RadialFunction, k: int, p: float, n: int, w: WarpSpec,
                          tol: float = 1e-10) -> list[float]:
-    """The k+1 weighted integrals int |v^(j)|^p phi^(N-1) dt, j = 0..k."""
+    """The k+1 weighted integrals int |v^(j)|^p phi^(N-1) dt, j = 0..k,
+    integrated from j = k down, so the row memo evaluates rows to k first."""
     if n < 2:
         raise InadmissibleParameterError("weight dimension must be >= 2")
-    if k > MAX_JET_ORDER:
-        raise InadmissibleParameterError(f"derivative count limited to {MAX_JET_ORDER}")
-    return [weighted_integral(v, j, p, n - 1.0, w, tol, k) for j in range(k + 1)]
+    _check_order(k)
+    return [weighted_integral(v, j, p, n - 1.0, w, tol) for j in range(k, -1, -1)][::-1]
 
 
 def sobolev_norm_1d(v: RadialFunction, k: int, p: float, n: int, w: WarpSpec,
@@ -360,7 +356,7 @@ def sobolev_norm_1d(v: RadialFunction, k: int, p: float, n: int, w: WarpSpec,
 
 
 def norm_term(v: RadialFunction, j: int, p: float, space: WarpSpec | ManifoldSpec, n: int,
-              tol: float, order: int = 0) -> float:
+              tol: float) -> float:
     """( omega_{N-1} int g^p phi^(N-1) dr )^(1/p), g as in weighted_integral:
     |v^(j)| on a warp, |grad^j u|_g on a manifold of dimension n; inf on
     divergence.
@@ -368,7 +364,7 @@ def norm_term(v: RadialFunction, j: int, p: float, space: WarpSpec | ManifoldSpe
     Angle independence of |grad^j u|_g is a separately tested property, so
     the sphere integral collapses to the radial line.
     """
-    integral = weighted_integral(v, j, p, n - 1.0, space, tol, order)
+    integral = weighted_integral(v, j, p, n - 1.0, space, tol)
     if not math.isfinite(integral):
         return math.inf
     return (sphere_volume(n) * integral) ** (1.0 / p)
@@ -376,12 +372,12 @@ def norm_term(v: RadialFunction, j: int, p: float, space: WarpSpec | ManifoldSpe
 
 def sobolev_norm_manifold(v: RadialFunction, k: int, p: float, m: ManifoldSpec,
                           tol: float = 1e-10) -> float:
-    """sum_{j<=k} ( omega_{N-1} int |grad^j u|_g^p phi^(N-1) dr )^(1/p)."""
-    if k > MAX_JET_ORDER:
-        raise InadmissibleParameterError(f"derivative count limited to {MAX_JET_ORDER}")
+    """sum_{j<=k} ( omega_{N-1} int |grad^j u|_g^p phi^(N-1) dr )^(1/p),
+    integrated from j = k down as in sobolev_seminorms_1d; fsum rounds once."""
+    _check_order(k)
     terms = []
-    for j in range(k + 1):
-        term = norm_term(v, j, p, m, m.dim, tol, k)
+    for j in range(k, -1, -1):
+        term = norm_term(v, j, p, m, m.dim, tol)
         if not math.isfinite(term):
             return math.inf
         terms.append(term)

@@ -309,7 +309,9 @@ def _pattern_norms(v: np.ndarray, psi: np.ndarray, m: float) -> list:
             total = total + term
         if threes.size:
             a, b, c = x[threes]
-            for term in m * (m - 1) * (a * a + b * b + c * c) + m * np.square(a + b + c):
+            # at m = 1 this summand is 0, and 0 * inf where a^2 overflows reads NaN
+            pairs = m * (m - 1) * (a * a + b * b + c * c) if m != 1.0 else 0.0
+            for term in pairs + m * np.square(a + b + c):
                 total = total + term
         rows.append(np.sqrt(total))
     return rows
@@ -368,7 +370,7 @@ class Frame:
 
     def norm_profiles(self, v) -> np.ndarray:
         """`norm_profiles` of v at this frame's points and rank."""
-        return norm_profiles(v, self.m, self.r, self.k, self.angles, _frame=self)
+        return norm_profiles(v, self.m, self.r, self.k, _frame=self)
 
 
 def covariant_bundle(v, m: ManifoldSpec, r, k: int, angles=None, _frame: Frame | None = None):
@@ -417,8 +419,7 @@ def pointwise_norm(t: CovTensor, metric: DiagonalMetric):
     return np.sqrt(total)
 
 
-def norm_profiles(v, m: ManifoldSpec, r, k: int, angles=None,
-                  _frame: Frame | None = None) -> np.ndarray:
+def norm_profiles(v, m: ManifoldSpec, r, k: int, _frame: Frame | None = None) -> np.ndarray:
     """|grad^j u|_g for j = 0..k at radius r (batched); shape (k+1,) + r.shape.
 
     Rows 0 and 1 read no metric: |u| = |v|, and since the angular partials
@@ -426,10 +427,11 @@ def norm_profiles(v, m: ManifoldSpec, r, k: int, angles=None,
     `pointwise_norm` does it, so a v' whose square underflows gives 0 alike.
     Rows j >= 2 come from the pattern form (`_pattern_norms`), which reads
     v's jet and psi = phi'/phi alone, so no row builds a metric and only the
-    point is checked: any r in (0, R), below MIN_RADIUS too.  `_frame` is as
-    for `covariant_bundle`; only `Frame.norm_profiles` passes it.
+    point is checked: any r in (0, R), below MIN_RADIUS too.  The rows are
+    O(N-1)-invariant, so they take no angles.  `_frame` is as for
+    `covariant_bundle`; only `Frame.norm_profiles` passes it.
     """
-    frame = Frame(m, r, k, angles) if _frame is None else _frame
+    frame = Frame(m, r, k) if _frame is None else _frame
     coeffs = frame.jet(v).coeffs
     rows = [np.abs(coeffs[..., 0])]
     if k >= 1:

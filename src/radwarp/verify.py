@@ -504,10 +504,11 @@ def check_hardy(spec: CheckSpec) -> tuple[dict, dict, bool]:
     w = m.warp
 
     def ratio(f, quad_tol):
-        # only the orders k - j .. k enter the right-hand side
-        rhs = math.fsum(weighted_integral(f, i, p, n - 1.0, w, quad_tol, k)
-                        for i in range(k - j, k + 1))
-        lhs = weighted_integral(f, k - j, p, n - 1.0 - j * p, w, quad_tol, k)
+        # only the orders k - j .. k enter the right-hand side, integrated
+        # from k down so the row memo evaluates each node array once
+        rhs = math.fsum(weighted_integral(f, i, p, n - 1.0, w, quad_tol)
+                        for i in range(k, k - j - 1, -1))
+        lhs = weighted_integral(f, k - j, p, n - 1.0 - j * p, w, quad_tol)
         if not (math.isfinite(lhs) and math.isfinite(rhs)) or rhs == 0.0:
             return None
         return lhs / rhs, {"lhs": lhs, "rhs": rhs}

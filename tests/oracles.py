@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 
 from radwarp.errors import DimensionError, EvaluationError
-from radwarp.geometry import christoffel_at
+from radwarp.geometry import christoffel_at, covariant_bundle, pointwise_norm
 from radwarp.jets import (Jet, _combine_base, _series_coeffs, compose_coeffs, embed_univariate,
                           jet_compose_univariate, jet_constant, jet_from_derivatives, jet_mul,
                           jet_partial, mul_table, n_terms, polynomial_derivatives, taylor_coeffs)
@@ -256,3 +256,10 @@ def oracle_gk_segments(fn, bounds) -> list:
             g = half * float(_GK_WEIGHTS_G @ ys)
             out.append((k, abs(k - g), None))
     return out
+
+
+def dense_norms(v, m, r, k: int, angles=None) -> np.ndarray:
+    """`pointwise_norm` of every rank of `covariant_bundle`: the dense route,
+    the norm profiles' reference and the one that reads the angles."""
+    metric, tensors = covariant_bundle(v, m, r, k, angles)
+    return np.stack([np.broadcast_to(pointwise_norm(t, metric), np.shape(r)) for t in tensors])

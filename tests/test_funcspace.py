@@ -290,6 +290,20 @@ class TestSobolevNorms:
         norm_err_bound = 0.5 * tol * max(1.0, integral) / integral * (lam * a)
         assert abs(b - lam * a) <= 2.0 * norm_err_bound
 
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_orders_outside_the_jets_are_rejected(self, k):
+        # unchecked, k = -1 gives 0.0 or [] from the norms and a bare
+        # ValueError from weighted_integral
+        f, w = RadialFunction.gaussian(1.0), WarpSpec.euclidean(1.0)
+        m = ManifoldSpec(w, 3)
+        for call in (lambda: sobolev_norm_1d(f, k, 2.0, 3, w),
+                     lambda: sobolev_seminorms_1d(f, k, 2.0, 3, w),
+                     lambda: sobolev_norm_manifold(f, k, 2.0, m),
+                     lambda: weighted_integral(f, k, 2.0, 2.0, w, 1e-10),
+                     lambda: weighted_integral(f, k, 2.0, 2.0, m, 1e-10)):
+            with pytest.raises(InadmissibleParameterError, match="within 0..4"):
+                call()
+
     def test_manifold_k1_structure(self):
         # rank-1 pointwise norms equal |v'|, so the manifold norm is exactly
         # omega^(1/p) (I0^(1/p) + I1^(1/p)) with the same 1-D integrals
@@ -385,8 +399,9 @@ class TestManifoldTails:
         f = RadialFunction.gaussian(1.0)
         assert math.isinf(weighted_integral(f, 2, 2.0, 2.0, self.UNBOUNDED, 1e-10))
         assert integrands == []
+        # the norm integrates order 2 first, which is inf before any integral
         assert math.isinf(sobolev_norm_manifold(f, 2, 2.0, self.UNBOUNDED))
-        assert len(integrands) == 2  # orders 0 and 1 only
+        assert integrands == []
         assert math.isfinite(sobolev_norm_manifold(f, 2, 2.0,
                                                    ManifoldSpec(WarpSpec.hyperbolic(2.0), 3)))
 
@@ -484,7 +499,9 @@ class TestRowMemo:
         inside = len(calls) - outside
         assert shared == alone
         assert 0 < inside < outside
-        assert {order for _, order in calls[outside:]} == {2}
+        # order 2 is integrated first; lower orders evaluate only the arrays
+        # their walks add, to their own order
+        assert calls[outside][1] == 2 and {order for _, order in calls[outside:]} <= {0, 1, 2}
 
     @pytest.mark.parametrize("other", [
         (RadialFunction.gaussian(1.0), UNIT),
@@ -495,27 +512,94 @@ class TestRowMemo:
         calls = self._counted_rows(monkeypatch)
         v, space = other
         with funcspace.shared_segments():
-            alone = weighted_integral(v, 1, 2.0, 2.0, space, 1e-10, 2)
+            alone = weighted_integral(v, 1, 2.0, 2.0, space, 1e-10)
         made = len(calls)
         with funcspace.shared_segments():
-            weighted_integral(self.BUMP, 1, 2.0, 2.0, self.UNIT, 1e-10, 2)
+            weighted_integral(self.BUMP, 1, 2.0, 2.0, self.UNIT, 1e-10)
             before = len(calls)
-            shared = weighted_integral(v, 1, 2.0, 2.0, space, 1e-10, 2)
-            assert len(funcspace._ROWS.get()) == 2
+            shared = weighted_integral(v, 1, 2.0, 2.0, space, 1e-10)
+            row_memos = [key for key in funcspace._MEMO.get() if len(key) == 2]
+            assert row_memos == [(self.BUMP, self.UNIT), (v, space)]
         assert len(calls) - before == made > 0
         assert shared.hex() == alone.hex()
 
     def test_rows_are_evaluated_again_only_for_a_higher_order(self, monkeypatch):
         calls = self._counted_rows(monkeypatch)
-        t = np.linspace(0.1, 0.7, 15)
-        with funcspace.shared_segments():
-            low = funcspace._row_source(self.BUMP, self.UNIT, 0, 0)(t)
-            assert funcspace._row_source(self.BUMP, self.UNIT, 0, 0)(t.copy()) is low
-            high = funcspace._row_source(self.BUMP, self.UNIT, 1, 0)(t)
-            assert funcspace._row_source(self.BUMP, self.UNIT, 0, 0)(t) is high
-            assert len(funcspace._row_source(self.BUMP, self.UNIT, 0, 3)(t[1:])) == 4
+        t, memo = np.linspace(0.1, 0.7, 15), {}
+        source = lambda j: funcspace._row_source(self.BUMP, self.UNIT, j, memo)
+        low = source(0)(t)
+        assert source(0)(t.copy()) is low
+        high = source(1)(t)
+        assert source(0)(t) is high
+        assert len(source(3)(t[1:])) == 4
         assert [order for _, order in calls] == [0, 1, 3]
         assert high[0].tobytes() == low[0].tobytes()
+
+    def test_outside_a_block_each_integral_has_its_own_memo(self, monkeypatch):
+        calls = self._counted_rows(monkeypatch)
+        first = weighted_integral(self.BUMP, 1, 2.0, 2.0, self.UNIT, 1e-10)
+        made = len(calls)
+        assert weighted_integral(self.BUMP, 1, 2.0, 2.0, self.UNIT, 1e-10) == first
+        assert len(calls) == 2 * made > 0
+        assert funcspace._MEMO.get() is None
+
+
+class TestRowWork:
+    """Inside a block, each (v, space, node array) is evaluated only when an
+    integral reads an order above the one it holds, so never above the
+    highest order any integral on it reads."""
+
+    WARP = WarpSpec.hyperbolic(2.0)
+    MANIFOLD = ManifoldSpec(WARP, 3)
+    BUMP = RadialFunction.polynomial_bump((1.0, 0.5), support=1.5)
+
+    def _record(self, monkeypatch):
+        reads, evaluations = [], []
+        source = funcspace._row_source
+
+        def recording(v, space, j, memo):
+            reads.append((v, space, j))
+            rows = source(v, space, j, memo)
+
+            def logged(t):
+                held = memo.get(t.tobytes())
+                got = rows(t)
+                if got is not held:
+                    before = -1 if held is None else len(held) - 1
+                    evaluations.append(((v, space, t.tobytes()), before, j, len(got) - 1))
+                return got
+            return logged
+
+        monkeypatch.setattr(funcspace, "_row_source", recording)
+        return reads, evaluations
+
+    def _norms(self):
+        return [
+            sobolev_norm_manifold(self.BUMP, 3, 2.0, self.MANIFOLD),
+            gradient_norm_manifold(self.BUMP, 2.0, self.MANIFOLD),
+            sobolev_norm_1d(self.BUMP, 4, 2.0, 3, self.WARP),
+            lq_theta_norm_1d(self.BUMP, 3.0, 2.0, self.WARP),
+            *sobolev_seminorms_1d(self.BUMP, 2, 1.5, 3, self.WARP, 1e-12),
+        ]
+
+    def test_each_node_array_is_evaluated_only_for_a_higher_order(self, monkeypatch):
+        alone = [x.hex() for x in self._norms()]
+        reads, evaluations = self._record(monkeypatch)
+        with funcspace.shared_segments():
+            shared = [x.hex() for x in self._norms()]
+        assert shared == alone
+        top = {}
+        for v, space, j in reads:
+            top[v, space] = max(j, top.get((v, space), 0))
+        held = {}
+        for key, before, j, order in evaluations:
+            assert before == held.get(key, -1) < j == order <= top[key[:2]]
+            held[key] = order
+        assert set(held.values()) == {0, 1, 2, 3, 4}
+        # each norm integrates its highest order first, so an array is seldom
+        # evaluated twice: 1 of 596 evaluations here
+        again = sum(before >= 0 for _, before, _, _ in evaluations)
+        assert again * 50 < len(held)
 
 
 class TestNormRequest:

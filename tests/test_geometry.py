@@ -12,9 +12,9 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import (Poly as _Poly, jet_add, jet_scale, jet_shift, oracle_christoffel,
-                     oracle_covariant, oracle_eager_christoffel_row, oracle_eager_inverse,
-                     oracle_norm)
+from oracles import (Poly as _Poly, dense_norms, jet_add, jet_scale, jet_shift,
+                     oracle_christoffel, oracle_covariant, oracle_eager_christoffel_row,
+                     oracle_eager_inverse, oracle_norm)
 
 from radwarp import geometry
 from radwarp.errors import ChartSingularityError, DomainError, ProximityError, RadwarpError
@@ -359,7 +359,8 @@ class TestPointwiseNorm:
         angle_sets = [(math.pi / 2, math.pi / 2, math.pi / 2),
                       (0.7, 1.9, 0.3),
                       (2.1, 0.5, 2.8)]
-        profiles = [norm_profiles(v, m, r, 3, angles=a) for a in angle_sets]
+        # the dense route: the pattern form behind norm_profiles reads no angle
+        profiles = [dense_norms(v, m, r, 3, a) for a in angle_sets]
         for other in profiles[1:]:
             np.testing.assert_allclose(other, profiles[0], rtol=1e-8)
 
@@ -581,16 +582,10 @@ def test_rank0_and_rank1_rows_equal_the_dense_norms_bit_for_bit(w, n, k, size, l
     r = min(lo, 0.9 * hi) if size is None else np.linspace(min(lo, 0.5 * hi), hi, size)
     angles = ANGLES[: n - 1] if angled else None
     metric, tensors = covariant_bundle(v, m, r, k, angles)
-    profiles = norm_profiles(v, m, r, k, angles)
+    profiles = norm_profiles(v, m, r, k)
     for j in range(min(k, 1) + 1):
         want = np.broadcast_to(pointwise_norm(tensors[j], metric), np.shape(r))
         assert np.asarray(profiles[j]).tobytes() == np.asarray(want).tobytes(), j
-
-
-def _dense_norms(v, m, r, k, angles=None):
-    """`pointwise_norm` of every rank of `covariant_bundle`: the dense route."""
-    metric, tensors = covariant_bundle(v, m, r, k, angles)
-    return np.stack([np.broadcast_to(pointwise_norm(t, metric), np.shape(r)) for t in tensors])
 
 
 def _pattern_tol(r):
@@ -601,11 +596,11 @@ def _pattern_tol(r):
 
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("w", ALL_MANIFOLD_WARPS[:4], ids=lambda w: w.kind)
-def test_pattern_rows_agree_with_the_dense_norms(w, n):
+def test_pattern_rows_agree_with_thedense_norms(w, n):
     m = ManifoldSpec(w, n)
     r = np.geomspace(1e-3, min(3.0, 0.95 * w.radius), 40)
     for v in default_families(w.radius):
-        got, want = norm_profiles(v, m, r, 4), _dense_norms(v, m, r, 4)
+        got, want = norm_profiles(v, m, r, 4), dense_norms(v, m, r, 4)
         assert np.all(np.abs(got - want) <= _pattern_tol(r) * want), v.label
 
 
@@ -626,8 +621,20 @@ def test_pattern_rows_agree_with_the_dense_norms_fuzz(w, n, k, family, lo, size,
     hi = min(3.0, 0.95 * w.radius)
     r = lo if size is None else np.geomspace(lo, hi, size)
     angles = ANGLES[: n - 1] if angled else None
-    got, want = norm_profiles(v, m, r, k, angles), _dense_norms(v, m, r, k, angles)
+    got, want = norm_profiles(v, m, r, k), dense_norms(v, m, r, k, angles)
     assert np.all(np.abs(got - want) <= _pattern_tol(np.asarray(r)) * want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_overflowing_rank4_rows_read_inf(n):
+    # below r ~ 1e-51 the squares of the rank-4 coefficients overflow; at
+    # N - 1 = 1 the pairing summand has the factor N - 2 = 0, and taking
+    # 0 * inf there would read NaN
+    v = RadialFunction.polynomial_bump((1.0, 0.5), support=1.5)
+    m = ManifoldSpec(WarpSpec.hyperbolic(2.0), n)
+    with np.errstate(over="ignore"):
+        row = norm_profiles(v, m, np.array([1e-50, 1e-52, 1e-55]), 4)[4]
+    assert np.isfinite(row[0]) and np.all(np.isposinf(row[1:]))
 
 
 # psi = phi'/phi of each warp kind, and the families, in mpmath
@@ -755,7 +762,7 @@ class TestFrame:
                 for idx in product(range(1, 5), repeat=a.rank):
                     assert a.component(idx).coeffs.tobytes() == b.component(idx).coeffs.tobytes()
             assert (frame.norm_profiles(v).tobytes()
-                    == norm_profiles(v, self.M, self.R, k, angles).tobytes())
+                    == norm_profiles(v, self.M, self.R, k).tobytes())
 
     @pytest.mark.parametrize("r, k, angles", [
         (0.0, 1, None),                    # at the origin
@@ -788,7 +795,8 @@ class TestFrame:
 
         dense = raised(covariant_bundle, v, m, r, k, angles)
         assert dense in (DomainError, ProximityError, ChartSingularityError)
-        assert raised(norm_profiles, v, m, r, k, angles) is dense
+        if angles is None:  # norm_profiles takes none
+            assert raised(norm_profiles, v, m, r, k) is dense
         assert raised(Frame, m, r, k, angles) is dense
         if not np.all(np.isfinite(np.append(r, angles or ()))):
             assert dense is DomainError

@@ -541,18 +541,18 @@ class TestSegmentMemo:
         assert store_a is store_b and made > 0 and repeated == 0
 
     def test_memo_is_inactive_after_its_block(self, segment_counts):
+        v, j, p, theta, space = self.BASE
         with pytest.raises(RuntimeError):
             with funcspace.shared_segments():
                 funcspace.weighted_integral(*self.BASE, 1e-10)
-                (store,) = funcspace._STORES.get().values()
-                assert store is segment_counts[0][0]
-                (rows,) = funcspace._ROWS.get().values()
-                assert rows
+                memo = funcspace._MEMO.get()
+                assert memo[v, j, p, theta, space] is segment_counts[0][0]
+                assert memo[v, space]
                 raise RuntimeError("check failed")
-        assert funcspace._STORES.get() is None
-        assert funcspace._ROWS.get() is None
+        assert funcspace._MEMO.get() is None
         funcspace.weighted_integral(*self.BASE, 1e-10)
-        assert segment_counts[1][0] is None
+        (first, made), (store, again) = segment_counts
+        assert store is not first and again == made > 0
 
 
 @pytest.fixture

@@ -475,7 +475,7 @@ class TestSegmentMemoScope:
 
         def run(row):
             def observed(s):
-                seen.append(funcspace._STORES.get())
+                seen.append(funcspace._MEMO.get())
                 return row.run(s)
             return observed
 
@@ -483,18 +483,18 @@ class TestSegmentMemoScope:
         assert run_check(self.HARDY).verdict == "pass"
         assert run_check(self.HARDY).verdict == "pass"
         assert None not in seen and seen[0] is not seen[1]
-        assert funcspace._STORES.get() is None
+        assert funcspace._MEMO.get() is None
 
     def test_memo_is_dropped_when_a_check_raises(self, monkeypatch):
         from radwarp import funcspace
 
         def run(row):
             def failing(s):
-                assert funcspace._STORES.get() is not None
+                assert funcspace._MEMO.get() is not None
                 raise RuntimeError("check failed")
             return failing
 
         self._patch_run(monkeypatch, run)
         with pytest.raises(RuntimeError, match="check failed"):
             run_check(self.HARDY)
-        assert funcspace._STORES.get() is None
+        assert funcspace._MEMO.get() is None
