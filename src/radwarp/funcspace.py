@@ -25,15 +25,20 @@ norm infinite (math.inf), the "infinite norm" signal.
 Both sides walk down to the origin: the manifold rows read only v's jet and
 psi = phi'/phi, finite at every r > 0, so none stops at geometry.MIN_RADIUS.
 
+Orders 0 and 1 read v's own rows on either side, as |u| = |v| and
+|grad u|_g = sqrt(v'^2) (g^rr = 1, and the angular partials of u vanish);
+only a manifold order >= 2 reads geometry.norm_profiles rows.
+
 Inside a shared_segments block (run_check opens one per check), the
-integrals of one (v, space) read v's rows from one memo, keyed by the exact
-node array: the family's Taylor rows on a warp, the norm_profiles rows on a
-manifold.  An entry is evaluated to the order of the first integral that
-reads it, and again only when a later one reads a higher order; a norm that
-reads several orders integrates the highest first.  Rows 0..j of a
-higher-order evaluation equal those of an order-j one bit for bit, so every
-integral keeps its bits whatever the memo holds.  The memo lives for one
-check; a run-wide one would evaluate every row to the suite's highest order.
+integrals of one v read its rows from one memo per row source, keyed by the
+exact node array: (v, warp) for v's own rows, (v, manifold) for the
+norm_profiles rows.  An entry is evaluated to the order of the first
+integral that reads it, and again only when a later one reads a higher
+order; a norm that reads several orders integrates the highest first.
+Rows 0..j of a higher-order evaluation equal those of an order-j one bit for
+bit, so every integral keeps its bits whatever the memo holds.  The memo
+lives for one check; a run-wide one would evaluate every row to the suite's
+highest order.
 """
 
 from __future__ import annotations
@@ -234,6 +239,9 @@ def critical_q(n: int, k: int, p: float, theta: float = 0.0,
                variant: str = "manifold") -> float:
     """(theta + N) p / (N - kp), or (theta + 1) p / (N - kp) for the interval
     variant; requires N > kp."""
+    if variant not in ("manifold", "interval"):
+        raise InadmissibleParameterError(
+            f"critical exponent variant must be manifold or interval, got {variant!r}")
     if n <= k * p:
         raise InadmissibleParameterError(
             f"critical exponent needs N > kp (N={n}, k={k}, p={p})"
@@ -271,7 +279,8 @@ def _check_order(j: int) -> None:
 def _row_source(v: RadialFunction, space: WarpSpec | ManifoldSpec, j: int, memo: dict):
     """rows(t): v's Taylor rows (on a warp) or norm_profiles rows (on a
     manifold) at the nodes t, at least rows 0..j, kept in `memo` by the
-    bytes of t and evaluated again only when a higher order is asked for."""
+    bytes of t and evaluated again only when a higher order is asked for.
+    Orders 0 and 1 pass the warp on either side."""
     if isinstance(space, ManifoldSpec):
         evaluate = lambda t, k: geometry.norm_profiles(v, space, t, k)
     else:
@@ -294,26 +303,36 @@ def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
     somewhere the walk reads it, or, on an unbounded domain, when no
     envelope certifies the tail.
 
-    The integrand depends on these arguments alone, which is what lets
-    shared_segments share its segments between calls.  v's rows are read
-    through the block's memo, or outside a block through one for this call
-    alone (see _row_source).
+    Orders 0 and 1 read v's own rows on either side (see the module
+    docstring).  The integrand depends on these arguments alone, which is
+    what lets shared_segments share its segments between calls.  v's rows
+    are read through the block's memo, or outside a block through one for
+    this call alone (see _row_source).  p must be >= 1 and theta finite.
     """
     _check_order(j)
     p = float(p)
+    if not (p >= 1.0 and math.isfinite(theta)):  # a NaN p fails too
+        raise InadmissibleParameterError(
+            f"norm exponent must be >= 1 and weight power finite, got p={p}, theta={theta}")
     memo = _MEMO.get()
     memo = {} if memo is None else memo  # not `or {}`: a block's memo starts empty, falsy
-    rows = _row_source(v, space, j, memo.setdefault((v, space), {}))
-    if isinstance(space, ManifoldSpec):
-        w = space.warp
+    manifold = isinstance(space, ManifoldSpec)
+    w = space.warp if manifold else space
+    profile = manifold and j >= 2  # the only integrand that reads norm_profiles
+    source = space if profile else w
+    rows = _row_source(v, source, j, memo.setdefault((v, source), {}))
+    if profile:
         evaluator = lambda t: rows(t)[j] ** p
+    elif manifold and j == 1:
+        # squared and rooted as norm_profiles does, so a v' whose square
+        # underflows gives 0 alike; |u| = |v| takes the branch below
+        evaluator = lambda t: np.sqrt(rows(t)[1] ** 2) ** p
     else:
-        w = space
         scale = float(math.factorial(j))  # v^(j) as derivative_values forms it
         evaluator = lambda t: np.abs(rows(t)[j] * scale) ** p
-    # v's envelope bounds rows 0 and 1 of norm_profiles, |v| and sqrt(v'^2);
-    # a manifold profile of order >= 2 has none
-    base = v.decay_envelope() if j <= 1 or not isinstance(space, ManifoldSpec) else None
+    # v's envelope bounds |v^(j)|, so |v| and sqrt(v'^2); a manifold profile
+    # of order >= 2 has none
+    base = None if profile else v.decay_envelope()
     envelope = base.power_scaled(p) if base is not None else None
     if math.isinf(w.radius) and envelope is None:
         return math.inf  # no certified tail: infinite-norm signal
@@ -364,6 +383,9 @@ def norm_term(v: RadialFunction, j: int, p: float, space: WarpSpec | ManifoldSpe
     Angle independence of |grad^j u|_g is a separately tested property, so
     the sphere integral collapses to the radial line.
     """
+    if isinstance(space, ManifoldSpec) and n != space.dim:
+        raise InadmissibleParameterError(
+            f"a norm on a {space.dim}-manifold weighs with N = {space.dim}, got {n}")
     integral = weighted_integral(v, j, p, n - 1.0, space, tol)
     if not math.isfinite(integral):
         return math.inf

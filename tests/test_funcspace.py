@@ -5,12 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad, trapezoid
 from scipy.special import erf
 
 from radwarp import funcspace, geometry
-from radwarp.errors import DomainError, InadmissibleParameterError
+from radwarp.errors import DomainError, EvaluationError, InadmissibleParameterError
 from radwarp.funcspace import (
     FAMILY_KINDS,
     RadialFunction,
@@ -18,12 +18,14 @@ from radwarp.funcspace import (
     default_families,
     gradient_norm_manifold,
     lq_theta_norm_1d,
+    norm_term,
     sobolev_norm_1d,
     sobolev_norm_manifold,
     sobolev_seminorms_1d,
     weighted_integral,
 )
 from radwarp.manifold import ManifoldSpec, WarpSpec, sphere_volume
+from radwarp.quadrature import Integrand, integrate_weighted
 
 from oracles import oracle_family_coeffs
 
@@ -304,6 +306,34 @@ class TestSobolevNorms:
             with pytest.raises(InadmissibleParameterError, match="within 0..4"):
                 call()
 
+    @pytest.mark.parametrize("p, theta", [(0.0, 2.0), (0.5, 2.0), (math.nan, 2.0),
+                                          (2.0, math.nan), (2.0, math.inf)])
+    def test_exponents_outside_the_norms_are_rejected(self, p, theta):
+        # unchecked, p = 0 divided by zero, p = 0.5 gave a finite "norm",
+        # p = NaN failed in the envelope and theta = NaN read as divergence
+        f, w = RadialFunction.gaussian(1.0), WarpSpec.euclidean(1.0)
+        m = ManifoldSpec(w, 3)
+        calls = [lambda: weighted_integral(f, 0, p, theta, w, 1e-10),
+                 lambda: weighted_integral(f, 1, p, theta, m, 1e-10)]
+        if theta == 2.0:
+            calls += [lambda: sobolev_norm_1d(f, 1, p, 3, w),
+                      lambda: sobolev_norm_manifold(f, 1, p, m),
+                      lambda: norm_term(f, 1, p, m, 3, 1e-10)]
+        for call in calls:
+            with pytest.raises(InadmissibleParameterError, match="exponent must be >= 1"):
+                call()
+
+    def test_manifold_norm_term_weighs_with_the_manifold_dimension(self):
+        # with n = 4 on a 3-manifold the term mixed omega_3 and phi^3 with
+        # it, and read 1.786 where the 3-manifold's norm is 1.631
+        f, m = RadialFunction.gaussian(1.0), ManifoldSpec(WarpSpec.euclidean(1.0), 3)
+        assert norm_term(f, 1, 2.0, m, 3, 1e-10) == pytest.approx(1.631, abs=1e-3)
+        for n in (2, 4):
+            with pytest.raises(InadmissibleParameterError, match="3-manifold"):
+                norm_term(f, 1, 2.0, m, n, 1e-10)
+        # on a warp, n is the weight's own dimension
+        assert math.isfinite(norm_term(f, 1, 2.0, m.warp, 4, 1e-10))
+
     def test_manifold_k1_structure(self):
         # rank-1 pointwise norms equal |v'|, so the manifold norm is exactly
         # omega^(1/p) (I0^(1/p) + I1^(1/p)) with the same 1-D integrals
@@ -503,24 +533,41 @@ class TestRowMemo:
         # their walks add, to their own order
         assert calls[outside][1] == 2 and {order for _, order in calls[outside:]} <= {0, 1, 2}
 
+    # a manifold order <= 1 shares the warp's rows (the next test); order 2
+    # reads norm_profiles rows of its own
     @pytest.mark.parametrize("other", [
-        (RadialFunction.gaussian(1.0), UNIT),
-        (BUMP, WarpSpec.hyperbolic(1.0)),
-        (BUMP, ManifoldSpec(UNIT, 3)),
+        (RadialFunction.gaussian(1.0), UNIT, 1),
+        (BUMP, WarpSpec.hyperbolic(1.0), 1),
+        (BUMP, ManifoldSpec(UNIT, 3), 2),
     ], ids=["family", "warp", "manifold"])
     def test_different_families_or_spaces_share_no_rows(self, monkeypatch, other):
         calls = self._counted_rows(monkeypatch)
-        v, space = other
+        v, space, j = other
         with funcspace.shared_segments():
-            alone = weighted_integral(v, 1, 2.0, 2.0, space, 1e-10)
+            alone = weighted_integral(v, j, 2.0, 2.0, space, 1e-10)
         made = len(calls)
         with funcspace.shared_segments():
             weighted_integral(self.BUMP, 1, 2.0, 2.0, self.UNIT, 1e-10)
             before = len(calls)
-            shared = weighted_integral(v, 1, 2.0, 2.0, space, 1e-10)
+            shared = weighted_integral(v, j, 2.0, 2.0, space, 1e-10)
             row_memos = [key for key in funcspace._MEMO.get() if len(key) == 2]
             assert row_memos == [(self.BUMP, self.UNIT), (v, space)]
         assert len(calls) - before == made > 0
+        assert shared.hex() == alone.hex()
+
+    def test_low_manifold_orders_share_the_warp_rows(self, monkeypatch):
+        calls = self._counted_rows(monkeypatch)
+        m = ManifoldSpec(self.UNIT, 3)
+        with funcspace.shared_segments():
+            alone = weighted_integral(self.BUMP, 1, 2.0, 2.0, m, 1e-10)
+        made = len(calls)
+        with funcspace.shared_segments():
+            weighted_integral(self.BUMP, 1, 2.0, 2.0, self.UNIT, 1e-10)
+            before = len(calls)
+            shared = weighted_integral(self.BUMP, 1, 2.0, 2.0, m, 1e-10)
+            row_memos = [key for key in funcspace._MEMO.get() if len(key) == 2]
+            assert row_memos == [(self.BUMP, self.UNIT)]
+        assert len(calls) - before < made
         assert shared.hex() == alone.hex()
 
     def test_rows_are_evaluated_again_only_for_a_higher_order(self, monkeypatch):
@@ -602,6 +649,107 @@ class TestRowWork:
         assert again * 50 < len(held)
 
 
+class TestLowOrderRows:
+    """A manifold integral of order <= 1 reads v's own rows, as the interval
+    side does: |u| = |v| and |grad u|_g = sqrt(v'^2)."""
+
+    @staticmethod
+    def _profile_integral(f, j, p, m, tol):
+        """The manifold integral with its evaluator reading norm_profiles rows,
+        under weighted_integral's tail, overflow and convergence rules."""
+        base = f.decay_envelope()
+        envelope = base.power_scaled(p) if base is not None else None
+        if math.isinf(m.warp.radius) and envelope is None:
+            return math.inf
+        evaluator = lambda t: geometry.norm_profiles(f, m, t, j)[j] ** p
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                res = integrate_weighted(Integrand(evaluator, m.dim - 1.0, envelope), m.warp, tol)
+            except EvaluationError:
+                return math.inf
+        return res.value if res.converged else math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=st.sampled_from(FAMILY_KINDS).flatmap(FAMILIES.get), w=st.sampled_from(TABLE_WARPS),
+           n=st.integers(2, 5), p=st.sampled_from([1.0, 1.5, 2.0]), j=st.integers(0, 1),
+           fractions=st.lists(st.floats(1e-6, 0.999), min_size=1, max_size=8))
+    @example(f=RadialFunction.gaussian(1.0), w=WarpSpec.euclidean(), n=3, p=1.5, j=1,
+             fractions=[0.5])
+    def test_integral_is_the_norm_profiles_integral(self, f, w, n, p, j, fractions):
+        m = ManifoldSpec(w, n)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            integrands = TestManifoldTails._recording(monkeypatch)
+            value = weighted_integral(f, j, p, n - 1.0, m, 1e-10)
+        assert value.hex() == self._profile_integral(f, j, p, m, 1e-10).hex()
+        # the integrand itself, also where v'^2 underflows (near r = 20 for
+        # a gaussian of rate >= 1)
+        t = np.array(fractions) * min(w.radius, 40.0)
+        if w.radius > 20.5:
+            t = np.concatenate([t, np.linspace(19.5, 20.5, 5)])
+        for g in integrands:
+            want = geometry.norm_profiles(f, m, t, j)[j] ** p
+            assert g.evaluator(t).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_underflowing_slope_is_rooted_as_norm_profiles_does(self, monkeypatch, p):
+        # v' = -2r exp(-r^2) ~ 8e-173 at r = 20, whose square underflows to 0
+        f, m = RadialFunction.gaussian(1.0), ManifoldSpec(WarpSpec.euclidean(), 3)
+        integrands = TestManifoldTails._recording(monkeypatch)
+        weighted_integral(f, 1, p, 2.0, m, 1e-10)
+        t = np.linspace(19.9, 20.1, 9)
+        got = integrands[0].evaluator(t)
+        assert got.tobytes() == (geometry.norm_profiles(f, m, t, 1)[1] ** p).tobytes()
+        assert not got.any() and np.abs(f.derivative_values(t, 1)).all()
+
+    WARP = WarpSpec.hyperbolic(2.0)
+    BUMP = RadialFunction.polynomial_bump((1.0, 0.5), support=1.5)
+
+    def test_low_orders_call_no_norm_profiles(self, monkeypatch):
+        calls = []
+        profiles = geometry.norm_profiles
+
+        def counting(v, m, r, k, *args, **kwargs):
+            calls.append(k)
+            return profiles(v, m, r, k, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "norm_profiles", counting)
+        m = ManifoldSpec(self.WARP, 3)
+        with funcspace.shared_segments():
+            for j in (0, 1):
+                weighted_integral(self.BUMP, j, 1.5, 2.0, m, 1e-10)
+            norm_term(self.BUMP, 0, 2.0, m, 3, 1e-10)
+            gradient_norm_manifold(self.BUMP, 2.0, m)
+            sobolev_norm_manifold(self.BUMP, 1, 3.0, m)
+            assert calls == []
+            sobolev_norm_manifold(self.BUMP, 2, 2.0, m)
+        assert calls and set(calls) == {2}
+
+    def test_a_manifold_integral_evaluates_no_array_the_interval_one_did(self, monkeypatch):
+        evaluated = []
+        rows = RadialFunction._rows
+
+        def recording(self, t, order):
+            evaluated.append((t.tobytes(), order))
+            return rows(self, t, order)
+
+        monkeypatch.setattr(RadialFunction, "_rows", recording)
+        m = ManifoldSpec(self.WARP, 3)
+        for j in (0, 1):
+            with funcspace.shared_segments():
+                weighted_integral(self.BUMP, j, 2.0, 2.0, m, 1e-10)
+            alone = {t for t, _ in evaluated}
+            evaluated.clear()
+            with funcspace.shared_segments():
+                weighted_integral(self.BUMP, j, 2.0, 2.0, self.WARP, 1e-10)
+                first = {t: order for t, order in evaluated}
+                evaluated.clear()
+                weighted_integral(self.BUMP, j, 2.0, 2.0, m, 1e-10)
+            assert all(first.get(t, -1) < order for t, order in evaluated)
+            # the walks share arrays, so the memo saves evaluations
+            assert len(evaluated) < len(alone) and alone & first.keys()
+            evaluated.clear()
+
+
 class TestNormRequest:
     """Critical exponents of a norm request (N, k, p, theta)."""
 
@@ -618,3 +766,9 @@ class TestNormRequest:
     def test_interval_variant(self):
         # (3 + 1) * 2 / (4 - 2) = 4, exactly
         assert critical_q(4, 1, 2.0, theta=3.0, variant="interval") == 4.0
+
+    @pytest.mark.parametrize("variant", ["manifld", "Interval", ""])
+    def test_unknown_variant_is_rejected(self, variant):
+        # a misspelt variant took the interval formula
+        with pytest.raises(InadmissibleParameterError, match="variant"):
+            critical_q(4, 1, 2.0, variant=variant)
