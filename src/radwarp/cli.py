@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 
 import numpy as np
@@ -86,11 +87,21 @@ def _read_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _open_output(path: str):
+def _open_output(path: str, mode: str = "w"):
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
+
+
+def _check_output(path: str) -> None:
+    """Fail on an output path that cannot be written, before any computation.
+    Opening for append leaves an existing file's bytes as they are; a file
+    the probe makes is removed again."""
+    existed = os.path.lexists(path)
+    _open_output(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _cmd_run(args) -> int:
@@ -102,6 +113,7 @@ def _cmd_run(args) -> int:
         raise ConfigError("run needs a config path or --default-suite")
     specs = build_check_specs(cfg, grid_override=args.grid, tol_override=args.tol)
     out_path = output_path(cfg, "report", "report.json", args.out)
+    _check_output(out_path)
     report = run_suite(specs)
 
     payload = report.to_dict()
@@ -110,9 +122,9 @@ def _cmd_run(args) -> int:
     meta["config_sha256"] = sha256(cfg.source_text.encode()).hexdigest()
     meta["package_version"] = __version__
 
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with _open_output(out_path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
     for c in report.checks:
         label = ", ".join(f"{k}={v}" for k, v in c.params.items() if k in
@@ -160,6 +172,7 @@ def _dump_values(quantity: str, cfg: RunConfig, grid_n: int | None,
 def _cmd_dump(args) -> int:
     cfg = _read_config(args.config)
     out_path = output_path(cfg, "csv", f"{args.quantity}.csv", args.out)
+    _check_output(out_path)
     try:
         grid, values, params = _dump_values(args.quantity, cfg, args.grid, args.tol)
     except RadwarpError as exc:

@@ -100,6 +100,8 @@ def _parse_value(raw: str):
 
 
 def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line
     out = []
     quoted = False
     for ch in line:

@@ -29,16 +29,18 @@ Orders 0 and 1 read v's own rows on either side, as |u| = |v| and
 |grad u|_g = sqrt(v'^2) (g^rr = 1, and the angular partials of u vanish);
 only a manifold order >= 2 reads geometry.norm_profiles rows.
 
-Inside a shared_segments block (run_check opens one per check), the
-integrals of one v read its rows from one memo per row source, keyed by the
-exact node array: (v, warp) for v's own rows, (v, manifold) for the
-norm_profiles rows.  An entry is evaluated to the order of the first
-integral that reads it, and again only when a later one reads a higher
-order; a norm that reads several orders integrates the highest first.
-Rows 0..j of a higher-order evaluation equal those of an order-j one bit for
-bit, so every integral keeps its bits whatever the memo holds.  The memo
-lives for one check; a run-wide one would evaluate every row to the suite's
-highest order.
+Inside a shared_segments block (run_suite opens one per run, run_check one
+per check), the integrals of one v read its rows from one memo per row
+source, keyed by the exact node array: v alone for v's own rows, which no
+warp changes, (v, manifold) for the norm_profiles rows.  An entry is
+evaluated to the order of the first integral that reads it, and again only
+when a later one reads a higher order; a norm that reads several orders
+integrates the highest first.  Rows 0..j of a higher-order evaluation equal
+those of an order-j one bit for bit, so every integral keeps its bits
+whatever the memo holds.  A nested block shares v's own rows with the
+outermost one, so they live for the run (run_suite drops a family's rows
+after the last check that lists it); the segment stores and the
+norm_profiles rows live for the block that made them, one check.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -121,7 +123,7 @@ class RadialFunction:
     def bump_coeffs(self) -> list[float]:
         return [val for key, val in self.params if key.startswith("c")]
 
-    @property
+    @cached_property  # formatted once per family: config resolution reads it per check
     def label(self) -> str:
         inner = ",".join(f"{k}={v:g}" for k, v in self.params)
         return f"{self.family}({inner})" if inner else self.family
@@ -254,19 +256,29 @@ def critical_q(n: int, k: int, p: float, theta: float = 0.0,
 # norms
 
 # one dict per shared_segments block: weighted_integral's segment stores,
-# keyed by its arguments but tol, and its row memos, keyed by (v, space)
+# keyed by its arguments but tol, and the norm_profiles row memos, keyed by
+# (v, manifold); under _ROWS, the outermost block's memos of v's own rows,
+# keyed by v
 _MEMO: ContextVar[dict | None] = ContextVar("radwarp_memo", default=None)
+_ROWS = "rows"
 
 
 @contextmanager
 def shared_segments():
     """Let weighted_integral calls that differ only in `tol` share one
     segment store, so a refined integral evaluates only the segments it
-    adds, and let all calls on one (v, space) share one row memo; both are
-    dropped when the block ends, also when it raises."""
-    token = _MEMO.set({})
+    adds, and let all calls on one (v, manifold) share one norm_profiles row
+    memo; both are dropped when the block ends, also when it raises.
+
+    Yields the memos of v's own rows, keyed by v: a block inside another
+    shares the outer one's, so the caller of the outermost block may drop
+    a family's entry once no later call reads it.
+    """
+    outer = _MEMO.get()
+    rows = {} if outer is None else outer[_ROWS]
+    token = _MEMO.set({_ROWS: rows})
     try:
-        yield
+        yield rows
     finally:
         _MEMO.reset(token)
 
@@ -280,7 +292,8 @@ def _row_source(v: RadialFunction, space: WarpSpec | ManifoldSpec, j: int, memo:
     """rows(t): v's Taylor rows (on a warp) or norm_profiles rows (on a
     manifold) at the nodes t, at least rows 0..j, kept in `memo` by the
     bytes of t and evaluated again only when a higher order is asked for.
-    Orders 0 and 1 pass the warp on either side."""
+    Orders 0 and 1 pass the warp on either side; v's own rows do not read
+    it, so one memo serves v on every warp."""
     if isinstance(space, ManifoldSpec):
         evaluate = lambda t, k: geometry.norm_profiles(v, space, t, k)
     else:
@@ -315,12 +328,14 @@ def weighted_integral(v: RadialFunction, j: int, p: float, theta: float,
         raise InadmissibleParameterError(
             f"norm exponent must be >= 1 and weight power finite, got p={p}, theta={theta}")
     memo = _MEMO.get()
-    memo = {} if memo is None else memo  # not `or {}`: a block's memo starts empty, falsy
+    memo = {_ROWS: {}} if memo is None else memo
     manifold = isinstance(space, ManifoldSpec)
     w = space.warp if manifold else space
     profile = manifold and j >= 2  # the only integrand that reads norm_profiles
-    source = space if profile else w
-    rows = _row_source(v, source, j, memo.setdefault((v, source), {}))
+    if profile:
+        rows = _row_source(v, space, j, memo.setdefault((v, space), {}))
+    else:
+        rows = _row_source(v, w, j, memo[_ROWS].setdefault(v, {}))
     if profile:
         evaluator = lambda t: rows(t)[j] ** p
     elif manifold and j == 1:

@@ -704,7 +704,8 @@ OPTIONAL_FIELDS = frozenset().union(*(row.reads for row in CHECK_TABLE.values())
 def run_check(spec: CheckSpec) -> CheckResult:
     row = CHECK_TABLE[spec.kind]
     start = time.perf_counter()
-    # the refined walks of a check share their quadrature segments
+    # the refined walks of a check share their quadrature segments; in
+    # run_suite's block, v's own rows come from the run's memo
     with shared_segments():
         measured, worst, ok = row.run(spec)
     elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -721,8 +722,20 @@ def run_check(spec: CheckSpec) -> CheckResult:
 
 
 def run_suite(specs) -> VerificationReport:
-    """Run all checks in order into one report."""
-    results = [run_check(s) for s in specs]
+    """Run all checks in order into one report.
+
+    The checks share one block, so a family's own rows on a node array are
+    evaluated once per run (see funcspace.shared_segments); a family's rows
+    are dropped after the last check that lists it.
+    """
+    specs = list(specs)
+    last = {f: i for i, spec in enumerate(specs) for f in spec.families}
+    results = []
+    with shared_segments() as rows:
+        for i, spec in enumerate(specs):
+            results.append(run_check(spec))
+            for v in [v for v in rows if last.get(v, i) <= i]:
+                del rows[v]
     meta = {
         "check_count": len(results),
         "passed": sum(r.verdict == "pass" for r in results),

@@ -1,6 +1,7 @@
 """Config parsing, the run command's exit codes and report schema, CSV dumps."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import radwarp
 from radwarp import cli
 from radwarp.cli import main
 from radwarp.config import DEFAULT_SUITE, build_check_specs, make_warp, parse_config
-from radwarp.errors import ConfigError
+from radwarp.errors import ConfigError, RadwarpError
 
 SMALL_CONFIG = """\
 # compact run over two profiles
@@ -143,6 +144,18 @@ class TestConfigParsing:
     def test_empty_checks_rejected(self):
         with pytest.raises(ConfigError):
             build_check_specs(parse_config("manifold.warp = \"euclidean\"\nmanifold.N = 3\n"))
+
+# output paths that cannot be written: one in a missing directory, and one
+# that names an existing directory (each test makes "existing_dir")
+BAD_OUTPUTS = {"missing_directory": "missing/out", "directory": "existing_dir"}
+
+
+def _not_reached(*args, **kwargs):
+    raise AssertionError("computed before the output path was checked")
+
+
+def _failing(*args, **kwargs):
+    raise RadwarpError("the computation failed")
 
 
 class TestRunCommand:
@@ -327,6 +340,41 @@ class TestRunCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("config error: cannot write") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", list(BAD_OUTPUTS))
+    def test_unwritable_report_exit_2_before_any_check(self, tmp_path, capsys, monkeypatch,
+                                                         where):
+        (tmp_path / "existing_dir").mkdir()
+        monkeypatch.setattr(cli, "run_suite", _not_reached)
+        out_path = tmp_path / BAD_OUTPUTS[where]
+        assert main(["run", "--default-suite", "--out", str(out_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: cannot write")
+        assert sorted(os.listdir(tmp_path)) == ["existing_dir"]
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    def test_failed_run_leaves_the_report_path_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                           existing):
+        out_path = tmp_path / "r.json"
+        if existing:
+            out_path.write_text("an earlier report\n")
+        monkeypatch.setattr(cli, "run_suite", _failing)
+        assert main(["run", "--default-suite", "--out", str(out_path)]) == 2
+        assert "the computation failed" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == (["r.json"] if existing else [])
+        if existing:
+            assert out_path.read_text() == "an earlier report\n"
+
+    def test_report_bytes_are_the_json_dump_output(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_CONFIG)
+        out_path = tmp_path / "r.json"
+        assert main(["run", str(cfg_path), "--out", str(out_path)]) == 0
+        text = out_path.read_text()
+        expected = io.StringIO()
+        json.dump(json.loads(text), expected, sort_keys=True, indent=2, allow_nan=False)
+        expected.write("\n")
+        assert text == expected.getvalue()
 
     def test_unknown_warp_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
@@ -544,6 +592,34 @@ class TestDumpCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("config error: cannot write") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", list(BAD_OUTPUTS))
+    def test_unwritable_csv_exit_2_before_any_computation(self, tmp_path, capsys, monkeypatch,
+                                                            where):
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(DUMP_CONFIG)
+        (tmp_path / "existing_dir").mkdir()
+        monkeypatch.setattr(cli, "_dump_values", _not_reached)
+        out_path = tmp_path / BAD_OUTPUTS[where]
+        assert main(["dump", "norm_profile", str(cfg_path), "--out", str(out_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: cannot write")
+        assert sorted(os.listdir(tmp_path)) == ["d.cfg", "existing_dir"]
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    def test_failed_dump_leaves_the_csv_path_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                         existing):
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(DUMP_CONFIG)
+        out_path = tmp_path / "c.csv"
+        if existing:
+            out_path.write_text("r,an earlier curve\n")
+        monkeypatch.setattr(cli, "_dump_values", _failing)
+        assert main(["dump", "norm_profile", str(cfg_path), "--out", str(out_path)]) == 2
+        assert "the computation failed" in capsys.readouterr().err
+        assert out_path.exists() == existing
+        if existing:
+            assert out_path.read_text() == "r,an earlier curve\n"
 
     @pytest.mark.parametrize("quantity, lines, message", [
         # radial_lemma_log needs N = kp and p > 1, radial_lemma_power N > kp

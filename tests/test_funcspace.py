@@ -487,8 +487,9 @@ TABLE_WARPS = (WarpSpec.euclidean(), WarpSpec.hyperbolic(), WarpSpec.spherical()
 
 
 class TestRowMemo:
-    """Inside shared_segments, the integrals of one (v, space) read v's rows
-    from one memo, evaluated to the highest order asked for."""
+    """Inside shared_segments, the integrals of one v read v's own rows from
+    one memo, and those of one (v, manifold) its norm_profiles rows from
+    another, each evaluated to the highest order asked for."""
 
     # the premise: rows 0..j of a higher-order evaluation are those of an
     # order-j one, bit for bit
@@ -533,13 +534,20 @@ class TestRowMemo:
         # their walks add, to their own order
         assert calls[outside][1] == 2 and {order for _, order in calls[outside:]} <= {0, 1, 2}
 
-    # a manifold order <= 1 shares the warp's rows (the next test); order 2
+    @staticmethod
+    def _row_memos():
+        """The keys of the block's row memos: v for v's own rows, then
+        (v, manifold) for norm_profiles rows."""
+        memo = funcspace._MEMO.get()
+        return list(memo[funcspace._ROWS]) + [
+            key for key in memo if isinstance(key, tuple) and len(key) == 2]
+
+    # a manifold order <= 1 shares v's own rows (the tests below); order 2
     # reads norm_profiles rows of its own
     @pytest.mark.parametrize("other", [
         (RadialFunction.gaussian(1.0), UNIT, 1),
-        (BUMP, WarpSpec.hyperbolic(1.0), 1),
         (BUMP, ManifoldSpec(UNIT, 3), 2),
-    ], ids=["family", "warp", "manifold"])
+    ], ids=["family", "manifold"])
     def test_different_families_or_spaces_share_no_rows(self, monkeypatch, other):
         calls = self._counted_rows(monkeypatch)
         v, space, j = other
@@ -550,9 +558,24 @@ class TestRowMemo:
             weighted_integral(self.BUMP, 1, 2.0, 2.0, self.UNIT, 1e-10)
             before = len(calls)
             shared = weighted_integral(v, j, 2.0, 2.0, space, 1e-10)
-            row_memos = [key for key in funcspace._MEMO.get() if len(key) == 2]
-            assert row_memos == [(self.BUMP, self.UNIT), (v, space)]
+            assert self._row_memos() == [self.BUMP, (v, space) if j >= 2 else v]
         assert len(calls) - before == made > 0
+        assert shared.hex() == alone.hex()
+
+    def test_one_family_shares_its_rows_across_warps(self, monkeypatch):
+        # v's rows read no warp: on another warp of the same radius the walk
+        # meets the node arrays the first one evaluated
+        calls = self._counted_rows(monkeypatch)
+        other = WarpSpec.hyperbolic(1.0)
+        with funcspace.shared_segments():
+            alone = weighted_integral(self.BUMP, 1, 2.0, 2.0, other, 1e-10)
+        made = len(calls)
+        with funcspace.shared_segments():
+            weighted_integral(self.BUMP, 1, 2.0, 2.0, self.UNIT, 1e-10)
+            before = len(calls)
+            shared = weighted_integral(self.BUMP, 1, 2.0, 2.0, other, 1e-10)
+            assert self._row_memos() == [self.BUMP]
+        assert len(calls) - before < made
         assert shared.hex() == alone.hex()
 
     def test_low_manifold_orders_share_the_warp_rows(self, monkeypatch):
@@ -565,8 +588,7 @@ class TestRowMemo:
             weighted_integral(self.BUMP, 1, 2.0, 2.0, self.UNIT, 1e-10)
             before = len(calls)
             shared = weighted_integral(self.BUMP, 1, 2.0, 2.0, m, 1e-10)
-            row_memos = [key for key in funcspace._MEMO.get() if len(key) == 2]
-            assert row_memos == [(self.BUMP, self.UNIT)]
+            assert self._row_memos() == [self.BUMP]
         assert len(calls) - before < made
         assert shared.hex() == alone.hex()
 

@@ -547,7 +547,7 @@ class TestSegmentMemo:
                 funcspace.weighted_integral(*self.BASE, 1e-10)
                 memo = funcspace._MEMO.get()
                 assert memo[v, j, p, theta, space] is segment_counts[0][0]
-                assert memo[v, space]
+                assert memo[funcspace._ROWS][v]  # v's own rows, keyed by v alone
                 raise RuntimeError("check failed")
         assert funcspace._MEMO.get() is None
         funcspace.weighted_integral(*self.BASE, 1e-10)

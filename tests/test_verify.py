@@ -498,3 +498,91 @@ class TestSegmentMemoScope:
         with pytest.raises(RuntimeError, match="check failed"):
             run_check(self.HARDY)
         assert funcspace._MEMO.get() is None
+
+
+def _hex(value):
+    """Every float of a measured or worst_case dict as its .hex(), so a
+    comparison sees each bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hex(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hex(item) for item in value]
+    return value
+
+
+class TestRunRowMemo:
+    """run_suite keeps each family's own rows across its checks, and drops
+    them after the last check that lists the family."""
+
+    GAUSS = RadialFunction.gaussian(1.0)
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Record (check index, v, node bytes, order) of every row evaluation
+        of a run_suite; returns the list and the per-check observations of the
+        run's row memo keys, taken as each check starts."""
+        from radwarp import funcspace, verify
+
+        evaluated, held = [], []
+        rows, check = RadialFunction._rows, verify.run_check
+
+        def recording(self, t, order):
+            evaluated.append((len(held) - 1, self, t.tobytes(), order))
+            return rows(self, t, order)
+
+        def observed(s):
+            held.append(set(funcspace._MEMO.get()[funcspace._ROWS]))
+            return check(s)
+
+        monkeypatch.setattr(RadialFunction, "_rows", recording)
+        monkeypatch.setattr(verify, "run_check", observed)
+        return evaluated, held
+
+    # the same family on two warps whose walks share node arrays
+    @pytest.mark.parametrize("first, second", [
+        (("hardy", WarpSpec.euclidean(1.0), {"j": 1}),
+         ("hardy", WarpSpec.hyperbolic(1.0), {"j": 1})),
+        (("k1_norm_equality", WarpSpec.euclidean(), {}),
+         ("decay_lemma", WarpSpec.hyperbolic(), {})),
+    ], ids=["hardy", "k1_then_decay"])
+    def test_a_later_check_evaluates_no_array_an_earlier_one_did(self, monkeypatch, first,
+                                                                   second):
+        from radwarp import funcspace
+
+        specs = [spec(kind, w, 3, families=[self.GAUSS], **kw) for kind, w, kw in (first, second)]
+        alone = [run_check(s) for s in specs]
+        evaluated, _ = self._record(monkeypatch)
+        report = run_suite(specs)
+        made = {(v, t): order for i, v, t, order in evaluated if i == 0}
+        later = [(v, t, order) for i, v, t, order in evaluated if i == 1]
+        assert made and all(made.get((v, t), -1) < order for v, t, order in later)
+        for ran, single in zip(report.checks, alone):
+            assert ran.verdict == single.verdict == "pass"
+            assert _hex(ran.measured) == _hex(single.measured)
+            assert _hex(ran.worst_case) == _hex(single.worst_case)
+        assert funcspace._MEMO.get() is None
+
+    def test_a_family_is_dropped_after_the_last_check_that_lists_it(self, monkeypatch):
+        from radwarp import funcspace
+
+        linear = RadialFunction.linear()
+        specs = [
+            spec("hardy", WarpSpec.euclidean(1.0), 3, j=1, families=[self.GAUSS, linear]),
+            spec("hardy", WarpSpec.hyperbolic(1.0), 3, j=1, families=[linear]),
+            spec("hardy", WarpSpec.euclidean(2.0), 3, j=1, families=[self.GAUSS]),
+        ]
+        _, held = self._record(monkeypatch)
+        assert run_suite(specs).all_passed
+        assert held == [set(), {self.GAUSS, linear}, {self.GAUSS}]
+        assert funcspace._MEMO.get() is None
+
+    def test_the_default_suite_evaluates_each_row_once_per_run(self, monkeypatch):
+        # a work-count guard: 393 evaluations when each check kept its own
+        # memo, 235 with one per run
+        from radwarp.config import DEFAULT_SUITE, build_check_specs, parse_config
+
+        evaluated, _ = self._record(monkeypatch)
+        assert run_suite(build_check_specs(parse_config(DEFAULT_SUITE))).all_passed
+        assert len(evaluated) <= 235
